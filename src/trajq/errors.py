@@ -30,6 +30,14 @@ class NonFiniteValueError(TrajqError):
     """Coordinates and timestamps must be finite floats."""
 
 
+class PointOrderError(TrajqError, ValueError):
+    """A trajectory's points must carry the orders 0..n-1 in sequence."""
+
+
+class RelationOrderError(TrajqError, ValueError):
+    """A trajectories relation holds a tid twice or rows not sorted by tid."""
+
+
 class UnknownTidError(TrajqError, KeyError):
     """Lookup of a trajectory id that is not in the relation."""
 
@@ -47,6 +55,11 @@ class OutOfRangeError(TrajqError):
 
 class InvalidGeometryError(TrajqError, ValueError):
     """A region or interval with degenerate or non-finite bounds."""
+
+
+class CrossingOverflowError(TrajqError, ValueError):
+    """A coordinate difference along a segment overflows the float range, so
+    the segment's threshold crossings cannot be computed."""
 
 
 # --- predicate language -------------------------------------------------
@@ -90,6 +103,11 @@ class ValidationFailedError(TrajqError):
 
 class UnknownStrategyError(TrajqError, KeyError):
     """An approximation strategy name with no registered factory."""
+
+
+class StrategyOutputError(TrajqError, ValueError):
+    """An approximation strategy returned parameters that are unsorted or
+    outside [0, 1]."""
 
 
 # --- relation classifiers -----------------------------------------------

@@ -4,41 +4,48 @@ Three degrees of strictness decide which points a quantifier ranges over:
 
 * strict: only the recorded points of the trajectory;
 * relaxed: the continuum of the interpolated polyline, evaluated exactly
-  through the parameter-set algebra (no sampling anywhere);
+  on a finite set of sites (no sampling anywhere);
 * approximated: strict evaluation after augmenting each segment with
   intermediate points produced by a pluggable strategy.
 
-Relaxed evaluation computes, per segment, the exact parameter set where the
-clause body holds (atoms map to parameter sets, AND/OR/NOT to intersection,
-union, complement). An EXISTS clause holds iff some segment has a non-empty
-body set within its domain; a FORALL clause holds iff no segment has a
-non-empty counterexample set. Segment domains are half-open so that a
-vertex shared by two segments is owned by exactly one of them, and the TFL
-domain excludes just the two endpoint points (a measure-zero exclusion:
-the inner continuum reaches arbitrarily close to both endpoints). Ground
-clauses over pf/pl are the same in every mode.
+Relaxed evaluation decides each quantified clause in one vectorised pass
+over all segments of a trajectory. On one segment every atom holds on one
+interval of the parameter range [0, 1] (region OUTSIDE is the complement of
+the closed hull, time OUTSIDE the union of BEFORE and AFTER). Its ends are
+threshold crossings (v - c0) / (c1 - c0). The sites of a segment are 0, 1
+and every crossing, sorted, plus the open cell between each pair of
+neighbours that differ; no atom changes truth inside a cell. Whether an
+atom holds at a site or on a cell is decided only by ordinal comparisons
+of the site values with the interval ends and their open/closed flags: no
+midpoints and no epsilons, so a cell between two adjacent floats still
+counts. AND, OR and NOT then act on boolean site masks. Segment domains
+are half-open so that a vertex shared by two segments is owned by exactly
+one of them; the final segment also owns the last point, and the TFL
+domain drops just the first and last points (a measure-zero exclusion: the
+inner continuum reaches arbitrarily close to both). EXISTS holds iff the
+body holds at some owned site, FORALL iff it fails at none. Ground clauses
+over pf/pl are the same in every mode.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnknownStrategyError, ValidationFailedError
+from .errors import StrategyOutputError, UnknownStrategyError, ValidationFailedError
 from .geometry import (
     Interval,
-    ParamInterval,
-    ParamSet,
+    ParamIntervals,
     PointClass,
     Region,
     TimeClass,
+    box_params,
     classify_point_region,
     classify_time_interval,
-    lerp,
-    segment_interval_params,
-    segment_region_params,
+    densify,
 )
 from .model import Segment, TrajectoriesRelation, Trajectory, TrajectoryPoint, segments
 from .predicate import (
@@ -54,6 +61,7 @@ from .predicate import (
     Predicate,
     Quantifier,
     QuantifiedClause,
+    _walk_atoms,
     validate,
 )
 
@@ -172,14 +180,12 @@ def _atom_mask(
     return taus > target.tau_e
 
 
-def _body_mask(
-    body: Body, xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv
-) -> np.ndarray:
+def _body_mask(body: Body, atom_mask: Callable[[Atom], np.ndarray]) -> np.ndarray:
     if isinstance(body, Atom):
-        return _atom_mask(body, xs, ys, taus, env)
+        return atom_mask(body)
     if isinstance(body, Not):
-        return ~_body_mask(body.child, xs, ys, taus, env)
-    masks = [_body_mask(p, xs, ys, taus, env) for p in body.parts]
+        return ~_body_mask(body.child, atom_mask)
+    masks = [_body_mask(p, atom_mask) for p in body.parts]
     out = masks[0]
     for m in masks[1:]:
         out = (out & m) if isinstance(body, And) else (out | m)
@@ -218,17 +224,6 @@ def _ground_body(body: Body, t: Trajectory, env: EvalEnv) -> bool:
     return any(_ground_body(p, t, env) for p in body.parts)
 
 
-def _point_body(body: Body, p: TrajectoryPoint, env: EvalEnv) -> bool:
-    """Body truth at one concrete point, for quantifiers over a 1-point trajectory."""
-    if isinstance(body, Atom):
-        return _atom_at_point(body, p, env)
-    if isinstance(body, Not):
-        return not _point_body(body.child, p, env)
-    if isinstance(body, And):
-        return all(_point_body(c, p, env) for c in body.parts)
-    return any(_point_body(c, p, env) for c in body.parts)
-
-
 def _strict_clause(clause: QuantifiedClause, t: Trajectory, env: EvalEnv) -> bool:
     if clause.domain is Domain.ALL_POINTS:
         xs, ys, taus = t.xs, t.ys, t.taus
@@ -236,7 +231,7 @@ def _strict_clause(clause: QuantifiedClause, t: Trajectory, env: EvalEnv) -> boo
         xs, ys, taus = t.xs[1:-1], t.ys[1:-1], t.taus[1:-1]
     if xs.size == 0:
         return clause.quantifier is Quantifier.FORALL
-    mask = _body_mask(clause.body, xs, ys, taus, env)
+    mask = _body_mask(clause.body, lambda atom: _atom_mask(atom, xs, ys, taus, env))
     return bool(mask.any() if clause.quantifier is Quantifier.EXISTS else mask.all())
 
 
@@ -256,70 +251,68 @@ def eval_strict(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
 # --- relaxed machinery --------------------------------------------------
 
 
-def _body_params(body: Body, seg: Segment, env: EvalEnv) -> ParamSet:
-    if isinstance(body, Atom):
-        target = env.bindings[body.rhs]
-        if isinstance(target, Region):
-            if body.op is Op.WITHIN:
-                return segment_region_params(seg, target, PointClass.INTERIOR).union(
-                    segment_region_params(seg, target, PointClass.BOUNDARY)
-                )
-            if body.op is Op.INSIDE:
-                return segment_region_params(seg, target, PointClass.INTERIOR)
-            return segment_region_params(seg, target, PointClass.EXTERIOR)
-        if body.op is Op.WITHIN:
-            return segment_interval_params(seg, target, TimeClass.INTERIOR).union(
-                segment_interval_params(seg, target, TimeClass.BOUNDARY)
-            )
-        if body.op is Op.INSIDE:
-            return segment_interval_params(seg, target, TimeClass.INTERIOR)
-        if body.op is Op.OUTSIDE:
-            return segment_interval_params(seg, target, TimeClass.BEFORE).union(
-                segment_interval_params(seg, target, TimeClass.AFTER)
-            )
-        if body.op is Op.BEFORE:
-            return segment_interval_params(seg, target, TimeClass.BEFORE)
-        return segment_interval_params(seg, target, TimeClass.AFTER)
-    if isinstance(body, Not):
-        return _body_params(body.child, seg, env).complement()
-    sets = [_body_params(p, seg, env) for p in body.parts]
-    out = sets[0]
-    for s in sets[1:]:
-        out = out.intersect(s) if isinstance(body, And) else out.union(s)
-    return out
+def _leaf_keys(atom: Atom, env: EvalEnv) -> tuple[tuple[str, Op], ...]:
+    """The interval-shaped atoms that decide one atom on a segment."""
+    if atom.op is not Op.OUTSIDE:
+        return ((atom.rhs, atom.op),)
+    if isinstance(env.bindings[atom.rhs], Region):
+        return ((atom.rhs, Op.WITHIN),)  # exterior: not in the closed hull
+    return ((atom.rhs, Op.BEFORE), (atom.rhs, Op.AFTER))
 
 
-def _segment_domain(index: int, count: int, domain: Domain) -> ParamSet:
-    """Parameter range of one segment that the quantifier owns.
-
-    Interior vertices are owned by the segment that starts there, so ranges
-    are [0, 1) except the final segment. Under TFL the very first parameter
-    (the trajectory's first point) and the final endpoint are excluded.
-    """
-    last = index == count - 1
-    if domain is Domain.ALL_POINTS:
-        return ParamSet((ParamInterval(0.0, 1.0, True, last),))
-    return ParamSet((ParamInterval(0.0, 1.0, index > 0, False),))
+def _leaf_params(target: Region | Interval, op: Op, t: Trajectory) -> ParamIntervals:
+    if isinstance(target, Region):
+        return box_params(
+            (t.xs, t.ys),
+            (target.x_min, target.y_min),
+            (target.x_max, target.y_max),
+            op is Op.INSIDE,
+        )
+    if op is Op.BEFORE:
+        return box_params((t.taus,), (-math.inf,), (target.tau_s,), True)
+    if op is Op.AFTER:
+        return box_params((t.taus,), (target.tau_e,), (math.inf,), True)
+    return box_params((t.taus,), (target.tau_s,), (target.tau_e,), op is Op.INSIDE)
 
 
 def _relaxed_clause(clause: QuantifiedClause, t: Trajectory, env: EvalEnv) -> bool:
-    segs = segments(t)
-    if not segs:
-        if clause.domain is Domain.INNER_POINTS:
-            return clause.quantifier is Quantifier.FORALL
-        # one recorded point, no continuum: both quantifiers reduce to the body there
-        return _point_body(clause.body, t.points[0], env)
-    exists = clause.quantifier is Quantifier.EXISTS
-    for i, seg in enumerate(segs):
-        dom = _segment_domain(i, len(segs), clause.domain)
-        body_set = _body_params(clause.body, seg, env)
-        if exists:
-            if not body_set.intersect(dom).is_empty:
-                return True
-        else:
-            if not body_set.complement().intersect(dom).is_empty:
-                return False
-    return not exists
+    if len(t) == 1:
+        return _strict_clause(clause, t, env)  # one recorded point, no continuum
+    keys = dict.fromkeys(k for a in _walk_atoms(clause.body) for k in _leaf_keys(a, env))
+    leaves = {k: _leaf_params(env.bindings[k[0]], k[1], t) for k in keys}
+    m = len(t) - 1
+    bounds = [np.zeros(m), np.ones(m)]
+    for p in leaves.values():
+        bounds += [p.lo, p.hi]
+    # sites[j, i] is the j-th smallest site of segment i
+    sites = np.sort(np.minimum(np.maximum(np.array(bounds), 0.0), 1.0), axis=0)
+    left, right = sites[:-1], sites[1:]
+
+    def holds(p: ParamIntervals) -> np.ndarray:
+        at_site = np.where(p.lo_closed, p.lo <= sites, p.lo < sites) & np.where(
+            p.hi_closed, sites <= p.hi, sites < p.hi
+        )
+        on_cell = (p.lo <= left) & (right <= p.hi)
+        return np.concatenate((at_site, on_cell))
+
+    truth = {k: holds(p) for k, p in leaves.items()}
+
+    def atom_mask(atom: Atom) -> np.ndarray:
+        masks = [truth[k] for k in _leaf_keys(atom, env)]
+        if len(masks) == 2:
+            return masks[0] | masks[1]
+        return ~masks[0] if atom.op is Op.OUTSIDE else masks[0]
+
+    body = _body_mask(clause.body, atom_mask)
+    owned = sites < 1.0  # a vertex belongs to the segment starting there
+    if clause.domain is Domain.ALL_POINTS:
+        owned[:, -1] = True
+    else:
+        owned[:, 0] &= sites[:, 0] > 0.0  # TFL also drops the first point
+    domain = np.concatenate((owned, left < right))
+    if clause.quantifier is Quantifier.EXISTS:
+        return bool((body & domain).any())
+    return not (~body & domain).any()
 
 
 def eval_relaxed(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
@@ -341,27 +334,23 @@ def eval_relaxed(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
 def _augmented_arrays(
     t: Trajectory, strategy: ApproxStrategy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xs = [t.points[0].x]
-    ys = [t.points[0].y]
-    taus = [t.points[0].tau]
+    lams: list[float] = []
+    counts: list[int] = []
     for seg in segments(t):
-        lams = list(strategy.point_generator(seg))
-        if any(b < a for a, b in zip(lams, lams[1:])):
-            raise ValueError(f"strategy {strategy.name!r} returned unsorted parameters")
-        for lam in lams:
-            if not 0.0 <= lam <= 1.0:
-                raise ValueError(
-                    f"strategy {strategy.name!r} returned parameter {lam} outside [0, 1]"
-                )
-            if 0.0 < lam < 1.0:
-                x, y, tau = lerp(seg, lam)
-                xs.append(x)
-                ys.append(y)
-                taus.append(tau)
-        xs.append(seg.end.x)
-        ys.append(seg.end.y)
-        taus.append(seg.end.tau)
-    return np.array(xs), np.array(ys), np.array(taus)
+        before = len(lams)
+        lams.extend(strategy.point_generator(seg))
+        counts.append(len(lams) - before)
+    lam = np.array(lams, dtype=float)
+    seg = np.repeat(np.arange(len(counts)), counts)
+    outside = ~((lam >= 0.0) & (lam <= 1.0))
+    if outside.any():
+        raise StrategyOutputError(
+            f"strategy {strategy.name!r} returned parameter {lam[outside][0]} outside [0, 1]"
+        )
+    if ((np.diff(lam) < 0.0) & (np.diff(seg) == 0)).any():
+        raise StrategyOutputError(f"strategy {strategy.name!r} returned unsorted parameters")
+    inner = (lam > 0.0) & (lam < 1.0)
+    return densify(t.xs, t.ys, t.taus, seg[inner], lam[inner])
 
 
 def eval_approximated(
@@ -387,7 +376,7 @@ def eval_approximated(
         if cx.size == 0:
             ok = clause.quantifier is Quantifier.FORALL
         else:
-            mask = _body_mask(clause.body, cx, cy, ct, env)
+            mask = _body_mask(clause.body, lambda atom: _atom_mask(atom, cx, cy, ct, env))
             ok = bool(mask.any() if clause.quantifier is Quantifier.EXISTS else mask.all())
         if not ok:
             return False

@@ -16,6 +16,12 @@ each coordinate varies linearly in the parameter, these sets are produced by
 solving linear threshold crossings; all endpoint parameters are derived from
 the same divisions, so the class sets of a segment partition [0, 1] exactly
 in float arithmetic, with no epsilon tolerances anywhere.
+
+The evaluator needs those sets for every segment of a polyline at once:
+:func:`box_params` computes, as numpy arrays, the one interval per segment
+where a box (a region's hull or interior, or a time band) holds, from the
+same divisions. A coordinate difference that overflows the float range has
+no usable crossing and raises :class:`CrossingOverflowError` on both paths.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .errors import InvalidGeometryError, OutOfRangeError
+import numpy as np
+
+from .errors import CrossingOverflowError, InvalidGeometryError, OutOfRangeError
 from .model import Segment
 
 
@@ -225,6 +233,9 @@ EMPTY_SET = ParamSet(())
 FULL_SET = ParamSet((ParamInterval(0.0, 1.0, True, True),))
 
 
+_OVERFLOW = "a coordinate difference along a segment overflows the float range"
+
+
 def _axis_below(c0: float, c1: float, v: float, strict: bool) -> ParamSet:
     """Parameters where the linear coordinate c(lam) is below threshold v.
 
@@ -233,7 +244,10 @@ def _axis_below(c0: float, c1: float, v: float, strict: bool) -> ParamSet:
     if c0 == c1:
         hit = c0 < v if strict else c0 <= v
         return FULL_SET if hit else EMPTY_SET
-    lam = (v - c0) / (c1 - c0)
+    d, num = c1 - c0, v - c0
+    if math.isinf(d) or math.isinf(num):
+        raise CrossingOverflowError(_OVERFLOW)
+    lam = num / d
     if c1 > c0:
         # below-threshold parameters sit left of the crossing
         if lam > 1.0:
@@ -256,6 +270,106 @@ def _axis_above(c0: float, c1: float, v: float, strict: bool) -> ParamSet:
 def _band(c0: float, c1: float, lo: float, hi: float, strict: bool) -> ParamSet:
     """Parameters with lo < c(lam) < hi (or the closed version)."""
     return _axis_above(c0, c1, lo, strict).intersect(_axis_below(c0, c1, hi, strict))
+
+
+@dataclass(frozen=True)
+class ParamIntervals:
+    """One subinterval of [0, 1] per segment of a polyline, as parallel arrays.
+
+    Row i is the vector form of a single-interval :class:`ParamSet` on
+    segment i. The set is empty where lo > hi, or where lo == hi and an end
+    is open. Bounds are clamped on one side only (lo >= 0, hi <= 1), so an
+    empty row may carry lo > 1 or hi < 0.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    lo_closed: np.ndarray
+    hi_closed: np.ndarray
+
+
+def _axis_band(
+    c: np.ndarray, lo: float, hi: float, strict: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unclamped ends of the parameter band lo < c(lam) < hi, per segment.
+
+    The crossings are (v - c0) / (c1 - c0), the division :func:`_axis_below`
+    makes; negating all three operands, as :func:`_axis_above` does, leaves
+    every rounding unchanged, so one quotient serves both directions and
+    each end equals the ParamSet path's bit for bit.
+    """
+    c0, c1 = c[:-1], c[1:]
+    try:
+        # Arithmetic on an infinite bound raises no flag; a flat row (x/0,
+        # 0/0) or an overflow does, and takes the checked path below.
+        with np.errstate(all="raise", under="ignore"):
+            d = c1 - c0
+            at_lo = (lo - c0) / d
+            at_hi = (hi - c0) / d
+    except FloatingPointError:
+        return _checked_axis_band(c0, c1, lo, hi, strict)
+    return np.minimum(at_lo, at_hi), np.maximum(at_lo, at_hi)
+
+
+def _checked_axis_band(
+    c0: np.ndarray, c1: np.ndarray, lo: float, hi: float, strict: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_axis_band` for rows that are flat or overflow somewhere.
+
+    A flat coordinate never uses its quotient: its band is everything or
+    nothing. A quotient may overflow to an infinity, which orders correctly
+    against [0, 1]; a difference may not.
+
+    Raises:
+        CrossingOverflowError: a coordinate difference is not finite.
+    """
+    with np.errstate(all="ignore"):
+        d = c1 - c0
+        at_lo = (lo - c0) / d
+        at_hi = (hi - c0) / d
+        overflow = np.isinf(d).any() or any(
+            math.isfinite(v) and (np.isinf(v - c0) & (d != 0.0)).any() for v in (lo, hi)
+        )
+    if overflow:
+        raise CrossingOverflowError(_OVERFLOW)
+    flat = d == 0.0
+    inside = ((lo < c0) & (c0 < hi)) if strict else ((lo <= c0) & (c0 <= hi))
+    full = np.where(inside, -np.inf, np.inf)
+    return (
+        np.where(flat, full, np.minimum(at_lo, at_hi)),
+        np.where(flat, -full, np.maximum(at_lo, at_hi)),
+    )
+
+
+def box_params(
+    coords: Iterable[np.ndarray],
+    lo: Iterable[float],
+    hi: Iterable[float],
+    strict: bool,
+) -> ParamIntervals:
+    """Per segment of a polyline, the parameters where every coordinate
+    array lies in its band: lo < c(lam) < hi (strict) or lo <= c(lam) <= hi.
+
+    This is :func:`segment_region_params` (closed hull or interior) and
+    :func:`segment_interval_params` on all segments at once. A bound may be
+    infinite, which makes a band a half-line. All ends of one box share a
+    strictness, so intersecting the unclamped bands and clamping once to
+    [0, 1] gives the same endpoints and ownership as ParamSet.intersect.
+
+    Raises:
+        CrossingOverflowError: a coordinate difference is not finite.
+    """
+    bands = [_axis_band(c, a, b, strict) for c, a, b in zip(coords, lo, hi)]
+    start, end = bands[0]
+    for s, e in bands[1:]:
+        start = np.maximum(start, s)
+        end = np.minimum(end, e)
+    return ParamIntervals(
+        np.maximum(start, 0.0),
+        np.minimum(end, 1.0),
+        (start < 0.0) | (not strict),
+        (end > 1.0) | (not strict),
+    )
 
 
 def segment_region_params(seg: Segment, r: Region, cls: PointClass) -> ParamSet:
@@ -314,3 +428,18 @@ def lerp(seg: Segment, lam: float) -> tuple[float, float, float]:
     a, b = seg.start, seg.end
     w = 1.0 - lam
     return (w * a.x + lam * b.x, w * a.y + lam * b.y, w * a.tau + lam * b.tau)
+
+
+def densify(
+    xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, seg: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Polyline arrays with interpolated points inserted.
+
+    Point j lies at parameter lam[j] of the segment starting at index
+    seg[j]; the pairs must be sorted by segment, then parameter. Values come
+    from the same (1-lam)*a + lam*b arithmetic as :func:`lerp`, so each
+    inserted point equals lerp's bit for bit.
+    """
+    w = 1.0 - lam
+    nxt = seg + 1
+    return tuple(np.insert(c, nxt, w * c[seg] + lam * c[nxt]) for c in (xs, ys, taus))

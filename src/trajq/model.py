@@ -26,6 +26,8 @@ from .errors import (
     EmptyTrajectoryError,
     NonFiniteValueError,
     NonMonotoneTimeError,
+    PointOrderError,
+    RelationOrderError,
     UnknownPropertyError,
     UnknownTidError,
 )
@@ -71,7 +73,7 @@ class Trajectory:
             raise EmptyTrajectoryError("a trajectory needs at least one point")
         for i, p in enumerate(self.points):
             if p.order != i:
-                raise ValueError(f"point {i} carries order {p.order}; orders must be 0..n-1")
+                raise PointOrderError(f"point {i} carries order {p.order}; orders must be 0..n-1")
             if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.tau)):
                 raise NonFiniteValueError(f"point {i} has a non-finite coordinate or timestamp")
         for a, b in zip(self.points, self.points[1:]):
@@ -151,9 +153,9 @@ class TrajectoriesRelation:
     def __post_init__(self):
         tids = [tid for tid, _ in self.rows]
         if len(set(tids)) != len(tids):
-            raise ValueError("duplicate tid in relation")
+            raise RelationOrderError("duplicate tid in relation")
         if tids != sorted(tids):
-            raise ValueError("rows must be sorted by tid")
+            raise RelationOrderError("rows must be sorted by tid")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, Trajectory]]) -> "TrajectoriesRelation":

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ORACLE_PREDICATES, generic_instance, random_interval, random_region, random_trajectory
-from trajq.errors import UnknownStrategyError, ValidationFailedError
+from trajq.errors import StrategyOutputError, UnknownStrategyError, ValidationFailedError
 from trajq.evaluate import (
     DEFAULT_UNIFORM_K,
     RELAXED,
@@ -194,10 +194,10 @@ def test_misbehaving_strategy_rejected():
     t = build_trajectory([(0, 0, 0), (1, 1, 10)])
     env = EvalEnv({"R": Region(0, 0, 4, 4)})
     ast = parse_predicate("EXISTS p IN T: p INSIDE R")
-    with pytest.raises(ValueError):
-        eval_approximated(ast, t, env, ApproxStrategy("bad", lambda seg: (1.5,)))
-    with pytest.raises(ValueError):
-        eval_approximated(ast, t, env, ApproxStrategy("bad", lambda seg: (0.7, 0.3)))
+    for bad in ((1.5,), (0.7, 0.3), (float("nan"),)):
+        with pytest.raises(StrategyOutputError) as exc:
+            eval_approximated(ast, t, env, ApproxStrategy("bad", lambda seg: bad))
+        assert isinstance(exc.value, ValueError)
 
 
 def test_unvalidated_predicate_rejected():

@@ -6,12 +6,17 @@ from trajq.errors import (
     EmptyTrajectoryError,
     NonFiniteValueError,
     NonMonotoneTimeError,
+    PointOrderError,
+    RelationOrderError,
+    TrajqError,
     UnknownPropertyError,
     UnknownTidError,
 )
 from trajq.model import (
     PropertyRelation,
     TrajectoriesRelation,
+    Trajectory,
+    TrajectoryPoint,
     build_trajectory,
     first_point,
     inner_points,
@@ -112,6 +117,18 @@ def test_relation_sorts_and_indexes():
     assert len(rel) == 2
     with pytest.raises(UnknownTidError):
         rel.get("zzz")
+
+
+def test_malformed_rows_raise_typed_value_errors():
+    t = build_trajectory([(0, 0, 0)])
+    with pytest.raises(PointOrderError):
+        Trajectory((TrajectoryPoint(1, 0.0, 0.0, 0.0),))
+    with pytest.raises(RelationOrderError):
+        TrajectoriesRelation((("a", t), ("a", t)))
+    with pytest.raises(RelationOrderError):
+        TrajectoriesRelation((("b", t), ("a", t)))
+    for cls in (PointOrderError, RelationOrderError):
+        assert issubclass(cls, TrajqError) and issubclass(cls, ValueError)
 
 
 def test_property_lookup_and_errors():
