@@ -110,6 +110,16 @@ class StrategyOutputError(TrajqError, ValueError):
     outside [0, 1]."""
 
 
+class StrategyParameterError(TrajqError, ValueError):
+    """An approximation strategy was asked for with a parameter outside its
+    range, such as a negative number of points per segment."""
+
+
+class UnsupportedStrictnessError(TrajqError, ValueError):
+    """A strictness kind that is unknown, or that an operation does not
+    implement."""
+
+
 # --- relation classifiers -----------------------------------------------
 
 

@@ -1,12 +1,17 @@
 """Predicate evaluation over trajectories and relation filtering.
 
-Three degrees of strictness decide which points a quantifier ranges over:
+One evaluator serves the three degrees of strictness, which differ only in
+the sites a quantifier ranges over:
 
 * strict: only the recorded points of the trajectory;
+* approximated: the recorded points plus the intermediate points a
+  pluggable strategy proposes for each segment;
 * relaxed: the continuum of the interpolated polyline, evaluated exactly
-  on a finite set of sites (no sampling anywhere);
-* approximated: strict evaluation after augmenting each segment with
-  intermediate points produced by a pluggable strategy.
+  on a finite set of sites (no sampling anywhere).
+
+``_holds`` walks the clauses and stops at the first that fails. One atom
+rule, ``_atom_mask``, tests strict and approximated sites as arrays and the
+pf or pl of a ground clause as floats, so ground clauses agree in every mode.
 
 Relaxed evaluation decides each quantified clause in one vectorised pass
 over all segments of a trajectory. On one segment every atom holds on one
@@ -23,31 +28,28 @@ are half-open so that a vertex shared by two segments is owned by exactly
 one of them; the final segment also owns the last point, and the TFL
 domain drops just the first and last points (a measure-zero exclusion: the
 inner continuum reaches arbitrarily close to both). EXISTS holds iff the
-body holds at some owned site, FORALL iff it fails at none. Ground clauses
-over pf/pl are the same in every mode.
+body holds at some owned site, FORALL iff it fails at none. A trajectory of
+one point has no continuum and is decided on that point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import StrategyOutputError, UnknownStrategyError, ValidationFailedError
-from .geometry import (
-    Interval,
-    ParamIntervals,
-    PointClass,
-    Region,
-    TimeClass,
-    box_params,
-    classify_point_region,
-    classify_time_interval,
-    densify,
+from .errors import (
+    StrategyOutputError,
+    StrategyParameterError,
+    UnknownStrategyError,
+    UnsupportedStrictnessError,
+    ValidationFailedError,
 )
-from .model import Segment, TrajectoriesRelation, Trajectory, TrajectoryPoint, segments
+from .geometry import Interval, ParamIntervals, Region, box_params, densify
+from .model import Segment, TrajectoriesRelation, Trajectory, segments
 from .predicate import (
     And,
     Atom,
@@ -56,7 +58,6 @@ from .predicate import (
     GroundClause,
     Not,
     Op,
-    Or,
     PointRef,
     Predicate,
     Quantifier,
@@ -106,7 +107,7 @@ class ApproxStrategy:
 def uniform_strategy(k: int) -> ApproxStrategy:
     """k evenly spaced interior points per segment: lam = j/(k+1), j=1..k."""
     if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+        raise StrategyParameterError(f"k must be non-negative, got {k}")
     grid = tuple((j + 1) / (k + 1) for j in range(k))
 
     return ApproxStrategy(f"uniform-{k}", lambda seg: grid)
@@ -145,46 +146,44 @@ def _require_valid(ast: Predicate, env: EvalEnv) -> None:
         raise ValidationFailedError(diags)
 
 
-# --- strict machinery ---------------------------------------------------
+# --- the clause loop, the atom rule and strict sites --------------------
 
 
-def _atom_mask(
-    atom: Atom, xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv
-) -> np.ndarray:
+def _band(c, lo: float, hi: float, strict: bool):
+    return ((c > lo) & (c < hi)) if strict else ((c >= lo) & (c <= hi))
+
+
+def _off(c, lo: float, hi: float):
+    return (c < lo) | (c > hi)
+
+
+def _atom_mask(atom: Atom, xs, ys, taus, env: EvalEnv):
+    """Truth of one atom at points given by coordinate arrays (a mask comes
+    back) or by the floats of one point (a bool comes back). Each op makes
+    only the comparisons it needs."""
     target = env.bindings[atom.rhs]
-    if isinstance(target, Region):
-        within = (
-            (xs >= target.x_min)
-            & (xs <= target.x_max)
-            & (ys >= target.y_min)
-            & (ys <= target.y_max)
+    op = atom.op
+    if isinstance(target, Region):  # BEFORE/AFTER on regions fail validation
+        if op is Op.OUTSIDE:
+            return _off(xs, target.x_min, target.x_max) | _off(ys, target.y_min, target.y_max)
+        strict = op is Op.INSIDE
+        return _band(xs, target.x_min, target.x_max, strict) & _band(
+            ys, target.y_min, target.y_max, strict
         )
-        if atom.op is Op.WITHIN:
-            return within
-        if atom.op is Op.INSIDE:
-            return (
-                (xs > target.x_min)
-                & (xs < target.x_max)
-                & (ys > target.y_min)
-                & (ys < target.y_max)
-            )
-        return ~within  # OUTSIDE; BEFORE/AFTER on regions is rejected by validation
-    if atom.op is Op.WITHIN:
-        return (taus >= target.tau_s) & (taus <= target.tau_e)
-    if atom.op is Op.INSIDE:
-        return (taus > target.tau_s) & (taus < target.tau_e)
-    if atom.op is Op.OUTSIDE:
-        return (taus < target.tau_s) | (taus > target.tau_e)
-    if atom.op is Op.BEFORE:
+    if op is Op.OUTSIDE:
+        return _off(taus, target.tau_s, target.tau_e)
+    if op is Op.BEFORE:
         return taus < target.tau_s
-    return taus > target.tau_e
+    if op is Op.AFTER:
+        return taus > target.tau_e
+    return _band(taus, target.tau_s, target.tau_e, op is Op.INSIDE)
 
 
 def _body_mask(body: Body, atom_mask: Callable[[Atom], np.ndarray]) -> np.ndarray:
     if isinstance(body, Atom):
         return atom_mask(body)
     if isinstance(body, Not):
-        return ~_body_mask(body.child, atom_mask)
+        return _body_mask(body.child, atom_mask) ^ True  # `not` for bools and masks
     masks = [_body_mask(p, atom_mask) for p in body.parts]
     out = masks[0]
     for m in masks[1:]:
@@ -192,60 +191,43 @@ def _body_mask(body: Body, atom_mask: Callable[[Atom], np.ndarray]) -> np.ndarra
     return out
 
 
-def _atom_at_point(atom: Atom, p: TrajectoryPoint, env: EvalEnv) -> bool:
-    target = env.bindings[atom.rhs]
-    if isinstance(target, Region):
-        cls = classify_point_region(p.x, p.y, target)
-        if atom.op is Op.WITHIN:
-            return cls is not PointClass.EXTERIOR
-        if atom.op is Op.INSIDE:
-            return cls is PointClass.INTERIOR
-        return cls is PointClass.EXTERIOR
-    cls = classify_time_interval(p.tau, target)
-    if atom.op is Op.WITHIN:
-        return cls in (TimeClass.INTERIOR, TimeClass.BOUNDARY)
-    if atom.op is Op.INSIDE:
-        return cls is TimeClass.INTERIOR
-    if atom.op is Op.OUTSIDE:
-        return cls in (TimeClass.BEFORE, TimeClass.AFTER)
-    if atom.op is Op.BEFORE:
-        return cls is TimeClass.BEFORE
-    return cls is TimeClass.AFTER
+def _ground_atom(atom: Atom, t: Trajectory, env: EvalEnv) -> bool:
+    p = t.points[0] if atom.subject is PointRef.FIRST else t.points[-1]
+    return _atom_mask(atom, p.x, p.y, p.tau, env)
 
 
-def _ground_body(body: Body, t: Trajectory, env: EvalEnv) -> bool:
-    if isinstance(body, Atom):
-        p = t.points[0] if body.subject is PointRef.FIRST else t.points[-1]
-        return _atom_at_point(body, p, env)
-    if isinstance(body, Not):
-        return not _ground_body(body.child, t, env)
-    if isinstance(body, And):
-        return all(_ground_body(p, t, env) for p in body.parts)
-    return any(_ground_body(p, t, env) for p in body.parts)
-
-
-def _strict_clause(clause: QuantifiedClause, t: Trajectory, env: EvalEnv) -> bool:
-    if clause.domain is Domain.ALL_POINTS:
-        xs, ys, taus = t.xs, t.ys, t.taus
-    else:
-        xs, ys, taus = t.xs[1:-1], t.ys[1:-1], t.taus[1:-1]
+def _points_clause(
+    clause: QuantifiedClause, xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv
+) -> bool:
+    """A quantified clause over a finite polyline of points, first to last."""
+    if clause.domain is Domain.INNER_POINTS:
+        xs, ys, taus = xs[1:-1], ys[1:-1], taus[1:-1]
     if xs.size == 0:
         return clause.quantifier is Quantifier.FORALL
     mask = _body_mask(clause.body, lambda atom: _atom_mask(atom, xs, ys, taus, env))
     return bool(mask.any() if clause.quantifier is Quantifier.EXISTS else mask.all())
 
 
-def eval_strict(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
-    """Truth of the predicate using only the recorded points."""
+def _holds(
+    ast: Predicate, t: Trajectory, env: EvalEnv, quantified: Callable[[QuantifiedClause], bool]
+) -> bool:
+    """The clause loop of every mode: validate, then require each clause in
+    turn. Ground clauses are decided at the first or last recorded point;
+    ``quantified`` decides the others over the mode's sites."""
     _require_valid(ast, env)
     for clause in ast.clauses:
         if isinstance(clause, GroundClause):
-            ok = _ground_body(clause.body, t, env)
+            ok = _body_mask(clause.body, lambda atom: _ground_atom(atom, t, env))
         else:
-            ok = _strict_clause(clause, t, env)
+            ok = quantified(clause)
         if not ok:
             return False
     return True
+
+
+def eval_strict(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
+    """Truth of the predicate using only the recorded points."""
+    return _holds(ast, t, env, lambda c: _points_clause(c, t.xs, t.ys, t.taus, env))
 
 
 # --- relaxed machinery --------------------------------------------------
@@ -276,8 +258,8 @@ def _leaf_params(target: Region | Interval, op: Op, t: Trajectory) -> ParamInter
 
 
 def _relaxed_clause(clause: QuantifiedClause, t: Trajectory, env: EvalEnv) -> bool:
-    if len(t) == 1:
-        return _strict_clause(clause, t, env)  # one recorded point, no continuum
+    if len(t) == 1:  # one recorded point, no continuum
+        return _points_clause(clause, t.xs, t.ys, t.taus, env)
     keys = dict.fromkeys(k for a in _walk_atoms(clause.body) for k in _leaf_keys(a, env))
     leaves = {k: _leaf_params(env.bindings[k[0]], k[1], t) for k in keys}
     m = len(t) - 1
@@ -317,15 +299,7 @@ def _relaxed_clause(clause: QuantifiedClause, t: Trajectory, env: EvalEnv) -> bo
 
 def eval_relaxed(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
     """Truth of the predicate over the interpolated continuum, computed exactly."""
-    _require_valid(ast, env)
-    for clause in ast.clauses:
-        if isinstance(clause, GroundClause):
-            ok = _ground_body(clause.body, t, env)
-        else:
-            ok = _relaxed_clause(clause, t, env)
-        if not ok:
-            return False
-    return True
+    return _holds(ast, t, env, lambda c: _relaxed_clause(c, t, env))
 
 
 # --- approximated machinery ---------------------------------------------
@@ -360,27 +334,11 @@ def eval_approximated(
 
     The augmented trajectory keeps the original first and last points as its
     endpoints, so ground clauses and the TFL domain are unaffected by how
-    many intermediate points a strategy adds.
+    many intermediate points a strategy adds. The strategy runs once, when
+    the first quantified clause is reached.
     """
-    _require_valid(ast, env)
-    xs, ys, taus = _augmented_arrays(t, strategy)
-    for clause in ast.clauses:
-        if isinstance(clause, GroundClause):
-            if not _ground_body(clause.body, t, env):
-                return False
-            continue
-        if clause.domain is Domain.ALL_POINTS:
-            cx, cy, ct = xs, ys, taus
-        else:
-            cx, cy, ct = xs[1:-1], ys[1:-1], taus[1:-1]
-        if cx.size == 0:
-            ok = clause.quantifier is Quantifier.FORALL
-        else:
-            mask = _body_mask(clause.body, lambda atom: _atom_mask(atom, cx, cy, ct, env))
-            ok = bool(mask.any() if clause.quantifier is Quantifier.EXISTS else mask.all())
-        if not ok:
-            return False
-    return True
+    sites = functools.cache(lambda: _augmented_arrays(t, strategy))
+    return _holds(ast, t, env, lambda c: _points_clause(c, *sites(), env))
 
 
 def evaluate(ast: Predicate, t: Trajectory, env: EvalEnv, s: Strictness) -> bool:
@@ -392,7 +350,7 @@ def evaluate(ast: Predicate, t: Trajectory, env: EvalEnv, s: Strictness) -> bool
     if s.kind == "approximated":
         strategy = resolve_strategy(s.strategy, s.param)
         return eval_approximated(ast, t, env, strategy)
-    raise ValueError(f"unknown strictness kind {s.kind!r}")
+    raise UnsupportedStrictnessError(f"unknown strictness kind {s.kind!r}")
 
 
 def select_st(

@@ -23,12 +23,19 @@ JOIN[...]) used by the command line explain output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 from ._fmt import format_float
-from .errors import TypeMismatchError, UnknownAttributeError, UnsupportedLabelError
-from .geometry import Interval, Region
+from .errors import (
+    CrossingOverflowError,
+    TypeMismatchError,
+    UnknownAttributeError,
+    UnsupportedLabelError,
+    UnsupportedStrictnessError,
+)
+from .geometry import _OVERFLOW, Interval, Region
 from .model import TrajectoriesRelation
 from .relations import AllenLabel, De9imLabel
 
@@ -475,6 +482,8 @@ def _segment_hits_rect(
 ) -> bool:
     # Slab clipping: intersect the per-axis parameter bands over the segment
     # parameter range [0, 1], tracking open endpoints for the interior test.
+    # A difference that overflows has no usable crossing; it raises, as the
+    # evaluator's geometry.box_params does.
     lo, lo_open = 0.0, False
     hi, hi_open = 1.0, False
     for c0, c1, vmin, vmax in (
@@ -482,6 +491,8 @@ def _segment_hits_rect(
         (y1, y2, r.y_min, r.y_max),
     ):
         d = c1 - c0
+        if math.isinf(d) or (d != 0.0 and (math.isinf(vmin - c0) or math.isinf(vmax - c0))):
+            raise CrossingOverflowError(_OVERFLOW)
         if d == 0.0:
             if closed:
                 if not (vmin <= c0 <= vmax):
@@ -823,7 +834,9 @@ def compile_spatial(label: De9imLabel, r: Region, s) -> AlgebraExpr:
     """
     kind = getattr(s, "kind", s)
     if kind not in ("strict", "relaxed"):
-        raise ValueError(f"expressions exist for strict or relaxed only, got {kind!r}")
+        raise UnsupportedStrictnessError(
+            f"expressions exist for strict or relaxed only, got {kind!r}"
+        )
     if label not in _SPATIAL_LABELS:
         raise UnsupportedLabelError(
             f"no published expression for {label.value}; supported: "

@@ -7,6 +7,7 @@ of it). Randomized tests pin the mode-ordering and duality laws and the
 convergence of dense uniform sampling to the exact relaxed result.
 """
 
+import math
 import random
 
 import pytest
@@ -14,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ORACLE_PREDICATES, generic_instance, random_interval, random_region, random_trajectory
-from trajq.errors import StrategyOutputError, UnknownStrategyError, ValidationFailedError
+from trajq.errors import (
+    StrategyOutputError,
+    StrategyParameterError,
+    UnknownStrategyError,
+    UnsupportedStrictnessError,
+    ValidationFailedError,
+)
 from trajq.evaluate import (
     DEFAULT_UNIFORM_K,
     RELAXED,
@@ -32,7 +39,14 @@ from trajq.evaluate import (
     select_st,
     uniform_strategy,
 )
-from trajq.geometry import Interval, Region
+from trajq.geometry import (
+    Interval,
+    PointClass,
+    Region,
+    TimeClass,
+    classify_point_region,
+    classify_time_interval,
+)
 from trajq.model import Segment, TrajectoriesRelation, build_trajectory
 from trajq.predicate import parse_predicate
 
@@ -119,6 +133,75 @@ def test_ground_clauses_ignore_strictness():
         assert result is True
 
 
+EDGE_REGION = Region(-1.5, 0.25, 2.0, 3.0)
+EDGE_INTERVAL = Interval(100.0, 140.5)
+# The scalar reference: the classes in which each op holds.
+REGION_CLASSES = {
+    "WITHIN": {PointClass.INTERIOR, PointClass.BOUNDARY},
+    "INSIDE": {PointClass.INTERIOR},
+    "OUTSIDE": {PointClass.EXTERIOR},
+}
+TIME_CLASSES = {
+    "WITHIN": {TimeClass.INTERIOR, TimeClass.BOUNDARY},
+    "INSIDE": {TimeClass.INTERIOR},
+    "OUTSIDE": {TimeClass.BEFORE, TimeClass.AFTER},
+    "BEFORE": {TimeClass.BEFORE},
+    "AFTER": {TimeClass.AFTER},
+}
+
+
+def _edge_values(*bounds):
+    """Each bound, one float step to either side of it, and a value between."""
+    out = [(bounds[0] + bounds[-1]) / 2]
+    for b in bounds:
+        out += [math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)]
+    return out
+
+
+def _ground_modes(ast, t, env):
+    return (
+        eval_strict(ast, t, env),
+        eval_relaxed(ast, t, env),
+        eval_approximated(ast, t, env, uniform_strategy(3)),
+    )
+
+
+def _with_end(subject, x, y, tau):
+    """A three-point trajectory whose pf or pl is (x, y, tau)."""
+    if subject == "pf":
+        return build_trajectory([(x, y, tau), (50.0, -50.0, tau + 1), (-50.0, 50.0, tau + 2)])
+    return build_trajectory([(50.0, -50.0, tau - 2), (-50.0, 50.0, tau - 1), (x, y, tau)])
+
+
+@pytest.mark.parametrize("subject", ("pf", "pl"))
+@pytest.mark.parametrize("op", sorted(REGION_CLASSES))
+def test_ground_region_atoms_on_edges_and_corners(op, subject):
+    r = EDGE_REGION
+    env = EvalEnv({"R": r})
+    ast = parse_predicate(f"{subject} {op} R")
+    negated = parse_predicate(f"NOT ({subject} {op} R)")
+    for x in _edge_values(r.x_min, r.x_max):
+        for y in _edge_values(r.y_min, r.y_max):
+            t = _with_end(subject, x, y, 120.0)
+            expected = classify_point_region(x, y, r) in REGION_CLASSES[op]
+            assert _ground_modes(ast, t, env) == (expected,) * 3, (x, y)
+            assert _ground_modes(negated, t, env) == (not expected,) * 3, (x, y)
+
+
+@pytest.mark.parametrize("subject", ("pf", "pl"))
+@pytest.mark.parametrize("op", sorted(TIME_CLASSES))
+def test_ground_time_atoms_on_interval_ends(op, subject):
+    i = EDGE_INTERVAL
+    env = EvalEnv({"I": i})
+    ast = parse_predicate(f"{subject} {op} I")
+    negated = parse_predicate(f"NOT ({subject} {op} I)")
+    for tau in _edge_values(i.tau_s, i.tau_e):
+        t = _with_end(subject, 0.0, 0.0, tau)
+        expected = classify_time_interval(tau, i) in TIME_CLASSES[op]
+        assert _ground_modes(ast, t, env) == (expected,) * 3, tau
+        assert _ground_modes(negated, t, env) == (not expected,) * 3, tau
+
+
 def test_vacuous_inner_domain_two_points():
     two = build_trajectory([(0, 0, 0), (10, 0, 10)])
     env = EvalEnv({"R": Region(-1, -1, 11, 1)})
@@ -131,7 +214,10 @@ def test_vacuous_inner_domain_two_points():
 def test_single_point_trajectory():
     one = build_trajectory([(2, 2, 50)])
     env = EvalEnv({"R": Region(0, 0, 4, 4)})
-    for mode_eval in (eval_strict, eval_relaxed):
+    def approx(ast, t, env):
+        return eval_approximated(ast, t, env, uniform_strategy(3))
+
+    for mode_eval in (eval_strict, eval_relaxed, approx):
         assert mode_eval(parse_predicate("EXISTS p IN T: p INSIDE R"), one, env) is True
         assert mode_eval(parse_predicate("FORALL p IN T: p INSIDE R"), one, env) is True
         assert mode_eval(parse_predicate("EXISTS p IN TFL: p WITHIN R"), one, env) is False
@@ -161,8 +247,9 @@ def test_uniform_strategy_grid():
     grid = uniform_strategy(3).point_generator(None)
     assert grid == (0.25, 0.5, 0.75)
     assert uniform_strategy(0).point_generator(None) == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(StrategyParameterError) as exc:
         uniform_strategy(-1)
+    assert isinstance(exc.value, ValueError)
 
 
 def test_strategy_registry():
@@ -186,8 +273,9 @@ def test_evaluate_dispatch_and_fail_fast():
     # unknown strategies are rejected before any row is touched
     with pytest.raises(UnknownStrategyError):
         select_st(TrajectoriesRelation(()), Q1, CROSS_ENV, approximated("walkers"))
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedStrictnessError) as exc:
         evaluate(Q1, CROSSING, CROSS_ENV, Strictness("fuzzy"))
+    assert isinstance(exc.value, ValueError)
 
 
 def test_misbehaving_strategy_rejected():
@@ -206,6 +294,12 @@ def test_unvalidated_predicate_rejected():
         eval_strict(ast, CROSSING, CROSS_ENV)
     with pytest.raises(ValidationFailedError):
         select_st(SELECTION, ast, CROSS_ENV, STRICT)
+
+    def never(seg):
+        raise AssertionError("strategy called before validation")
+
+    with pytest.raises(ValidationFailedError):
+        eval_approximated(ast, CROSSING, CROSS_ENV, ApproxStrategy("never", never))
 
 
 EXISTENTIAL = tuple(

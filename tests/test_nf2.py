@@ -11,7 +11,13 @@ import random
 import pytest
 
 from helpers import off_boundary_trajectory, random_interval, random_region, random_trajectory
-from trajq.errors import TypeMismatchError, UnknownAttributeError, UnsupportedLabelError
+from trajq.errors import (
+    CrossingOverflowError,
+    TypeMismatchError,
+    UnknownAttributeError,
+    UnsupportedLabelError,
+    UnsupportedStrictnessError,
+)
 from trajq.evaluate import RELAXED, STRICT, EvalEnv, approximated, select_st
 from trajq.geometry import Interval, Region
 from trajq.model import TrajectoriesRelation, build_trajectory
@@ -319,13 +325,32 @@ def test_edge_graze_separates_closed_and_open_tests():
     assert _tids(execute(compile_spatial(De9imLabel.R223, unit, RELAXED), nrel)) == set()
 
 
+@pytest.mark.parametrize("label", (De9imLabel.R223, De9imLabel.R031))
+@pytest.mark.parametrize(
+    "samples, r",
+    (
+        # x1 - x0 overflows; the midpoint (0, 0.5) lies inside R
+        ([(-1e308, 0.5, 0), (1e308, 0.5, 1)], Region(-1, 0, 1, 1)),
+        # x1 - x0 is finite, but x_max - x0 overflows
+        ([(-1e308, 0.5, 0), (-0.9e308, 0.5, 1)], Region(-1, 0, 1e308, 1)),
+    ),
+)
+def test_overflowing_segment_is_an_error_not_an_answer(label, samples, r):
+    rel = TrajectoriesRelation.from_pairs([("o", build_trajectory(samples))])
+    with pytest.raises(CrossingOverflowError):
+        execute(compile_spatial(label, r, RELAXED), trajectories_to_nf2(rel))
+    with pytest.raises(CrossingOverflowError):  # as the evaluator does
+        select_st(rel, de9im_predicate(label), EvalEnv({"R": r}), RELAXED)
+
+
 def test_compile_rejections():
     r = Region(0, 0, 1, 1)
     with pytest.raises(UnsupportedLabelError) as exc:
         compile_spatial(De9imLabel.R095, r, STRICT)
     assert "R031" in str(exc.value)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedStrictnessError) as exc:
         compile_spatial(De9imLabel.R031, r, approximated("uniform"))
+    assert isinstance(exc.value, ValueError)
     with pytest.raises(UnsupportedLabelError):
         compile_temporal(AllenLabel.MEETS, Interval(0, 1))
 
