@@ -18,14 +18,33 @@ selections simply drop such rows, and count of an empty relation is 0.
 Every expression type-checks against the input schema before execution and
 has a stable text rendering (PROJECT[...], SELECT[...], UNNEST[...],
 JOIN[...]) used by the command line explain output.
+
+Execution is linear in the rows of each operator, so compiled plans are
+linear in points per trajectory:
+
+* A join whose condition is ``a = b``, with ``a`` reading no attribute of
+  the right side and ``b`` none of the left (or the reverse), is a hash
+  join; its output order is the nested loop's (left-major, right rows in
+  input order), and an undefined or NaN key matches nothing. Any other
+  join is a nested loop.
+* A relation-valued or aggregate subexpression that reads no attribute of
+  the rows of its enclosing selection, join or projection (found by the
+  type checker, which resolves every name) is invariant: it is evaluated
+  lazily on first use and kept for that one evaluation of the operator,
+  i.e. once per outer row.
+* Rows are checked where they enter: by the public ``Nf2Relation``
+  constructor, and once on the result of ``execute``. Relations built
+  inside a plan take their schemas from the checker and skip the per-row
+  checks.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable, Union
+import operator
+from dataclasses import dataclass, field
+from typing import Union
 
 from ._fmt import format_float
 from .errors import (
@@ -57,26 +76,26 @@ class Attribute:
 @dataclass(frozen=True)
 class Nf2Schema:
     attributes: tuple[Attribute, ...]
+    # attribute name -> position in a row; derived, so not compared
+    positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [a.name for a in self.attributes]
-        if len(set(names)) != len(names):
+        positions = {a.name: i for i, a in enumerate(self.attributes)}
+        if len(positions) != len(self.attributes):
+            names = [a.name for a in self.attributes]
             raise TypeMismatchError(f"duplicate attribute names in {names}")
+        object.__setattr__(self, "positions", positions)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.attributes)
+        return tuple(self.positions)
 
     def get(self, name: str) -> Attribute:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        raise UnknownAttributeError(name)
+        return self.attributes[self.index(name)]
 
     def index(self, name: str) -> int:
-        for i, a in enumerate(self.attributes):
-            if a.name == name:
-                return i
-        raise UnknownAttributeError(name)
+        if name not in self.positions:
+            raise UnknownAttributeError(name)
+        return self.positions[name]
 
 
 def _conforms(value, atype) -> bool:
@@ -120,6 +139,14 @@ class Nf2Relation:
         return len(self.rows)
 
 
+def _built(schema: Nf2Schema, rows: tuple) -> Nf2Relation:
+    """A relation the executor built from checked parts, without row checks."""
+    rel = object.__new__(Nf2Relation)
+    object.__setattr__(rel, "schema", schema)
+    object.__setattr__(rel, "rows", rows)
+    return rel
+
+
 class _Undefined:
     """Result of min/max over nothing; every comparison against it is false."""
 
@@ -131,6 +158,10 @@ UNDEFINED = _Undefined()
 
 
 # --- expression nodes ---------------------------------------------------
+
+_COMPARE = {"<": operator.lt, ">": operator.gt, "=": operator.eq,
+            "<=": operator.le, ">=": operator.ge, "!=": operator.ne}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 @dataclass(frozen=True)
@@ -229,7 +260,7 @@ class Cmp:
     right: "AlgebraExpr"
 
     def __post_init__(self):
-        if self.op not in ("<", ">", "=", "<=", ">=", "!="):
+        if self.op not in _COMPARE:
             raise TypeMismatchError(f"unknown comparison {self.op!r}")
 
 
@@ -255,7 +286,7 @@ class Arith:
     right: "AlgebraExpr"
 
     def __post_init__(self):
-        if self.op not in ("+", "-", "*"):
+        if self.op not in _ARITH:
             raise TypeMismatchError(f"unknown arithmetic operator {self.op!r}")
 
 
@@ -298,56 +329,126 @@ AlgebraExpr = Union[
 
 
 class _Scope:
-    """Lexically chained name-to-type (or name-to-value) environment."""
+    """One row of an operator, chained to the rows enclosing it.
 
-    def __init__(self, entries: dict, parent: "_Scope | None"):
-        self.entries = entries
-        self.parent = parent
+    ``positions`` maps an attribute name to its place in ``row``. The checker
+    chains rows of types, the executor rows of values. ``memo`` holds the
+    invariant subexpressions of one evaluation of the operator; all its rows
+    share it.
+    """
+
+    __slots__ = ("positions", "row", "parent", "memo")
+
+    def __init__(self, positions: dict, row: tuple, parent: "_Scope | None", memo=None):
+        self.positions, self.row, self.parent, self.memo = positions, row, parent, memo
 
     def lookup(self, name: str):
         scope: _Scope | None = self
         while scope is not None:
-            if name in scope.entries:
-                return scope.entries[name]
+            i = scope.positions.get(name)
+            if i is not None:
+                return scope.row[i]
             scope = scope.parent
         raise UnknownAttributeError(name)
 
 
-def _row_scope_types(schema: Nf2Schema, parent: _Scope | None) -> _Scope:
-    return _Scope({a.name: a.type for a in schema.attributes}, parent)
+def _types(schema: Nf2Schema, parent: _Scope | None) -> _Scope:
+    return _Scope(schema.positions, schema.attributes, parent)
 
 
 def _numeric(t) -> bool:
     return t in ("int", "float")
 
 
+def _comparable(lt: str, rt: str) -> None:
+    if (lt == "str") != (rt == "str"):
+        raise TypeMismatchError(f"cannot compare {lt} with {rt}")
+
+
+# The subexpressions worth keeping when invariant: relations and aggregates.
+_HOISTABLE = frozenset((Project, Select, Unnest, Join, Agg))
+
+
 class _Checker:
+    """Type-checks an expression and notes for the executor, by node
+    identity, the output schema of each projection, unnest and join, the
+    invariant subexpressions and the keys of each hash join."""
+
     def __init__(self, input_schema: Nf2Schema):
         self.input_schema = input_schema
+        self.schemas: dict[int, Nf2Schema] = {}
+        self.hoisted: dict[int, bool] = {}  # invariant wherever the node occurs
+        self.join_keys: dict[int, tuple | None] = {}  # (left key, right key)
+        self.own: tuple[_Scope, ...] = ()  # rows of the innermost operator
+        self.reads: set[_Scope] = set()  # rows the names inferred so far read
 
     def infer(self, e: AlgebraExpr, scope: _Scope | None):
-        if isinstance(e, Input):
-            return self.input_schema
-        if isinstance(e, ConstRel):
-            return e.rel.schema
+        if type(e) not in _HOISTABLE:
+            return self._infer(e, scope)
+        t, reads = self._reading(self._infer, e, scope)
+        invariant = bool(self.own) and reads.isdisjoint(self.own)
+        self.hoisted[id(e)] = self.hoisted.get(id(e), True) and invariant
+        return t
+
+    def _reading(self, infer, e: AlgebraExpr, scope: _Scope | None):
+        """``infer(e, scope)`` and the rows that the free names of e read."""
+        outer, self.reads = self.reads, set()
+        t = infer(e, scope)
+        reads, self.reads = self.reads, outer
+        outer |= reads
+        return t, reads
+
+    def _within(self, own: tuple, e: AlgebraExpr, scope: _Scope):
+        """Infer e per row of an operator whose rows are ``own``."""
+        outer, self.own = self.own, own
+        t = self.infer(e, scope)
+        self.own = outer
+        return t
+
+    def _note(self, e: AlgebraExpr, schema: Nf2Schema) -> Nf2Schema:
+        known = self.schemas.setdefault(id(e), schema)
+        if known is not schema and known != schema:
+            raise TypeMismatchError(
+                f"one {type(e).__name__} node is used with two schemas"
+            )
+        return schema
+
+    def _resolve(self, scope: _Scope | None, name: str):
+        while scope is not None:
+            i = scope.positions.get(name)
+            if i is not None:
+                self.reads.add(scope)
+                return scope.row[i].type
+            scope = scope.parent
+        raise UnknownAttributeError(name)
+
+    def _infer(self, e: AlgebraExpr, scope: _Scope | None):
         if isinstance(e, Attr):
             if scope is None:
                 raise UnknownAttributeError(
                     f"{e.name} (no row context at the top level)"
                 )
-            return scope.lookup(e.name)
+            return self._resolve(scope, e.name)
         if isinstance(e, Lit):
             if isinstance(e.value, bool) or e.value is None:
                 raise TypeMismatchError(f"unsupported literal {e.value!r}")
             if isinstance(e.value, str):
                 return "str"
             return "int" if isinstance(e.value, int) else "float"
+        if isinstance(e, Cmp):
+            _comparable(self._scalar(e.left, scope), self._scalar(e.right, scope))
+            return "bool"
         if isinstance(e, Project):
-            return self._infer_project(e, scope)
+            src = self._relation(e.src, scope)
+            return self._note(e, self._infer_project(src, e.items, scope))
+        if isinstance(e, Input):
+            return self.input_schema
+        if isinstance(e, ConstRel):
+            return e.rel.schema
         if isinstance(e, Select):
             src = self._relation(e.src, scope)
-            cond = self.infer(e.cond, _row_scope_types(src, scope))
-            if cond != "bool":
+            row = _types(src, scope)
+            if self._within((row,), e.cond, row) != "bool":
                 raise TypeMismatchError("selection condition must be boolean")
             return src
         if isinstance(e, Unnest):
@@ -358,20 +459,9 @@ class _Checker:
             attrs: list[Attribute] = []
             for a in src.attributes:
                 attrs.extend(target.type.attributes if a.name == e.attr else [a])
-            return Nf2Schema(tuple(attrs))
+            return self._note(e, Nf2Schema(tuple(attrs)))
         if isinstance(e, Join):
-            left = self._relation(e.left, scope)
-            right = self._relation(e.right, scope)
-            overlap = set(left.names()) & set(right.names())
-            if overlap:
-                raise TypeMismatchError(
-                    f"join sides share attribute names {sorted(overlap)}"
-                )
-            merged = Nf2Schema(left.attributes + right.attributes)
-            cond = self.infer(e.cond, _row_scope_types(merged, scope))
-            if cond != "bool":
-                raise TypeMismatchError("join condition must be boolean")
-            return merged
+            return self._note(e, self._infer_join(e, scope))
         if isinstance(e, Agg):
             src = self._relation(e.src, scope)
             if e.fn == "count":
@@ -381,12 +471,6 @@ class _Checker:
                     f"{e.fn} needs a single numeric column, got {src.names()}"
                 )
             return src.attributes[0].type
-        if isinstance(e, Cmp):
-            lt = self._scalar(e.left, scope)
-            rt = self._scalar(e.right, scope)
-            if (lt == "str") != (rt == "str"):
-                raise TypeMismatchError(f"cannot compare {lt} with {rt}")
-            return "bool"
         if isinstance(e, (BoolAnd, BoolOr)):
             for part in e.parts:
                 if self.infer(part, scope) != "bool":
@@ -406,12 +490,41 @@ class _Checker:
             if scope is None:
                 raise UnknownAttributeError("segment condition needs a row context")
             for name in (e.x1, e.y1, e.x2, e.y2):
-                if not _numeric(scope.lookup(name)):
+                if not _numeric(self._resolve(scope, name)):
                     raise TypeMismatchError(
                         f"segment condition needs numeric attribute {name!r}"
                     )
             return "bool"
         raise TypeMismatchError(f"unknown expression node {e!r}")
+
+    def _infer_join(self, e: Join, scope: _Scope | None) -> Nf2Schema:
+        left = self._relation(e.left, scope)
+        right = self._relation(e.right, scope)
+        overlap = set(left.positions) & set(right.positions)
+        if overlap:
+            raise TypeMismatchError(
+                f"join sides share attribute names {sorted(overlap)}"
+            )
+        # The names are disjoint, so a right row chained to a left row
+        # resolves every name as the concatenated row would.
+        lrow = _types(left, scope)
+        rrow = _types(right, lrow)
+        cond, keys = e.cond, None
+        if isinstance(cond, Cmp) and cond.op == "=":
+            outer, self.own = self.own, (lrow, rrow)
+            lt, a = self._reading(self._scalar, cond.left, rrow)
+            rt, b = self._reading(self._scalar, cond.right, rrow)
+            self.own = outer
+            _comparable(lt, rt)
+            if rrow not in a and lrow not in b:
+                keys = (cond.left, cond.right)
+            elif lrow not in a and rrow not in b:
+                keys = (cond.right, cond.left)
+        elif self._within((lrow, rrow), cond, rrow) != "bool":
+            raise TypeMismatchError("join condition must be boolean")
+        if self.join_keys.setdefault(id(e), keys) != keys:
+            self.join_keys[id(e)] = None  # keys differ between occurrences
+        return Nf2Schema(left.attributes + right.attributes)
 
     def _relation(self, e: AlgebraExpr, scope: _Scope | None) -> Nf2Schema:
         t = self.infer(e, scope)
@@ -436,11 +549,12 @@ class _Checker:
             raise TypeMismatchError("boolean used as a scalar operand")
         return t
 
-    def _infer_project(self, e: Project, scope: _Scope | None) -> Nf2Schema:
-        src = self._relation(e.src, scope)
-        row = _row_scope_types(src, scope)
+    def _infer_project(
+        self, src: Nf2Schema, items: tuple[ProjItem, ...], scope: _Scope | None
+    ) -> Nf2Schema:
+        row = _types(src, scope)
         attrs: list[Attribute] = []
-        for item in e.items:
+        for item in items:
             if isinstance(item, Col):
                 attrs.append(src.get(item.name))
             elif isinstance(item, As):
@@ -451,14 +565,20 @@ class _Checker:
                     raise TypeMismatchError(
                         f"sub-projection needs a nested relation, {item.name!r} is atomic"
                     )
-                inner = self._infer_project(Project(Attr(item.name), item.items), row)
+                inner = self._infer_project(target.type, item.items, row)
                 attrs.append(Attribute(item.name, inner))
             else:
-                t = self.infer(item.expr, row)
+                t = self._within((row,), item.expr, row)
                 if t == "bool":
                     raise TypeMismatchError("projected attribute cannot be boolean")
                 attrs.append(Attribute(item.name, t))
         return Nf2Schema(tuple(attrs))
+
+    def check(self, e: AlgebraExpr) -> Nf2Schema:
+        t = self.infer(e, None)
+        if not isinstance(t, Nf2Schema):
+            raise TypeMismatchError(f"top-level expression is {t}, not a relation")
+        return t
 
 
 def check(e: AlgebraExpr, input_schema: Nf2Schema) -> Nf2Schema:
@@ -468,10 +588,7 @@ def check(e: AlgebraExpr, input_schema: Nf2Schema) -> Nf2Schema:
         UnknownAttributeError: a name that no enclosing row provides.
         TypeMismatchError: any other ill-typed construction.
     """
-    t = _Checker(input_schema).infer(e, None)
-    if not isinstance(t, Nf2Schema):
-        raise TypeMismatchError(f"top-level expression is {t}, not a relation")
-    return t
+    return _Checker(input_schema).check(e)
 
 
 # --- execution ----------------------------------------------------------
@@ -520,52 +637,33 @@ def _segment_hits_rect(
 
 
 class _Executor:
-    def __init__(self, input_rel: Nf2Relation):
+    def __init__(self, input_rel: Nf2Relation, checker: _Checker):
         self.input_rel = input_rel
+        self.schemas = checker.schemas
+        self.hoisted = checker.hoisted
+        self.join_keys = checker.join_keys
 
     def run(self, e: AlgebraExpr, scope: _Scope | None):
-        if isinstance(e, Input):
-            return self.input_rel
-        if isinstance(e, ConstRel):
-            return e.rel
         if isinstance(e, Attr):
             return scope.lookup(e.name)
         if isinstance(e, Lit):
             return e.value
-        if isinstance(e, Project):
-            return self._project(e, scope)
-        if isinstance(e, Select):
-            src: Nf2Relation = self.run(e.src, scope)
-            kept = tuple(
-                row
-                for row in src.rows
-                if self._truth(e.cond, self._row_scope(src.schema, row, scope))
-            )
-            return Nf2Relation(src.schema, kept)
-        if isinstance(e, Unnest):
-            return self._unnest(e, scope)
-        if isinstance(e, Join):
-            return self._join(e, scope)
-        if isinstance(e, Agg):
-            return self._aggregate(e, scope)
         if isinstance(e, Cmp):
-            return self._compare(e, scope)
+            lv = self._scalar(e.left, scope)
+            rv = self._scalar(e.right, scope)
+            return lv is not UNDEFINED and rv is not UNDEFINED and _COMPARE[e.op](lv, rv)
         if isinstance(e, BoolAnd):
-            return all(self._truth(p, scope) for p in e.parts)
+            return all(self.run(p, scope) for p in e.parts)
         if isinstance(e, BoolOr):
-            return any(self._truth(p, scope) for p in e.parts)
+            return any(self.run(p, scope) for p in e.parts)
         if isinstance(e, BoolNot):
-            return not self._truth(e.child, scope)
+            return not self.run(e.child, scope)
         if isinstance(e, Arith):
             lv = self._scalar(e.left, scope)
             rv = self._scalar(e.right, scope)
             if lv is UNDEFINED or rv is UNDEFINED:
                 return UNDEFINED
-            if e.op == "+":
-                return lv + rv
-            if e.op == "-":
-                return lv - rv
-            return lv * rv
+            return _ARITH[e.op](lv, rv)
         if isinstance(e, SegIntersects):
             return _segment_hits_rect(
                 scope.lookup(e.x1),
@@ -575,145 +673,125 @@ class _Executor:
                 e.region,
                 e.closed,
             )
+        if not self.hoisted.get(id(e)):
+            return self._relational(e, scope)
+        memo = scope.memo
+        value = memo.get(id(e), memo)  # the memo itself marks a miss
+        if value is memo:
+            value = memo[id(e)] = self._relational(e, scope)
+        return value
+
+    def _relational(self, e: AlgebraExpr, scope: _Scope | None):
+        if isinstance(e, Input):
+            return self.input_rel
+        if isinstance(e, ConstRel):
+            return e.rel
+        if isinstance(e, Project):
+            src = self.run(e.src, scope)
+            return self._project(src, e.items, self.schemas[id(e)], scope)
+        if isinstance(e, Select):
+            src: Nf2Relation = self.run(e.src, scope)
+            positions, memo, cond = src.schema.positions, {}, e.cond
+            kept = tuple(
+                row
+                for row in src.rows
+                if self.run(cond, _Scope(positions, row, scope, memo))
+            )
+            return _built(src.schema, kept)
+        if isinstance(e, Unnest):
+            src = self.run(e.src, scope)
+            i = src.schema.positions[e.attr]
+            rows = tuple(
+                row[:i] + inner + row[i + 1 :]
+                for row in src.rows
+                for inner in row[i].rows
+            )
+            return _built(self.schemas[id(e)], rows)
+        if isinstance(e, Join):
+            return self._join(e, scope)
+        if isinstance(e, Agg):
+            src = self.run(e.src, scope)
+            if e.fn == "count":
+                return len(src.rows)
+            if not src.rows:
+                return UNDEFINED
+            return (min if e.fn == "min" else max)(row[0] for row in src.rows)
         raise TypeMismatchError(f"unknown expression node {e!r}")
-
-    @staticmethod
-    def _row_scope(schema: Nf2Schema, row: tuple, parent: _Scope | None) -> _Scope:
-        return _Scope(dict(zip(schema.names(), row)), parent)
-
-    def _truth(self, e: AlgebraExpr, scope: _Scope | None) -> bool:
-        return bool(self.run(e, scope))
 
     def _scalar(self, e: AlgebraExpr, scope: _Scope | None):
         v = self.run(e, scope)
-        if isinstance(v, Nf2Relation):
-            if len(v.schema.attributes) != 1:
-                raise TypeMismatchError(
-                    "only single-column relations can be used as scalars"
-                )
-            if not v.rows:
-                return UNDEFINED
-            if len(v.rows) > 1:
-                raise TypeMismatchError(
-                    f"scalar coercion of a {len(v.rows)}-row relation"
-                )
-            return v.rows[0][0]
-        return v
+        if not isinstance(v, Nf2Relation):
+            return v
+        if len(v.rows) > 1:
+            raise TypeMismatchError(f"scalar coercion of a {len(v.rows)}-row relation")
+        return v.rows[0][0] if v.rows else UNDEFINED
 
-    def _compare(self, e: Cmp, scope: _Scope | None) -> bool:
-        lv = self._scalar(e.left, scope)
-        rv = self._scalar(e.right, scope)
-        if lv is UNDEFINED or rv is UNDEFINED:
-            return False
-        if e.op == "<":
-            return lv < rv
-        if e.op == ">":
-            return lv > rv
-        if e.op == "=":
-            return lv == rv
-        if e.op == "<=":
-            return lv <= rv
-        if e.op == ">=":
-            return lv >= rv
-        return lv != rv
-
-    def _aggregate(self, e: Agg, scope: _Scope | None):
-        src: Nf2Relation = self.run(e.src, scope)
-        if e.fn == "count":
-            return len(src.rows)
-        if not src.rows:
-            return UNDEFINED
-        values = [row[0] for row in src.rows]
-        return min(values) if e.fn == "min" else max(values)
-
-    def _project(self, e: Project, scope: _Scope | None) -> Nf2Relation:
-        src: Nf2Relation = self.run(e.src, scope)
+    def _project(
+        self,
+        src: Nf2Relation,
+        items: tuple[ProjItem, ...],
+        schema: Nf2Schema,
+        scope: _Scope | None,
+    ) -> Nf2Relation:
+        positions, memo = src.schema.positions, {}
         out_rows = []
-        out_schema: Nf2Schema | None = None
         for row in src.rows:
-            row_scope = self._row_scope(src.schema, row, scope)
+            row_scope = _Scope(positions, row, scope, memo)
             cells = []
-            attrs = []
-            for item in e.items:
+            for item, attr in zip(items, schema.attributes):
                 if isinstance(item, Col):
-                    attrs.append(src.schema.get(item.name))
-                    cells.append(row[src.schema.index(item.name)])
+                    cells.append(row[positions[item.name]])
                 elif isinstance(item, As):
-                    attrs.append(Attribute(item.name, src.schema.get(item.source).type))
-                    cells.append(row[src.schema.index(item.source)])
+                    cells.append(row[positions[item.source]])
                 elif isinstance(item, Sub):
-                    inner = self._project(
-                        Project(Attr(item.name), item.items), row_scope
-                    )
-                    attrs.append(Attribute(item.name, inner.schema))
-                    cells.append(inner)
+                    nested = row[positions[item.name]]
+                    cells.append(self._project(nested, item.items, attr.type, row_scope))
                 else:
                     value = self.run(item.expr, row_scope)
-                    if isinstance(value, Nf2Relation):
-                        attrs.append(Attribute(item.name, value.schema))
-                    elif isinstance(value, bool) or value is UNDEFINED:
+                    if value is UNDEFINED:
                         raise TypeMismatchError(
                             f"projected attribute {item.name!r} has no storable value"
                         )
-                    elif isinstance(value, str):
-                        attrs.append(Attribute(item.name, "str"))
-                    elif isinstance(value, int):
-                        attrs.append(Attribute(item.name, "int"))
-                    else:
-                        attrs.append(Attribute(item.name, "float"))
                     cells.append(value)
-            out_schema = Nf2Schema(tuple(attrs))
             out_rows.append(tuple(cells))
-        if out_schema is None:
-            # no rows: derive the schema statically so emptiness is typed
-            out_schema = _Checker(self.input_rel.schema)._infer_project(
-                Project(ConstRel(src), e.items), None
-            )
-        return Nf2Relation(out_schema, tuple(out_rows))
-
-    def _unnest(self, e: Unnest, scope: _Scope | None) -> Nf2Relation:
-        src: Nf2Relation = self.run(e.src, scope)
-        idx = src.schema.index(e.attr)
-        target = src.schema.attributes[idx]
-        if not isinstance(target.type, Nf2Schema):
-            raise TypeMismatchError(f"cannot unnest atomic attribute {e.attr!r}")
-        attrs = (
-            src.schema.attributes[:idx]
-            + target.type.attributes
-            + src.schema.attributes[idx + 1 :]
-        )
-        rows = []
-        for row in src.rows:
-            nested: Nf2Relation = row[idx]
-            for inner in nested.rows:
-                rows.append(row[:idx] + inner + row[idx + 1 :])
-        return Nf2Relation(Nf2Schema(attrs), tuple(rows))
+        return _built(schema, tuple(out_rows))
 
     def _join(self, e: Join, scope: _Scope | None) -> Nf2Relation:
         left: Nf2Relation = self.run(e.left, scope)
         right: Nf2Relation = self.run(e.right, scope)
-        overlap = set(left.schema.names()) & set(right.schema.names())
-        if overlap:
-            raise TypeMismatchError(
-                f"join sides share attribute names {sorted(overlap)}"
-            )
-        schema = Nf2Schema(left.schema.attributes + right.schema.attributes)
+        lpos, rpos, memo = left.schema.positions, right.schema.positions, {}
+        keys = self.join_keys[id(e)]
         rows = []
-        for lrow in left.rows:
+        if keys is None:
+            for lrow in left.rows:
+                lscope = _Scope(lpos, lrow, scope, memo)
+                for rrow in right.rows:
+                    if self.run(e.cond, _Scope(rpos, rrow, lscope, memo)):
+                        rows.append(lrow + rrow)
+        elif left.rows and right.rows:
+            lkey, rkey = keys
+            index: dict = {}
             for rrow in right.rows:
-                combined = lrow + rrow
-                if self._truth(e.cond, self._row_scope(schema, combined, scope)):
-                    rows.append(combined)
-        return Nf2Relation(schema, tuple(rows))
+                k = self._scalar(rkey, _Scope(rpos, rrow, scope, memo))
+                # `=` is false for an undefined key and for NaN, which the
+                # dict would match with itself by identity: leave them out.
+                if k is not UNDEFINED and k == k:
+                    index.setdefault(k, []).append(rrow)
+            for lrow in left.rows:
+                k = self._scalar(lkey, _Scope(lpos, lrow, scope, memo))
+                rows.extend(lrow + rrow for rrow in index.get(k, ()))
+        return _built(self.schemas[id(e)], tuple(rows))
 
 
 def execute(e: AlgebraExpr, input_rel: Nf2Relation) -> Nf2Relation:
-    """Type-check and evaluate an algebra expression over a relation."""
-    check(e, input_rel.schema)
-    result = _Executor(input_rel).run(e, None)
-    if not isinstance(result, Nf2Relation):
-        raise TypeMismatchError("top-level expression is not relation-valued")
-    return result
+    """Type-check and evaluate an algebra expression over a relation.
+
+    The result's rows are checked against its schema here, once.
+    """
+    checker = _Checker(input_rel.schema)
+    checker.check(e)
+    result = _Executor(input_rel, checker).run(e, None)
+    return Nf2Relation(result.schema, result.rows)
 
 
 # --- the trajectories schema and bridges --------------------------------
@@ -1005,18 +1083,12 @@ def render(e: AlgebraExpr) -> str:
         return f"{e.fn}({render(e.src)})"
     if isinstance(e, Cmp):
         return f"{render(e.left)} {e.op} {render(e.right)}"
-    if isinstance(e, BoolAnd):
+    if isinstance(e, (BoolAnd, BoolOr)):
         parts = [
             f"({render(p)})" if isinstance(p, (BoolOr, BoolAnd)) else render(p)
             for p in e.parts
         ]
-        return " AND ".join(parts)
-    if isinstance(e, BoolOr):
-        parts = [
-            f"({render(p)})" if isinstance(p, (BoolOr, BoolAnd)) else render(p)
-            for p in e.parts
-        ]
-        return " OR ".join(parts)
+        return (" AND " if isinstance(e, BoolAnd) else " OR ").join(parts)
     if isinstance(e, BoolNot):
         return f"NOT ({render(e.child)})"
     if isinstance(e, Arith):
