@@ -18,6 +18,7 @@ from .evaluate import (
     STRICT,
     ApproxStrategy,
     EvalEnv,
+    RegionSignature,
     Strictness,
     approximated,
     eval_approximated,
@@ -48,6 +49,7 @@ from .relations import (
     classify_de9im,
     de9im_catalog,
     de9im_predicate,
+    de9im_signature,
 )
 
 __version__ = "0.1.0"
@@ -66,6 +68,7 @@ __all__ = [
     "PropertyRelation",
     "RELAXED",
     "Region",
+    "RegionSignature",
     "STRICT",
     "Segment",
     "Strictness",
@@ -81,6 +84,7 @@ __all__ = [
     "classify_de9im",
     "de9im_catalog",
     "de9im_predicate",
+    "de9im_signature",
     "eval_approximated",
     "eval_relaxed",
     "eval_strict",

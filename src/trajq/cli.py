@@ -6,8 +6,9 @@ Subcommands:
   violation or a one-line summary;
 * ``query <data.csv> --predicate TEXT`` evaluates a predicate and prints
   the matching tids one per line, in relation order;
-* ``classify de9im <data.csv> --region ...`` prints per trajectory the
-  matching area-relation labels, tab separated from the tid;
+* ``classify de9im <data.csv> --region ... [--why]`` prints per trajectory
+  the matching area-relation labels, tab separated from the tid, and with
+  ``--why`` the class signature they were looked up by;
 * ``classify allen <data.csv> --interval ...`` prints the interval
   relation of each trajectory's time span;
 * ``explain --relation NAME ...`` prints the algebra expression a relation
@@ -40,7 +41,7 @@ from .nf2 import (
     trajectories_to_nf2,
 )
 from .predicate import parse_predicate
-from .relations import AllenLabel, De9imLabel, classify_allen, classify_de9im
+from .relations import AllenLabel, De9imLabel, classify_allen, classify_de9im, de9im_signature
 
 _TEMPORAL_ALIASES = {
     "precedes": AllenLabel.PRECEDES,
@@ -154,6 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--region", required=True, type=_region_arg, metavar="NAME=XMIN,YMIN,XMAX,YMAX"
     )
     _add_strictness(c)
+    c.add_argument(
+        "--why", action="store_true", help="append the class signature behind the labels"
+    )
     c.set_defaults(func=_cmd_classify_de9im, _parser=c)
 
     c = csub.add_parser("allen", help="interval relation of each time span")
@@ -216,7 +220,10 @@ def _cmd_classify_de9im(args: argparse.Namespace) -> int:
     _, region = args.region
     for tid, t in d.trajectories:
         labels = classify_de9im(t, region, args.strictness)
-        print(tid + "\t" + ",".join(sorted(label.value for label in labels)))
+        line = tid + "\t" + ",".join(sorted(label.value for label in labels))
+        if args.why:
+            line += "\t" + str(de9im_signature(t, region, args.strictness))
+        print(line)
     return 0
 
 

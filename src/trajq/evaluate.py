@@ -30,6 +30,12 @@ domain drops just the first and last points (a measure-zero exclusion: the
 inner continuum reaches arbitrarily close to both). EXISTS holds iff the
 body holds at some owned site, FORALL iff it fails at none. A trajectory of
 one point has no continuum and is decided on that point.
+
+A predicate whose atoms all test one region reads of a trajectory only its
+class signature (``region_signature``): the class of pf and of pl, and the
+classes the TFL and the T sites of the mode meet. ``holds_on_signature``
+decides such a predicate from the signature alone; area classification
+computes one signature per trajectory instead of evaluating each formula.
 """
 
 from __future__ import annotations
@@ -37,11 +43,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
+    PredicateTypeError,
     StrategyOutputError,
     StrategyParameterError,
     UnknownStrategyError,
@@ -62,6 +69,7 @@ from .predicate import (
     Predicate,
     Quantifier,
     QuantifiedClause,
+    Var,
     _walk_atoms,
     validate,
 )
@@ -257,10 +265,12 @@ def _leaf_params(target: Region | Interval, op: Op, t: Trajectory) -> ParamInter
     return box_params((t.taus,), (target.tau_s,), (target.tau_e,), op is Op.INSIDE)
 
 
-def _relaxed_clause(clause: QuantifiedClause, t: Trajectory, env: EvalEnv) -> bool:
-    if len(t) == 1:  # one recorded point, no continuum
-        return _points_clause(clause, t.xs, t.ys, t.taus, env)
-    keys = dict.fromkeys(k for a in _walk_atoms(clause.body) for k in _leaf_keys(a, env))
+def _relaxed_sites(
+    t: Trajectory, env: EvalEnv, keys: Iterable[tuple[str, Op]]
+) -> tuple[dict[tuple[str, Op], np.ndarray], Callable[[Domain], np.ndarray]]:
+    """The site pass over all segments of a trajectory of two or more points:
+    the truth of each interval-shaped leaf at every site and on every cell,
+    and a function giving the sites and cells a domain owns, in that layout."""
     leaves = {k: _leaf_params(env.bindings[k[0]], k[1], t) for k in keys}
     m = len(t) - 1
     bounds = [np.zeros(m), np.ones(m)]
@@ -277,7 +287,29 @@ def _relaxed_clause(clause: QuantifiedClause, t: Trajectory, env: EvalEnv) -> bo
         on_cell = (p.lo <= left) & (right <= p.hi)
         return np.concatenate((at_site, on_cell))
 
-    truth = {k: holds(p) for k, p in leaves.items()}
+    def domain(d: Domain) -> np.ndarray:
+        owned = sites < 1.0  # a vertex belongs to the segment starting there
+        if d is Domain.ALL_POINTS:
+            owned[:, -1] = True
+        else:
+            owned[:, 0] &= sites[:, 0] > 0.0  # TFL also drops the first point
+        return np.concatenate((owned, left < right))
+
+    return {k: holds(p) for k, p in leaves.items()}, domain
+
+
+def _quantify(q: Quantifier, body: np.ndarray, domain: np.ndarray) -> bool:
+    """EXISTS: the body holds somewhere in the domain; FORALL: it fails nowhere."""
+    if q is Quantifier.EXISTS:
+        return bool((body & domain).any())
+    return not (~body & domain).any()
+
+
+def _relaxed_clause(clause: QuantifiedClause, t: Trajectory, env: EvalEnv) -> bool:
+    if len(t) == 1:  # one recorded point, no continuum
+        return _points_clause(clause, t.xs, t.ys, t.taus, env)
+    keys = dict.fromkeys(k for a in _walk_atoms(clause.body) for k in _leaf_keys(a, env))
+    truth, domain = _relaxed_sites(t, env, keys)
 
     def atom_mask(atom: Atom) -> np.ndarray:
         masks = [truth[k] for k in _leaf_keys(atom, env)]
@@ -286,15 +318,7 @@ def _relaxed_clause(clause: QuantifiedClause, t: Trajectory, env: EvalEnv) -> bo
         return ~masks[0] if atom.op is Op.OUTSIDE else masks[0]
 
     body = _body_mask(clause.body, atom_mask)
-    owned = sites < 1.0  # a vertex belongs to the segment starting there
-    if clause.domain is Domain.ALL_POINTS:
-        owned[:, -1] = True
-    else:
-        owned[:, 0] &= sites[:, 0] > 0.0  # TFL also drops the first point
-    domain = np.concatenate((owned, left < right))
-    if clause.quantifier is Quantifier.EXISTS:
-        return bool((body & domain).any())
-    return not (~body & domain).any()
+    return _quantify(clause.quantifier, body, domain(clause.domain))
 
 
 def eval_relaxed(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
@@ -351,6 +375,91 @@ def evaluate(ast: Predicate, t: Trajectory, env: EvalEnv, s: Strictness) -> bool
         strategy = resolve_strategy(s.strategy, s.param)
         return eval_approximated(ast, t, env, strategy)
     raise UnsupportedStrictnessError(f"unknown strictness kind {s.kind!r}")
+
+
+# --- region signatures --------------------------------------------------
+
+
+class RegionSignature(NamedTuple):
+    """The classes of a region that a trajectory meets under one strictness:
+    at pf, at pl, over the TFL sites and over the T sites, each written with
+    the letters I (interior), B (boundary) and E (exterior) in that order.
+    A predicate whose atoms all test that region is decided by them alone
+    (:func:`holds_on_signature`)."""
+
+    pf: str
+    pl: str
+    tfl: str
+    t: str
+
+    def __str__(self) -> str:
+        return f"pf={self.pf} pl={self.pl} tfl={{{','.join(self.tfl)}}} t={{{','.join(self.t)}}}"
+
+
+# The classes at which each region atom holds, as letters and as a mask.
+_CLASSES = {Op.INSIDE: "I", Op.WITHIN: "IB", Op.OUTSIDE: "E"}
+_CLASS_VECTORS = {op: np.array([c in cs for c in "IBE"]) for op, cs in _CLASSES.items()}
+_HULL, _INTERIOR = Atom(Var("p"), Op.WITHIN, "R"), Atom(Var("p"), Op.INSIDE, "R")
+
+
+def region_signature(t: Trajectory, r: Region, s: Strictness) -> RegionSignature:
+    """The signature of t against r under s, from one pass over the sites.
+
+    pf and pl are judged as a ground clause judges them, the sites as a
+    quantified clause of mode s does (relaxed: one site pass with the leaves
+    (R, WITHIN) and (R, INSIDE)); T is kept apart from TFL, pf and pl
+    because relaxed mode judges the ends of the path by crossings there.
+
+    Raises:
+        PredicateTypeError: r is not a Region.
+        UnsupportedStrictnessError: an unknown strictness kind.
+        CrossingOverflowError: relaxed, a coordinate difference overflows.
+    """
+    if not isinstance(r, Region):
+        raise PredicateTypeError(f"area relations need a Region, got {type(r).__name__}")
+    env = EvalEnv({"R": r})
+
+    def classes(within, inside) -> np.ndarray:  # rows I, B, E
+        return np.array([inside, within & (inside ^ True), within ^ True])
+
+    if s.kind == "relaxed" and len(t) > 1:
+        truth, domain = _relaxed_sites(t, env, (("R", Op.WITHIN), ("R", Op.INSIDE)))
+        rows = classes(*truth.values())
+        domains = (domain(Domain.INNER_POINTS), domain(Domain.ALL_POINTS))
+    else:
+        if s.kind in ("strict", "relaxed"):
+            sites = (t.xs, t.ys, t.taus)
+        elif s.kind == "approximated":
+            sites = _augmented_arrays(t, resolve_strategy(s.strategy, s.param))
+        else:
+            raise UnsupportedStrictnessError(f"unknown strictness kind {s.kind!r}")
+        rows = classes(*(_atom_mask(a, *sites, env) for a in (_HULL, _INTERIOR)))
+        inner = np.zeros(rows.shape[1], dtype=bool)
+        inner[1:-1] = True
+        domains = (inner, True)
+    ends = [
+        classes(*(_atom_mask(a, p.x, p.y, p.tau, env) for a in (_HULL, _INTERIOR)))
+        for p in (t.points[0], t.points[-1])
+    ]
+    triples = (*ends, *((rows & d).reshape(3, -1).any(axis=1) for d in domains))
+    return RegionSignature(*("".join(c for c, hit in zip("IBE", m) if hit) for m in triples))
+
+
+def holds_on_signature(ast: Predicate, sig: RegionSignature) -> bool:
+    """Truth of a predicate whose atoms all test the region of a signature:
+    a ground atom holds when the class of pf (or pl) is one where it holds,
+    and a quantifier ranges over the classes TFL (or T) meets."""
+    ends = {PointRef.FIRST: sig.pf, PointRef.LAST: sig.pl}
+    for clause in ast.clauses:
+        if isinstance(clause, GroundClause):
+            ok = _body_mask(clause.body, lambda a: ends[a.subject] in _CLASSES[a.op])
+        else:
+            body = _body_mask(clause.body, lambda a: _CLASS_VECTORS[a.op])
+            seen = sig.tfl if clause.domain is Domain.INNER_POINTS else sig.t
+            ok = _quantify(clause.quantifier, body, np.array([c in seen for c in "IBE"]))
+        if not ok:
+            return False
+    return True
 
 
 def select_st(

@@ -49,6 +49,7 @@ from typing import Union
 from ._fmt import format_float
 from .errors import (
     CrossingOverflowError,
+    PredicateTypeError,
     TypeMismatchError,
     UnknownAttributeError,
     UnsupportedLabelError,
@@ -910,6 +911,8 @@ def compile_spatial(label: De9imLabel, r: Region, s) -> AlgebraExpr:
     touching the boundary breaks strict exteriority; open interior for R223,
     since only passing through the interior makes a crossing).
     """
+    if not isinstance(r, Region):
+        raise PredicateTypeError(f"area relations need a Region, got {type(r).__name__}")
     kind = getattr(s, "kind", s)
     if kind not in ("strict", "relaxed"):
         raise UnsupportedStrictnessError(
@@ -1015,6 +1018,8 @@ def compile_temporal(label: AllenLabel, i: Interval) -> AlgebraExpr:
     relations come from swapping the endpoint roles. Strictness plays no
     part here: only the first and last timestamps matter for the span.
     """
+    if not isinstance(i, Interval):
+        raise PredicateTypeError(f"interval relations need an Interval, got {type(i).__name__}")
     tmin = Agg("min", _coord(Attr("T"), "tau"))
     tmax = Agg("max", _coord(Attr("T"), "tau"))
     ts, te = Lit(i.tau_s), Lit(i.tau_e)

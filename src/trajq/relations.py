@@ -1,12 +1,15 @@
 """Catalogs and classifiers for trajectory/area and span/interval relations.
 
 Nineteen line-versus-area relations cover every way a sampled path can meet
-an axis-aligned rectangle, distinguished by where the path starts and ends
-(interior, boundary, exterior) and which classes its inner points visit.
-Each label carries a predicate formula over pf, pl, and quantifiers on T or
-TFL; classification evaluates those formulas under a chosen strictness.
-Labels follow the standard numbering of the intersection-matrix patterns
-they correspond to.
+an axis-aligned rectangle (Egenhofer & Herring 1990), distinguished by where
+the path starts and ends (interior, boundary, exterior) and which classes
+its points visit. Each label carries a predicate formula over pf, pl, and
+quantifiers on T or TFL, so under a strictness every formula is decided by
+the path's class signature: the classes of pf and pl and the sets met over
+TFL and over T. Classification computes that signature in one pass over the
+mode's sites and looks the labels up in a table filled, per signature, by
+evaluating the formulas on it. Labels follow the standard numbering of the
+intersection-matrix patterns they correspond to.
 
 Thirteen interval relations relate the trajectory's time span to a query
 interval. The seven base relations have predicate formulas; the six
@@ -24,10 +27,12 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import DegenerateSpanError
-from .evaluate import EvalEnv, Strictness, evaluate
+from .errors import DegenerateSpanError, PredicateTypeError
+# evaluate stays importable here: tracing wraps the names modules look up.
+from .evaluate import RegionSignature, Strictness, evaluate, holds_on_signature
+from .evaluate import region_signature as de9im_signature
 from .geometry import Interval, Region
-from .model import Trajectory, TrajectoryPoint, time_span
+from .model import Trajectory, build_trajectory, time_span
 from .predicate import Predicate, parse_predicate
 
 
@@ -72,14 +77,7 @@ class AllenLabel(Enum):
 # Labels whose formula fixes a travel direction; the underlying relation is
 # orientation-free, so classification may also test the reversed path.
 DIRECTION_SENSITIVE = frozenset(
-    {
-        De9imLabel.R255,
-        De9imLabel.R287,
-        De9imLabel.R351,
-        De9imLabel.R435,
-        De9imLabel.R479,
-        De9imLabel.R503,
-    }
+    De9imLabel[name] for name in ("R255", "R287", "R351", "R435", "R479", "R503")
 )
 
 _ON_BORDER_F = "pf WITHIN R AND NOT (pf INSIDE R)"
@@ -249,13 +247,10 @@ def allen_catalog() -> tuple[tuple[AllenLabel, str, str], ...]:
     return tuple((lab, text, desc) for lab, (text, desc) in _ALLEN_TABLE.items())
 
 
-def _reversed_trajectory(t: Trajectory) -> Trajectory:
-    """The same spatial path walked the other way, on the original timestamps."""
-    pts = tuple(
-        TrajectoryPoint(i, p.x, p.y, q.tau)
-        for i, (p, q) in enumerate(zip(reversed(t.points), t.points))
-    )
-    return Trajectory(pts)
+@lru_cache(maxsize=None)
+def _signature_labels(sig: RegionSignature) -> frozenset[De9imLabel]:
+    """The labels whose catalog formula holds on a signature."""
+    return frozenset(lab for lab in De9imLabel if holds_on_signature(de9im_predicate(lab), sig))
 
 
 def classify_de9im(
@@ -265,27 +260,28 @@ def classify_de9im(
     normalize_orientation: bool = True,
     labels: Iterable[De9imLabel] | None = None,
 ) -> set[De9imLabel]:
-    """Every cataloged area relation whose formula holds under strictness s.
+    """Every cataloged area relation whose formula holds under strictness s,
+    looked up by the path's :func:`de9im_signature`; boundary-touching
+    patterns can match several labels or none.
 
-    The result is a set: boundary-touching point patterns can satisfy more
-    than one formula or none at all, and an empty result simply means no
-    cataloged relation matches the sampled points. With orientation
-    normalization (the default) the direction-sensitive labels are also
-    checked against the reversed path, since the underlying relation does
-    not care which way the path was walked. ``labels`` restricts the
-    candidates without changing any semantics.
+    With orientation normalization (the default) the direction-sensitive
+    labels are also checked against the reversed path, since the relation
+    does not care which way it was walked. ``labels`` restricts the result.
+
+    Raises:
+        PredicateTypeError: r is not a Region.
     """
-    candidates = tuple(De9imLabel) if labels is None else tuple(labels)
-    env = EvalEnv({"R": r})
-    rev = _reversed_trajectory(t) if normalize_orientation and len(t) > 1 else None
-    out: set[De9imLabel] = set()
-    for label in candidates:
-        ast = de9im_predicate(label)
-        if evaluate(ast, t, env, s):
-            out.add(label)
-        elif rev is not None and label in DIRECTION_SENSITIVE and evaluate(ast, rev, env, s):
-            out.add(label)
-    return out
+    sig = de9im_signature(t, r, s)
+    found = _signature_labels(sig)
+    if normalize_orientation and len(t) > 1:
+        # Reversal swaps pf and pl. The direction-sensitive formulas read the
+        # reversed path's site sets only for a reversed (pf, pl) of (B, E) or
+        # (B, I), so only then is it walked (its crossings or strategy points differ).
+        rev = sig._replace(pf=sig.pl, pl=sig.pf)
+        if (rev.pf, rev.pl) in (("B", "E"), ("B", "I")):
+            rev = de9im_signature(build_trajectory(zip(t.xs[::-1], t.ys[::-1], t.taus)), r, s)
+        found |= _signature_labels(rev) & DIRECTION_SENSITIVE
+    return set(found if labels is None else found.intersection(labels))
 
 
 def classify_allen(t: Trajectory, i: Interval) -> AllenLabel:
@@ -297,9 +293,12 @@ def classify_allen(t: Trajectory, i: Interval) -> AllenLabel:
     exclusive.
 
     Raises:
+        PredicateTypeError: i is not an Interval.
         DegenerateSpanError: fewer than two points, so the span has no
             duration and the relations are not meaningful.
     """
+    if not isinstance(i, Interval):
+        raise PredicateTypeError(f"interval relations need an Interval, got {type(i).__name__}")
     a_s, a_e = time_span(t)
     if len(t) < 2 or not a_s < a_e:
         raise DegenerateSpanError(

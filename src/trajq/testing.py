@@ -13,6 +13,10 @@ density grows. Atoms satisfiable only on a measure-zero set, like "p WITHIN
 R AND NOT (p INSIDE R)", can fool any finite density and are excluded from
 its equivalence suites.
 
+The area-label oracle evaluates the 19 catalog formulas one at a time, on
+the path and, for the direction-sensitive labels, on the reversed path; the
+classifier instead looks the labels up by the path's class signature.
+
 The Allen-label oracle decides a label by table lookup over the sign
 pattern of the four endpoint differences, an exhaustive enumeration of the
 13 mutually exclusive endpoint orderings, deliberately structured unlike
@@ -23,11 +27,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Mapping
+from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .evaluate import EvalEnv, eval_strict
+from .evaluate import EvalEnv, Strictness, eval_strict, evaluate
 from .geometry import (
     Interval,
     ParamInterval,
@@ -39,7 +43,7 @@ from .geometry import (
     segment_interval_params,
     segment_region_params,
 )
-from .model import Segment, Trajectory, build_trajectory, segments
+from .model import Segment, Trajectory, TrajectoryPoint, build_trajectory, segments
 from .predicate import (
     And,
     Atom,
@@ -52,7 +56,7 @@ from .predicate import (
     Quantifier,
     format_predicate,
 )
-from .relations import AllenLabel
+from .relations import DIRECTION_SENSITIVE, AllenLabel, De9imLabel, de9im_predicate
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,37 @@ def relaxed_paramset_oracle(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool
         if hit != exists:
             return False
     return True
+
+
+def _reversed_trajectory(t: Trajectory) -> Trajectory:
+    """The same spatial path walked the other way, on the original timestamps."""
+    pts = tuple(
+        TrajectoryPoint(i, p.x, p.y, q.tau)
+        for i, (p, q) in enumerate(zip(reversed(t.points), t.points))
+    )
+    return Trajectory(pts)
+
+
+def classify_de9im_oracle(
+    t: Trajectory,
+    r: Region,
+    s: Strictness,
+    normalize_orientation: bool = True,
+    labels: Iterable[De9imLabel] | None = None,
+) -> set[De9imLabel]:
+    """Area labels by full evaluation of each catalog formula, the reference
+    for :func:`trajq.relations.classify_de9im` (same arguments)."""
+    candidates = tuple(De9imLabel) if labels is None else tuple(labels)
+    env = EvalEnv({"R": r})
+    rev = _reversed_trajectory(t) if normalize_orientation and len(t) > 1 else None
+    out: set[De9imLabel] = set()
+    for label in candidates:
+        ast = de9im_predicate(label)
+        if evaluate(ast, t, env, s):
+            out.add(label)
+        elif rev is not None and label in DIRECTION_SENSITIVE and evaluate(ast, rev, env, s):
+            out.add(label)
+    return out
 
 
 def _sign(a: float, b: float) -> int:

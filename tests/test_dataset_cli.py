@@ -259,6 +259,19 @@ def test_cli_classify_de9im(capsys):
     assert (code, out) == (0, "T\tR095,R223\n")
 
 
+def test_cli_classify_de9im_why_appends_the_signature(capsys):
+    data = str(DATA / "crossing.csv")
+    for mode, want in (
+        ("strict", "T\tR031\tpf=E pl=E tfl={E} t={E}\n"),
+        ("relaxed", "T\tR095,R223\tpf=E pl=E tfl={I,B,E} t={I,B,E}\n"),
+    ):
+        code, out, _ = run(
+            capsys, "classify", "de9im", data, "--region", CROSSING_REGION,
+            "--strictness", mode, "--why",
+        )
+        assert (code, out) == (0, want)
+
+
 def test_cli_classify_allen(capsys):
     code, out, _ = run(
         capsys, "classify", "allen", str(DATA / "goose.csv"),

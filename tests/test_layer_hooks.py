@@ -1,19 +1,21 @@
 """The module attributes through which one layer calls another.
 
 ``perfbench/tracing.py`` times evaluation per row by replacing
-``trajq.evaluate.evaluate`` and ``trajq.relations.evaluate`` with wrappers.
-Its ``evaluate.*`` metrics read 0 if ``select_st`` or ``classify_de9im``
-stop looking those names up at call time, so these tests pin the lookups.
+``trajq.evaluate.evaluate`` with a wrapper, and classification per
+trajectory by replacing ``trajq.cli.classify_de9im``. Its ``evaluate.*``
+and ``relations.*`` metrics read 0 if ``select_st`` or the CLI stop looking
+those names up at call time, and it fails to start if a name it wraps in
+``trajq.relations`` is gone, so these tests pin the lookups and the names.
 """
 
 import importlib
 
+import trajq.cli
 import trajq.relations
 from trajq.evaluate import RELAXED, STRICT, EvalEnv, approximated, select_st
 from trajq.geometry import Region
 from trajq.model import TrajectoriesRelation, build_trajectory
 from trajq.predicate import parse_predicate
-from trajq.relations import De9imLabel, classify_de9im
 
 # ``trajq.evaluate`` as an attribute is the re-exported function.
 evaluation = importlib.import_module("trajq.evaluate")
@@ -49,10 +51,25 @@ def test_select_st_calls_module_evaluate_once_per_row(monkeypatch):
         assert calls == [t for _, t in REL.rows]
 
 
-def test_classify_de9im_goes_through_relations_evaluate(monkeypatch):
-    calls = _counting(monkeypatch, trajq.relations)
-    t = REL.get("b")
-    for mode in (STRICT, RELAXED):
+def test_relations_keeps_the_names_tracing_wraps():
+    for name in ("evaluate", "parse_predicate", "classify_de9im", "classify_allen"):
+        assert callable(getattr(trajq.relations, name)), name
+
+
+def test_cli_looks_up_classify_de9im_once_per_row(monkeypatch, tmp_path):
+    calls = []
+    real = trajq.cli.classify_de9im
+
+    def counted(t, *args, **kwargs):
+        calls.append(t)
+        return real(t, *args, **kwargs)
+
+    monkeypatch.setattr(trajq.cli, "classify_de9im", counted)
+    data = tmp_path / "rel.csv"
+    rows = [f"{tid},{p.order},{p.x},{p.y},{p.tau}" for tid, t in REL.rows for p in t.points]
+    data.write_text("\n".join(["tid,order,x,y,tau", *rows]) + "\n")
+    for mode in ("strict", "relaxed"):
         calls.clear()
-        classify_de9im(t, R, mode)
-        assert len(calls) >= len(De9imLabel)  # every catalog formula at least once
+        argv = ["classify", "de9im", str(data), "--region", "R=0.5,0.5,4,4", "--strictness", mode]
+        assert trajq.cli.main(argv) == 0
+        assert calls == [t for _, t in REL.rows]
