@@ -19,13 +19,14 @@ Subcommands:
 Regions are given as ``--region NAME=x_min,y_min,x_max,y_max`` and
 intervals as ``--interval NAME=start,end``; both flags repeat. Strictness
 is ``strict``, ``relaxed``, or ``approx:<strategy>[:k]``. Exit codes:
-0 on success, 1 when data or a predicate fails to validate, 2 for usage
-errors.
+0 on success, 1 when data or a predicate fails to validate or a data file
+cannot be read, 2 for usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence, Union
 
@@ -115,7 +116,11 @@ def _add_strictness(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged (each run gets a fresh namespace and fresh lists for the
+    repeatable flags), so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="trajq",
         description="Query and classify trajectories against regions and intervals.",
@@ -191,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     d = ingest_csv(args.data)
-    points = sum(len(t.points) for _, t in d.trajectories)
+    points = sum(len(t) for _, t in d.trajectories)
     print(f"OK: {len(d.trajectories)} trajectories, {points} points")
     return 0
 
@@ -285,7 +290,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except TrajqError as exc:
+    except (TrajqError, OSError) as exc:  # OSError: a data file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

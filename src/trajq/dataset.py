@@ -19,6 +19,7 @@ so exporting a freshly ingested file reproduces it byte for byte.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -26,19 +27,15 @@ from pathlib import Path
 from typing import Mapping, Union
 
 from ._fmt import format_float
-from .errors import CsvParseError, DuplicateKeyError, InvariantViolationError
-from .model import (
-    PropertyRelation,
-    PropertyValue,
-    TrajectoriesRelation,
-    Trajectory,
-    TrajectoryPoint,
-)
+from .errors import CsvParseError, DuplicateKeyError, InvariantViolationError, NonMonotoneTimeError
+from .model import PropertyRelation, PropertyValue, TrajectoriesRelation, build_trajectory
 
 POINTS_HEADER = ("tid", "order", "x", "y", "tau")
 COORDINATE_NOTE = "planar x/y coordinates, scalar timestamps"
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+# Line ends as csv counts them in a file opened with newline="".
+_LINE_BREAK_RE = re.compile(rb"\r\n|\r|\n")
 
 
 @dataclass(frozen=True)
@@ -89,9 +86,20 @@ def _parse_value(text: str) -> PropertyValue:
 
 
 def _read_rows(path: Path) -> list[tuple[int, list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        return [(reader.line_num, row) for row in reader]
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        breaks = [m.end() for m in _LINE_BREAK_RE.finditer(raw, 0, exc.start)]
+        line_start = breaks[-1] if breaks else 0
+        fields = next(csv.reader([raw[line_start : exc.start].decode("utf-8")]))
+        raise CsvParseError(
+            len(breaks) + 1,
+            max(len(fields), 1),
+            f"{path.name}: byte 0x{raw[exc.start]:02x} is not valid UTF-8",
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    return [(reader.line_num, row) for row in reader]
 
 
 def _check_header(
@@ -116,7 +124,7 @@ def _ingest_points(path: Path) -> TrajectoriesRelation:
     _check_header(rows, POINTS_HEADER, path)
     if len(rows[0][1]) != 5:
         raise CsvParseError(1, 6, f"{path.name}: unexpected extra columns")
-    per_tid: dict[str, dict[int, TrajectoryPoint]] = {}
+    per_tid: dict[str, dict[int, tuple[float, float, float]]] = {}
     for line, row in rows[1:]:
         if len(row) != 5:
             raise CsvParseError(line, 1, f"expected 5 fields, got {len(row)}")
@@ -127,27 +135,23 @@ def _ingest_points(path: Path) -> TrajectoriesRelation:
         x = _parse_float(row[2], line, 3)
         y = _parse_float(row[3], line, 4)
         tau = _parse_float(row[4], line, 5)
-        points = per_tid.setdefault(tid, {})
-        if order in points:
+        samples = per_tid.setdefault(tid, {})
+        if order in samples:
             raise DuplicateKeyError(tid, order)
-        points[order] = TrajectoryPoint(order, x, y, tau)
+        samples[order] = (x, y, tau)
     pairs = []
     for tid in sorted(per_tid):
-        points = per_tid[tid]
-        orders = sorted(points)
+        samples = per_tid[tid]
+        orders = sorted(samples)
         if orders != list(range(len(orders))):
             raise InvariantViolationError(
                 tid, f"orders {orders} are not contiguous from 0"
             )
-        ordered = [points[o] for o in orders]
-        for a, b in zip(ordered, ordered[1:]):
-            if not a.tau < b.tau:
-                raise InvariantViolationError(
-                    tid,
-                    f"non-monotone time: tau {format_float(b.tau)} at order "
-                    f"{b.order} does not exceed {format_float(a.tau)}",
-                )
-        pairs.append((tid, Trajectory(tuple(ordered))))
+        try:
+            t = build_trajectory(samples[o] for o in orders)
+        except NonMonotoneTimeError as exc:
+            raise InvariantViolationError(tid, f"non-monotone time: {exc}") from None
+        pairs.append((tid, t))
     return TrajectoriesRelation.from_pairs(pairs)
 
 
@@ -184,7 +188,7 @@ def _ingest_pprops(
     rows = _read_rows(path)
     header = _check_header(rows, ("tid", "order"), path)
     names = header[2:]
-    sizes = {tid: len(trajectories.get(tid).points) for tid in trajectories.tids()}
+    sizes = {tid: len(t) for tid, t in trajectories}
     collected: dict[str, dict[str, dict[int, PropertyValue]]] = {
         tid: {} for tid in sizes
     }
@@ -287,9 +291,9 @@ def export_csv(d: Dataset, path: Union[str, Path]) -> None:
     """
     path = Path(path)
     point_rows = [
-        [tid, str(p.order), format_float(p.x), format_float(p.y), format_float(p.tau)]
+        [tid, str(order), format_float(x), format_float(y), format_float(tau)]
         for tid, t in d.trajectories
-        for p in t.points
+        for order, (x, y, tau) in enumerate(zip(t.xs.tolist(), t.ys.tolist(), t.taus.tolist()))
     ]
     _write_rows(path, list(POINTS_HEADER), point_rows)
 

@@ -31,7 +31,8 @@ class NonFiniteValueError(TrajqError):
 
 
 class PointOrderError(TrajqError, ValueError):
-    """A trajectory's points must carry the orders 0..n-1 in sequence."""
+    """Malformed point rows: samples that are not three numbers (x, y, tau),
+    or point columns of unequal length."""
 
 
 class RelationOrderError(TrajqError, ValueError):

@@ -200,8 +200,8 @@ def _body_mask(body: Body, atom_mask: Callable[[Atom], np.ndarray]) -> np.ndarra
 
 
 def _ground_atom(atom: Atom, t: Trajectory, env: EvalEnv) -> bool:
-    p = t.points[0] if atom.subject is PointRef.FIRST else t.points[-1]
-    return _atom_mask(atom, p.x, p.y, p.tau, env)
+    i = 0 if atom.subject is PointRef.FIRST else -1
+    return _atom_mask(atom, t.xs.item(i), t.ys.item(i), t.taus.item(i), env)
 
 
 def _points_clause(
@@ -438,8 +438,8 @@ def region_signature(t: Trajectory, r: Region, s: Strictness) -> RegionSignature
         inner[1:-1] = True
         domains = (inner, True)
     ends = [
-        classes(*(_atom_mask(a, p.x, p.y, p.tau, env) for a in (_HULL, _INTERIOR)))
-        for p in (t.points[0], t.points[-1])
+        classes(*(_atom_mask(a, x, y, tau, env) for a in (_HULL, _INTERIOR)))
+        for x, y, tau in ((t.xs.item(i), t.ys.item(i), t.taus.item(i)) for i in (0, -1))
     ]
     triples = (*ends, *((rows & d).reshape(3, -1).any(axis=1) for d in domains))
     return RegionSignature(*("".join(c for c, hit in zip("IBE", m) if hit) for m in triples))

@@ -7,6 +7,12 @@ backwards even though the spatial path may revisit or hold a position
 (zero-length segments are legal and represent staying put while time
 passes). A single-point trajectory is legal.
 
+A ``Trajectory(xs, ys, taus)`` stores the samples as three read-only
+float64 columns, which is what evaluation, export and the nested-relational
+engine read. ``t.points`` is a view of the same data as ``TrajectoryPoint``
+records, built on first use; ``build_trajectory`` turns (x, y, tau) samples
+into the columns.
+
 Trajectories are grouped into a relation keyed by trajectory id, and
 descriptive attributes live in a separate property relation at two grains:
 per trajectory (e.g. a species tag) and per point (e.g. a movement type
@@ -15,7 +21,6 @@ sampled at every fix).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
@@ -62,63 +67,88 @@ class Segment:
         return self.start.order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """An ordered, time-monotone sequence of at least one point."""
+    """An ordered, time-monotone sequence of at least one point, stored as
+    three read-only float64 columns; point i is (xs[i], ys[i], taus[i]) and
+    carries order i. The constructor copies its inputs and validates them
+    all at once. Equality is by value (-0.0 equals 0.0); the hash reads taus.
 
-    points: tuple[TrajectoryPoint, ...]
+    Raises:
+        PointOrderError: the columns are not numbers in 1-D arrays of one length.
+        EmptyTrajectoryError, NonFiniteValueError, NonMonotoneTimeError: as for
+            ``build_trajectory``, naming the first offending point.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    taus: np.ndarray
 
     def __post_init__(self):
-        if not self.points:
+        try:
+            cols = [np.array(c, dtype=np.float64) for c in (self.xs, self.ys, self.taus)]
+            xs, ys, taus = cols
+            if not xs.shape == ys.shape == taus.shape == (taus.size,):
+                raise ValueError("shapes differ")
+        except (TypeError, ValueError):
+            raise PointOrderError("point columns must be 1-D numbers of one length") from None
+        if not taus.size:
             raise EmptyTrajectoryError("a trajectory needs at least one point")
-        for i, p in enumerate(self.points):
-            if p.order != i:
-                raise PointOrderError(f"point {i} carries order {p.order}; orders must be 0..n-1")
-            if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.tau)):
-                raise NonFiniteValueError(f"point {i} has a non-finite coordinate or timestamp")
-        for a, b in zip(self.points, self.points[1:]):
-            if not b.tau > a.tau:
-                raise NonMonotoneTimeError(
-                    f"tau must increase strictly: order {a.order} has tau={a.tau}, "
-                    f"order {b.order} has tau={b.tau}"
-                )
+        finite = np.isfinite(xs) & np.isfinite(ys) & np.isfinite(taus)
+        if not finite.all():
+            raise NonFiniteValueError(
+                f"point {int(finite.argmin())} has a non-finite coordinate or timestamp"
+            )
+        # An ordered comparison, not np.diff: differences overflow near the float range.
+        rising = taus[1:] > taus[:-1]
+        if not rising.all():
+            i = int(rising.argmin())
+            raise NonMonotoneTimeError(
+                f"tau must increase strictly: order {i} has tau={float(taus[i])}, "
+                f"order {i + 1} has tau={float(taus[i + 1])}"
+            )
+        for name, col in zip(("xs", "ys", "taus"), cols):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __eq__(self, other):
+        return isinstance(other, Trajectory) and all(
+            map(np.array_equal, (self.xs, self.ys, self.taus), (other.xs, other.ys, other.taus))
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.taus.tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.taus.size
 
     def __iter__(self) -> Iterator[TrajectoryPoint]:
         return iter(self.points)
 
-    # Arrays are cached per instance; safe because the dataclass is frozen.
     @cached_property
-    def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.points], dtype=float)
-
-    @cached_property
-    def ys(self) -> np.ndarray:
-        return np.array([p.y for p in self.points], dtype=float)
-
-    @cached_property
-    def taus(self) -> np.ndarray:
-        return np.array([p.tau for p in self.points], dtype=float)
+    def points(self) -> tuple[TrajectoryPoint, ...]:
+        """The points as records, built from the columns on first use."""
+        columns = (self.xs.tolist(), self.ys.tolist(), self.taus.tolist())
+        return tuple(map(TrajectoryPoint, range(len(self)), *columns))
 
 
 def build_trajectory(samples: Iterable[tuple[float, float, float]]) -> Trajectory:
-    """Build a trajectory from (x, y, tau) samples, assigning orders 0..n-1.
-
-    Samples must already be in recording order; timestamps are validated to
-    be finite and strictly increasing.
+    """Build a trajectory from (x, y, tau) samples in recording order, which
+    become the columns of a ``Trajectory``; point i gets order i.
 
     Raises:
+        PointOrderError: a sample that is not three numbers.
         EmptyTrajectoryError: no samples.
         NonFiniteValueError: a NaN or infinite coordinate/timestamp.
         NonMonotoneTimeError: a timestamp that fails to increase.
     """
-    pts = tuple(
-        TrajectoryPoint(i, float(x), float(y), float(tau))
-        for i, (x, y, tau) in enumerate(samples)
-    )
-    return Trajectory(pts)
+    try:
+        rows = np.array(list(samples), dtype=np.float64)
+        if rows.shape[1:] != (3,) and rows.shape != (0,):
+            raise ValueError(f"samples of shape {rows.shape}")
+    except (TypeError, ValueError):
+        raise PointOrderError("each sample must be three numbers (x, y, tau)") from None
+    return Trajectory(*rows.reshape(-1, 3).T)
 
 
 def first_point(t: Trajectory) -> TrajectoryPoint:
@@ -141,7 +171,7 @@ def segments(t: Trajectory) -> tuple[Segment, ...]:
 
 def time_span(t: Trajectory) -> tuple[float, float]:
     """(first timestamp, last timestamp); equal for a single-point trajectory."""
-    return t.points[0].tau, t.points[-1].tau
+    return t.taus.item(0), t.taus.item(-1)
 
 
 @dataclass(frozen=True)

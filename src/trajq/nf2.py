@@ -817,7 +817,7 @@ def trajectories_to_nf2(rel: TrajectoriesRelation) -> Nf2Relation:
     for tid, t in rel.rows:
         nested = Nf2Relation(
             POINTS_SCHEMA,
-            tuple((p.order, p.x, p.y, p.tau) for p in t.points),
+            tuple(zip(range(len(t)), t.xs.tolist(), t.ys.tolist(), t.taus.tolist())),
         )
         rows.append((tid, nested))
     return Nf2Relation(TRAJECTORIES_SCHEMA, tuple(rows))

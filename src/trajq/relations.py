@@ -32,7 +32,7 @@ from .errors import DegenerateSpanError, PredicateTypeError
 from .evaluate import RegionSignature, Strictness, evaluate, holds_on_signature
 from .evaluate import region_signature as de9im_signature
 from .geometry import Interval, Region
-from .model import Trajectory, build_trajectory, time_span
+from .model import Trajectory, time_span
 from .predicate import Predicate, parse_predicate
 
 
@@ -279,7 +279,7 @@ def classify_de9im(
         # (B, I), so only then is it walked (its crossings or strategy points differ).
         rev = sig._replace(pf=sig.pl, pl=sig.pf)
         if (rev.pf, rev.pl) in (("B", "E"), ("B", "I")):
-            rev = de9im_signature(build_trajectory(zip(t.xs[::-1], t.ys[::-1], t.taus)), r, s)
+            rev = de9im_signature(Trajectory(t.xs[::-1], t.ys[::-1], t.taus), r, s)
         found |= _signature_labels(rev) & DIRECTION_SENSITIVE
     return set(found if labels is None else found.intersection(labels))
 

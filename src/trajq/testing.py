@@ -43,7 +43,7 @@ from .geometry import (
     segment_interval_params,
     segment_region_params,
 )
-from .model import Segment, Trajectory, TrajectoryPoint, build_trajectory, segments
+from .model import Segment, Trajectory, segments
 from .predicate import (
     And,
     Atom,
@@ -76,13 +76,12 @@ def resample(t: Trajectory, spec: ResampleSpec) -> Trajectory:
     The recorded points are kept verbatim, so the result has
     n + k(n-1) points; a single-point trajectory is returned unchanged.
     """
-    if len(t.points) == 1:
+    if len(t) == 1:
         return t
-    k, m = spec.k, len(t.points) - 1
+    k, m = spec.k, len(t) - 1
     seg = np.repeat(np.arange(m), k)
     lam = np.tile(np.arange(1, k + 1) / (k + 1), m)
-    xs, ys, taus = densify(t.xs, t.ys, t.taus, seg, lam)
-    return build_trajectory(zip(xs.tolist(), ys.tolist(), taus.tolist()))
+    return Trajectory(*densify(t.xs, t.ys, t.taus, seg, lam))
 
 
 def relaxed_oracle(
@@ -165,15 +164,6 @@ def relaxed_paramset_oracle(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool
     return True
 
 
-def _reversed_trajectory(t: Trajectory) -> Trajectory:
-    """The same spatial path walked the other way, on the original timestamps."""
-    pts = tuple(
-        TrajectoryPoint(i, p.x, p.y, q.tau)
-        for i, (p, q) in enumerate(zip(reversed(t.points), t.points))
-    )
-    return Trajectory(pts)
-
-
 def classify_de9im_oracle(
     t: Trajectory,
     r: Region,
@@ -185,7 +175,9 @@ def classify_de9im_oracle(
     for :func:`trajq.relations.classify_de9im` (same arguments)."""
     candidates = tuple(De9imLabel) if labels is None else tuple(labels)
     env = EvalEnv({"R": r})
-    rev = _reversed_trajectory(t) if normalize_orientation and len(t) > 1 else None
+    reverse = normalize_orientation and len(t) > 1
+    # The same path walked the other way, on the original timestamps.
+    rev = Trajectory(t.xs[::-1], t.ys[::-1], t.taus) if reverse else None
     out: set[De9imLabel] = set()
     for label in candidates:
         ast = de9im_predicate(label)
@@ -256,7 +248,7 @@ def write_counterexample(
 ) -> None:
     """Append one JSON line describing a disagreement, for offline triage."""
     record = {
-        "trajectory": [[p.x, p.y, p.tau] for p in t.points],
+        "trajectory": np.column_stack((t.xs, t.ys, t.taus)).tolist(),
         "environment": _env_json(env),
         "predicate": format_predicate(ast),
         "expected": expected,

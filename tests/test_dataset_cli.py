@@ -133,6 +133,15 @@ def test_points_parse_errors_are_positioned(text, line, column, tmp_path):
     assert f"line {line}, field {column}" in str(exc.value)
 
 
+def test_non_utf8_byte_is_a_positioned_parse_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"tid,order,x,y,tau\r\nA,0,0,0,0\r\nA,1,\"1\xff\",0,5\r\n")
+    with pytest.raises(CsvParseError) as exc:
+        ingest_csv(path)
+    assert (exc.value.line, exc.value.column) == (3, 3)
+    assert "0xff" in str(exc.value)
+
+
 def test_duplicate_point_key(tmp_path):
     path = write(
         tmp_path / "dup.csv", "tid,order,x,y,tau\nT,0,0,0,0\nT,0,1,1,1\n"
@@ -194,6 +203,23 @@ def test_cli_validate_bad_data(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 1 and out == ""
     assert err.startswith("error: trajectory 'T'")
+
+
+@pytest.mark.parametrize("name", ["missing.csv", "a-directory"])
+def test_cli_unreadable_data_file_is_one_error_line(name, capsys, tmp_path):
+    (tmp_path / "a-directory").mkdir()
+    code, out, err = run(capsys, "validate", str(tmp_path / name))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_runs_do_not_share_repeated_flag_values(capsys):
+    data = str(DATA / "selection.csv")
+    query = ("query", data, "--predicate", "EXISTS p IN T: p INSIDE R AND p INSIDE I")
+    first = run(capsys, *query, "--region", "R=0,0,10,10", "--interval", "I=0,1000")
+    second = run(capsys, *query, "--region", "R=0,0,1,1", "--interval", "I=0,1")
+    assert first == (0, "Ta\nTb\nTc\n", "")
+    assert second == (0, "", "")
 
 
 def test_cli_query_strictness(capsys):

@@ -16,7 +16,6 @@ from trajq.model import (
     PropertyRelation,
     TrajectoriesRelation,
     Trajectory,
-    TrajectoryPoint,
     build_trajectory,
     first_point,
     inner_points,
@@ -122,13 +121,28 @@ def test_relation_sorts_and_indexes():
 def test_malformed_rows_raise_typed_value_errors():
     t = build_trajectory([(0, 0, 0)])
     with pytest.raises(PointOrderError):
-        Trajectory((TrajectoryPoint(1, 0.0, 0.0, 0.0),))
+        Trajectory([0.0, 1.0], [0.0], [0.0, 1.0])
     with pytest.raises(RelationOrderError):
         TrajectoriesRelation((("a", t), ("a", t)))
     with pytest.raises(RelationOrderError):
         TrajectoriesRelation((("b", t), ("a", t)))
     for cls in (PointOrderError, RelationOrderError):
         assert issubclass(cls, TrajqError) and issubclass(cls, ValueError)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_trajectory([(0, 0)]),
+        lambda: build_trajectory([(0, 0, "a")]),
+        lambda: build_trajectory([(0, 0, 0, 0)]),
+        lambda: Trajectory([0.0, 1.0], [0.0, 1.0], [0.0]),
+    ],
+    ids=["two-numbers", "not-a-number", "four-numbers", "unequal-columns"],
+)
+def test_malformed_samples_raise_point_order_error(build):
+    with pytest.raises(PointOrderError):
+        build()
 
 
 def test_property_lookup_and_errors():
