@@ -14,6 +14,11 @@ then ``true``/``false``, then plain text. Empty cells mean the property is
 absent for that row. Export renders floats in shortest round-trip decimal
 form (integral floats without a trailing ``.0``) and uses LF line endings,
 so exporting a freshly ingested file reproduces it byte for byte.
+
+Ingest and export work a column at a time: each column is checked and
+converted in one pass, and the rows are sorted by key once. Only when a
+column check fails is the file read again row by row, in file order, to
+raise the first fault with its line and field.
 """
 
 from __future__ import annotations
@@ -23,17 +28,27 @@ import io
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Iterable, Mapping, NoReturn, Sequence, Union
+
+import numpy as np
 
 from ._fmt import format_float
 from .errors import CsvParseError, DuplicateKeyError, InvariantViolationError, NonMonotoneTimeError
-from .model import PropertyRelation, PropertyValue, TrajectoriesRelation, build_trajectory
+from .model import (
+    PropertyRelation,
+    PropertyValue,
+    TrajectoriesRelation,
+    Trajectory,
+    build_trajectory,
+)
 
 POINTS_HEADER = ("tid", "order", "x", "y", "tau")
 COORDINATE_NOTE = "planar x/y coordinates, scalar timestamps"
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_INTS_RE = re.compile(r"[+-]?[0-9]+(?:,[+-]?[0-9]+)*\Z")
 # Line ends as csv counts them in a file opened with newline="".
 _LINE_BREAK_RE = re.compile(rb"\r\n|\r|\n")
 
@@ -85,10 +100,10 @@ def _parse_value(text: str) -> PropertyValue:
     return text
 
 
-def _read_rows(path: Path) -> list[tuple[int, list[str]]]:
+def _read_text(path: Path) -> str:
     raw = path.read_bytes()
     try:
-        text = raw.decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         breaks = [m.end() for m in _LINE_BREAK_RE.finditer(raw, 0, exc.start)]
         line_start = breaks[-1] if breaks else 0
@@ -98,17 +113,24 @@ def _read_rows(path: Path) -> list[tuple[int, list[str]]]:
             max(len(fields), 1),
             f"{path.name}: byte 0x{raw[exc.start]:02x} is not valid UTF-8",
         ) from None
+
+
+def _records(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def _numbered_body(text: str) -> Iterable[tuple[int, list[str]]]:
+    """The data rows after the header, each with the line it ends on."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    return [(reader.line_num, row) for row in reader]
+    next(reader)
+    return ((reader.line_num, row) for row in reader)
 
 
-def _check_header(
-    rows: list[tuple[int, list[str]]], required: tuple[str, ...], path: Path
-) -> list[str]:
+def _check_header(rows: list[list[str]], required: tuple[str, ...], path: Path) -> list[str]:
     """Verify the fixed leading columns; returns the full header row."""
     if not rows:
         raise CsvParseError(1, 1, f"{path.name}: empty file, expected a header")
-    header = rows[0][1]
+    header = rows[0]
     if tuple(header[: len(required)]) != required:
         raise CsvParseError(
             1, 1, f"{path.name}: expected header starting {','.join(required)}"
@@ -119,13 +141,77 @@ def _check_header(
     return header
 
 
+def _all_ints(cells: Sequence[str]) -> bool:
+    """Whether every cell matches ``_INT_RE``, by one match over the cells
+    joined with commas. A cell holding a comma (it was quoted) would add a
+    piece to the joined text, so the number of commas must be exact too."""
+    joined = ",".join(cells)
+    return joined.count(",") == len(cells) - 1 and _INTS_RE.match(joined) is not None
+
+
+def _group_by_key(codes: np.ndarray, orders: np.ndarray, stride: int) -> tuple[np.ndarray, bool]:
+    """The permutation sorting rows by (code, order), and whether a key repeats.
+
+    Orders must lie in [0, stride), so ``code * stride + order`` is the key.
+    """
+    keys = codes * stride + orders
+    perm = np.argsort(keys, kind="stable")
+    sorted_keys = keys[perm]
+    return perm, bool((sorted_keys[1:] == sorted_keys[:-1]).any())
+
+
 def _ingest_points(path: Path) -> TrajectoriesRelation:
-    rows = _read_rows(path)
+    text = _read_text(path)
+    rows = _records(text)
     _check_header(rows, POINTS_HEADER, path)
-    if len(rows[0][1]) != 5:
+    if len(rows[0]) != 5:
         raise CsvParseError(1, 6, f"{path.name}: unexpected extra columns")
+    body = rows[1:]
+    n = len(body)
+    if not n:
+        return TrajectoriesRelation(())
+    if set(map(len, body)) != {5}:
+        _raise_points_fault(text)
+    tids, orders, *coords = zip(*body)
+    if "" in tids or not _all_ints(orders):
+        _raise_points_fault(text)
+    try:
+        values = np.fromiter(map(float, chain.from_iterable(coords)), np.float64, 3 * n)
+    except ValueError:
+        _raise_points_fault(text)
+    ints = list(map(int, orders))
+    if not np.isfinite(values).all() or min(ints) < 0 or max(ints) >= n:
+        _raise_points_fault(text)
+
+    names = sorted(set(tids))
+    code = {tid: i for i, tid in enumerate(names)}
+    codes = np.fromiter(map(code.__getitem__, tids), np.int64, n)
+    order_col = np.array(ints, dtype=np.int64)
+    perm, repeated = _group_by_key(codes, order_col, n)
+    counts = np.bincount(codes, minlength=len(names))
+    starts = np.cumsum(counts) - counts
+    # Sorted, each trajectory's orders must read 0, 1, ..., count - 1.
+    contiguous = np.array_equal(order_col[perm], np.arange(n) - np.repeat(starts, counts))
+    xs, ys, taus = values.reshape(3, n)[:, perm]
+    rising = taus[1:] > taus[:-1]
+    rising[starts[1:] - 1] = True  # no order between consecutive trajectories
+    if repeated or not contiguous or not rising.all():
+        _raise_points_fault(text)
+    bounds = zip(starts.tolist(), (starts + counts).tolist())
+    return TrajectoriesRelation(
+        tuple(
+            (tid, Trajectory(xs[s:e], ys[s:e], taus[s:e]))
+            for tid, (s, e) in zip(names, bounds)
+        )
+    )
+
+
+def _raise_points_fault(text: str) -> NoReturn:
+    """Raise the first fault of a points file as a row-by-row read meets it:
+    a bad row or a repeated key in file order, then, per trajectory in tid
+    order, a gap in the orders or time that does not increase."""
     per_tid: dict[str, dict[int, tuple[float, float, float]]] = {}
-    for line, row in rows[1:]:
+    for line, row in _numbered_body(text):
         if len(row) != 5:
             raise CsvParseError(line, 1, f"expected 5 fields, got {len(row)}")
         tid = row[0]
@@ -139,70 +225,114 @@ def _ingest_points(path: Path) -> TrajectoriesRelation:
         if order in samples:
             raise DuplicateKeyError(tid, order)
         samples[order] = (x, y, tau)
-    pairs = []
     for tid in sorted(per_tid):
         samples = per_tid[tid]
         orders = sorted(samples)
         if orders != list(range(len(orders))):
-            raise InvariantViolationError(
-                tid, f"orders {orders} are not contiguous from 0"
-            )
+            raise InvariantViolationError(tid, f"orders {orders} are not contiguous from 0")
         try:
-            t = build_trajectory(samples[o] for o in orders)
+            build_trajectory(samples[o] for o in orders)
         except NonMonotoneTimeError as exc:
             raise InvariantViolationError(tid, f"non-monotone time: {exc}") from None
-        pairs.append((tid, t))
-    return TrajectoriesRelation.from_pairs(pairs)
+    raise AssertionError("the column checks found a fault the row-by-row read did not")
+
+
+def _unknown_tid(tid: str, path: Path) -> InvariantViolationError:
+    return InvariantViolationError(tid, f"{path.name} references an unknown trajectory id")
+
+
+def _parsed_cells(column: Sequence[str]) -> dict[str, PropertyValue]:
+    """Each distinct non-empty cell of a property column, typed once."""
+    return {cell: _parse_value(cell) for cell in set(column) if cell}
 
 
 def _ingest_props(
     path: Path, tids: tuple[str, ...]
 ) -> dict[str, dict[str, PropertyValue]]:
-    rows = _read_rows(path)
+    text = _read_text(path)
+    rows = _records(text)
     header = _check_header(rows, ("tid",), path)
-    names = header[1:]
+    body = rows[1:]
     out: dict[str, dict[str, PropertyValue]] = {tid: {} for tid in tids}
+    if not body:
+        return out
+    if set(map(len, body)) != {len(header)}:
+        _raise_props_fault(text, path, header, out)
+    keys, *columns = zip(*body)
+    if not out.keys() >= set(keys) or len(set(keys)) != len(keys):
+        _raise_props_fault(text, path, header, out)
+    for name, column in zip(header[1:], columns):
+        parsed = _parsed_cells(column)
+        for tid, cell in zip(keys, column):
+            if cell:
+                out[tid][name] = parsed[cell]
+    return out
+
+
+def _raise_props_fault(text: str, path: Path, header: list[str], known) -> NoReturn:
     seen: set[str] = set()
-    for line, row in rows[1:]:
+    for line, row in _numbered_body(text):
         if len(row) != len(header):
-            raise CsvParseError(
-                line, 1, f"expected {len(header)} fields, got {len(row)}"
-            )
+            raise CsvParseError(line, 1, f"expected {len(header)} fields, got {len(row)}")
         tid = row[0]
-        if tid not in out:
-            raise InvariantViolationError(
-                tid, f"{path.name} references an unknown trajectory id"
-            )
+        if tid not in known:
+            raise _unknown_tid(tid, path)
         if tid in seen:
             raise DuplicateKeyError(tid, None)
         seen.add(tid)
-        for name, cell in zip(names, row[1:]):
-            if cell != "":
-                out[tid][name] = _parse_value(cell)
-    return out
+    raise AssertionError("the column checks found a fault the row-by-row read did not")
 
 
 def _ingest_pprops(
     path: Path, trajectories: TrajectoriesRelation
 ) -> dict[str, dict[str, tuple[tuple[int, PropertyValue], ...]]]:
-    rows = _read_rows(path)
+    text = _read_text(path)
+    rows = _records(text)
     header = _check_header(rows, ("tid", "order"), path)
-    names = header[2:]
+    body = rows[1:]
     sizes = {tid: len(t) for tid, t in trajectories}
-    collected: dict[str, dict[str, dict[int, PropertyValue]]] = {
-        tid: {} for tid in sizes
-    }
+    out: dict[str, dict[str, tuple[tuple[int, PropertyValue], ...]]] = {tid: {} for tid in sizes}
+    if not body:
+        return out
+    if set(map(len, body)) != {len(header)}:
+        _raise_pprops_fault(text, path, header, sizes)
+    keys, orders, *columns = zip(*body)
+    if not sizes.keys() >= set(keys) or not _all_ints(orders):
+        _raise_pprops_fault(text, path, header, sizes)
+    ints = list(map(int, orders))
+    longest = max(sizes.values())
+    if min(ints) < 0 or max(ints) >= longest:
+        _raise_pprops_fault(text, path, header, sizes)
+    code = {tid: i for i, tid in enumerate(sizes)}
+    codes = np.fromiter(map(code.__getitem__, keys), np.int64, len(keys))
+    order_col = np.array(ints, dtype=np.int64)
+    within = order_col < np.array(list(sizes.values()))[codes]
+    perm, repeated = _group_by_key(codes, order_col, longest)
+    if repeated or not within.all():
+        _raise_pprops_fault(text, path, header, sizes)
+
+    starts = np.flatnonzero(np.r_[True, np.diff(codes[perm]) != 0])
+    bounds = list(zip(starts.tolist(), [*starts[1:].tolist(), len(keys)]))
+    perm = perm.tolist()
+    sorted_orders = list(map(ints.__getitem__, perm))
+    for name, column in zip(header[2:], columns):
+        parsed = _parsed_cells(column)
+        cells = list(map(column.__getitem__, perm))
+        for s, e in bounds:
+            pairs = tuple(compress(zip(sorted_orders[s:e], map(parsed.get, cells[s:e])), cells[s:e]))
+            if pairs:
+                out[keys[perm[s]]][name] = pairs
+    return out
+
+
+def _raise_pprops_fault(text: str, path: Path, header: list[str], sizes) -> NoReturn:
     seen: set[tuple[str, int]] = set()
-    for line, row in rows[1:]:
+    for line, row in _numbered_body(text):
         if len(row) != len(header):
-            raise CsvParseError(
-                line, 1, f"expected {len(header)} fields, got {len(row)}"
-            )
+            raise CsvParseError(line, 1, f"expected {len(header)} fields, got {len(row)}")
         tid = row[0]
         if tid not in sizes:
-            raise InvariantViolationError(
-                tid, f"{path.name} references an unknown trajectory id"
-            )
+            raise _unknown_tid(tid, path)
         order = _parse_int(row[1], line, 2)
         if not 0 <= order < sizes[tid]:
             raise InvariantViolationError(
@@ -211,16 +341,7 @@ def _ingest_pprops(
         if (tid, order) in seen:
             raise DuplicateKeyError(tid, order)
         seen.add((tid, order))
-        for name, cell in zip(names, row[2:]):
-            if cell != "":
-                collected[tid].setdefault(name, {})[order] = _parse_value(cell)
-    return {
-        tid: {
-            name: tuple(sorted(by_order.items()))
-            for name, by_order in per_name.items()
-        }
-        for tid, per_name in collected.items()
-    }
+    raise AssertionError("the column checks found a fault the row-by-row read did not")
 
 
 def _props_path(path: Path) -> Path:
@@ -274,7 +395,16 @@ def _format_value(value: PropertyValue) -> str:
     return str(value)
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _format_column(column: np.ndarray) -> list[str]:
+    """``format_float`` of every value of a finite float64 column, at once."""
+    integral = (column == np.trunc(column)) & (np.abs(column) < 2**53)
+    out = np.empty(column.size, dtype=object)
+    out[integral] = list(map(str, column[integral].astype(np.int64).tolist()))
+    out[~integral] = list(map(repr, column[~integral].tolist()))
+    return out.tolist()
+
+
+def _write_rows(path: Path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -284,18 +414,18 @@ def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
 def export_csv(d: Dataset, path: Union[str, Path]) -> None:
     """Write a dataset back to CSV form.
 
-    The points file is always written; the property siblings are written
-    only when the dataset actually carries values of that grain. Rows are
-    sorted by (tid, order) and property columns by name, so exporting a
-    freshly ingested file reproduces it byte for byte.
+    The points file is always written; a property sibling is written when
+    the dataset carries values of that grain and deleted otherwise, so a
+    sibling left by an earlier export is not read back with these points.
+    Rows are sorted by (tid, order) and property columns by name, so
+    exporting a freshly ingested file reproduces it byte for byte.
     """
     path = Path(path)
-    point_rows = [
-        [tid, str(order), format_float(x), format_float(y), format_float(tau)]
-        for tid, t in d.trajectories
-        for order, (x, y, tau) in enumerate(zip(t.xs.tolist(), t.ys.tolist(), t.taus.tolist()))
-    ]
-    _write_rows(path, list(POINTS_HEADER), point_rows)
+    rel = d.trajectories
+    columns = [_format_column(np.concatenate(c)) for c in zip(*((t.xs, t.ys, t.taus) for _, t in rel))]
+    tids = chain.from_iterable(repeat(tid, len(t)) for tid, t in rel)
+    orders = chain.from_iterable(map(str, range(len(t))) for _, t in rel)
+    _write_rows(path, list(POINTS_HEADER), zip(tids, orders, *columns))
 
     tprops = d.properties.trajectory_props
     tnames = sorted({name for per in tprops.values() for name in per})
@@ -306,23 +436,22 @@ def export_csv(d: Dataset, path: Union[str, Path]) -> None:
             if per
         ]
         _write_rows(_props_path(path), ["tid"] + tnames, rows)
+    else:
+        _props_path(path).unlink(missing_ok=True)
 
     pprops = d.properties.point_props
     pnames = sorted({name for per in pprops.values() for name in per})
     if pnames:
         rows = []
         for tid, per in sorted(pprops.items()):
-            cells: dict[int, dict[str, PropertyValue]] = {}
-            for name, pairs in per.items():
-                for order, value in pairs:
-                    cells.setdefault(order, {})[name] = value
-            for order in sorted(cells):
-                row_values = cells[order]
-                rows.append(
-                    [tid, str(order)]
-                    + [
-                        _format_value(row_values[n]) if n in row_values else ""
-                        for n in pnames
-                    ]
-                )
+            # One row per order carrying a value, one column per name.
+            orders = sorted({order for pairs in per.values() for order, _ in pairs})
+            row_of = {order: i for i, order in enumerate(orders)}
+            cells = [[""] * len(orders) for _ in pnames]
+            for name, column in zip(pnames, cells):
+                for order, value in per.get(name, ()):
+                    column[row_of[order]] = _format_value(value)
+            rows.extend(zip(repeat(tid), map(str, orders), *cells))
         _write_rows(_pprops_path(path), ["tid", "order"] + pnames, rows)
+    else:
+        _pprops_path(path).unlink(missing_ok=True)

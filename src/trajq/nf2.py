@@ -812,15 +812,23 @@ TRAJECTORIES_SCHEMA = Nf2Schema(
 
 
 def trajectories_to_nf2(rel: TrajectoriesRelation) -> Nf2Relation:
-    """Materialize a trajectories relation as a nested relation."""
-    rows = []
-    for tid, t in rel.rows:
-        nested = Nf2Relation(
-            POINTS_SCHEMA,
-            tuple(zip(range(len(t)), t.xs.tolist(), t.ys.tolist(), t.taus.tolist())),
+    """Materialize a trajectories relation as a nested relation.
+
+    The points relations hold ints from ``range`` and floats from float64
+    columns, so they conform by construction and skip the row checks; the
+    outer rows are checked, as nothing types a relation's tids.
+    """
+    rows = tuple(
+        (
+            tid,
+            _built(
+                POINTS_SCHEMA,
+                tuple(zip(range(len(t)), t.xs.tolist(), t.ys.tolist(), t.taus.tolist())),
+            ),
         )
-        rows.append((tid, nested))
-    return Nf2Relation(TRAJECTORIES_SCHEMA, tuple(rows))
+        for tid, t in rel.rows
+    )
+    return Nf2Relation(TRAJECTORIES_SCHEMA, rows)
 
 
 # --- label compilers ----------------------------------------------------

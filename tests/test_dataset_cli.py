@@ -5,6 +5,7 @@ so export after ingest must reproduce them byte for byte. CLI tests drive
 main() with argv lists and assert on captured output and exit codes.
 """
 
+import math
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,17 @@ def test_roundtrip_equality_ignores_metadata(tmp_path):
     assert again.metadata["name"] == "copy"
 
 
+def test_export_replaces_a_stale_property_sibling(tmp_path):
+    out = tmp_path / "out.csv"
+    export_csv(ingest_csv(DATA / "goose.csv"), out)
+    assert ingest_csv(out).properties.trajectory_value("T0", "species") == "goose"
+    bare = ingest_csv(DATA / "crossing.csv")
+    export_csv(bare, out)
+    assert not (tmp_path / "out.props.csv").exists()
+    assert not (tmp_path / "out.pprops.csv").exists()
+    assert ingest_csv(out) == bare
+
+
 def test_export_normalizes_row_order_and_floats(tmp_path):
     scrambled = write(
         tmp_path / "s.csv",
@@ -131,6 +143,50 @@ def test_points_parse_errors_are_positioned(text, line, column, tmp_path):
         ingest_csv(path)
     assert (exc.value.line, exc.value.column) == (line, column)
     assert f"line {line}, field {column}" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "cell,value",
+    [("1_0", 10.0), (" 1", 1.0), ("١", 1.0), ("-0", -0.0), ("2.50", 2.5)],
+)
+def test_coordinate_cells_follow_python_float(cell, value, tmp_path):
+    path = write(tmp_path / "c.csv", f"tid,order,x,y,tau\nA,0,{cell},0,0\n")
+    got = ingest_csv(path).trajectories.get("A").xs.item(0)
+    assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value)
+
+
+@pytest.mark.parametrize(
+    "cell,message",
+    [
+        ("0x10", "expected a number, got '0x10'"),
+        ("1e400", "non-finite value '1e400'"),
+        ("nan", "non-finite value 'nan'"),
+    ],
+)
+def test_coordinate_cells_python_float_rejects(cell, message, tmp_path):
+    path = write(tmp_path / "c.csv", f"tid,order,x,y,tau\nA,0,0,{cell},0\n")
+    with pytest.raises(CsvParseError) as exc:
+        ingest_csv(path)
+    assert (exc.value.line, exc.value.column) == (2, 4)
+    assert str(exc.value) == f"line 2, field 4: {message}"
+
+
+@pytest.mark.parametrize("cell", ["+0", "00", "-0"])
+def test_order_cells_accept_signed_ascii_digits(cell, tmp_path):
+    path = write(tmp_path / "o.csv", f"tid,order,x,y,tau\nA,{cell},0,0,0\nA,1,1,1,1\n")
+    assert len(ingest_csv(path).trajectories.get("A")) == 2
+
+
+@pytest.mark.parametrize(
+    "cell,line",
+    [(" 0", 2), ("0_0", 2), ("٠", 2), ("0.0", 2), ('"0,1"', 2), ('"0\n1"', 3)],
+)
+def test_order_cells_reject_what_int_alone_would_accept(cell, line, tmp_path):
+    path = write(tmp_path / "o.csv", f"tid,order,x,y,tau\nA,{cell},0,0,0\n")
+    with pytest.raises(CsvParseError) as exc:
+        ingest_csv(path)
+    assert (exc.value.line, exc.value.column) == (line, 2)
+    assert "expected an integer" in str(exc.value)
 
 
 def test_non_utf8_byte_is_a_positioned_parse_error(tmp_path):

@@ -80,6 +80,31 @@ def test_bridge_schema():
     assert len(NREL.rows[0][1].rows) == 5
 
 
+def test_bridge_matches_the_checked_construction():
+    rng = random.Random(5)
+    for _ in range(40):
+        rel = TrajectoriesRelation.from_pairs(
+            (f"t{i}", random_trajectory(rng)) for i in range(rng.randint(0, 4))
+        )
+        checked = Nf2Relation(
+            TRAJECTORIES_SCHEMA,
+            tuple(
+                (tid, Nf2Relation(POINTS_SCHEMA, tuple((p.order, p.x, p.y, p.tau) for p in t)))
+                for tid, t in rel
+            ),
+        )
+        got = trajectories_to_nf2(rel)
+        assert got == checked
+        types = [type(v) for _, nested in got.rows for row in nested.rows for v in row]
+        assert types == [int, float, float, float] * (len(types) // 4)
+
+
+def test_bridge_rejects_a_tid_that_is_not_text():
+    rel = TrajectoriesRelation(((1, build_trajectory([(0, 0, 0)])),))
+    with pytest.raises(TypeMismatchError):
+        trajectories_to_nf2(rel)
+
+
 def test_nested_projection_example():
     out = execute(NESTED_EXAMPLE, NREL)
     assert out.schema.names() == ("x", "y")
