@@ -149,17 +149,6 @@ def _all_ints(cells: Sequence[str]) -> bool:
     return joined.count(",") == len(cells) - 1 and _INTS_RE.match(joined) is not None
 
 
-def _group_by_key(codes: np.ndarray, orders: np.ndarray, stride: int) -> tuple[np.ndarray, bool]:
-    """The permutation sorting rows by (code, order), and whether a key repeats.
-
-    Orders must lie in [0, stride), so ``code * stride + order`` is the key.
-    """
-    keys = codes * stride + orders
-    perm = np.argsort(keys, kind="stable")
-    sorted_keys = keys[perm]
-    return perm, bool((sorted_keys[1:] == sorted_keys[:-1]).any())
-
-
 def _ingest_points(path: Path) -> TrajectoriesRelation:
     text = _read_text(path)
     rows = _records(text)
@@ -187,15 +176,16 @@ def _ingest_points(path: Path) -> TrajectoriesRelation:
     code = {tid: i for i, tid in enumerate(names)}
     codes = np.fromiter(map(code.__getitem__, tids), np.int64, n)
     order_col = np.array(ints, dtype=np.int64)
-    perm, repeated = _group_by_key(codes, order_col, n)
+    perm = np.argsort(codes * n + order_col, kind="stable")
     counts = np.bincount(codes, minlength=len(names))
     starts = np.cumsum(counts) - counts
-    # Sorted, each trajectory's orders must read 0, 1, ..., count - 1.
+    # Sorted, each trajectory's orders must read 0, 1, ..., count - 1, so
+    # none repeats and none is missing.
     contiguous = np.array_equal(order_col[perm], np.arange(n) - np.repeat(starts, counts))
     xs, ys, taus = values.reshape(3, n)[:, perm]
     rising = taus[1:] > taus[:-1]
     rising[starts[1:] - 1] = True  # no order between consecutive trajectories
-    if repeated or not contiguous or not rising.all():
+    if not contiguous or not rising.all():
         _raise_points_fault(text)
     bounds = zip(starts.tolist(), (starts + counts).tolist())
     return TrajectoriesRelation(
@@ -258,12 +248,12 @@ def _ingest_props(
         return out
     if set(map(len, body)) != {len(header)}:
         _raise_props_fault(text, path, header, out)
-    keys, *columns = zip(*body)
-    if not out.keys() >= set(keys) or len(set(keys)) != len(keys):
+    tids, *columns = zip(*body)
+    if not out.keys() >= set(tids) or len(set(tids)) != len(tids):
         _raise_props_fault(text, path, header, out)
     for name, column in zip(header[1:], columns):
         parsed = _parsed_cells(column)
-        for tid, cell in zip(keys, column):
+        for tid, cell in zip(tids, column):
             if cell:
                 out[tid][name] = parsed[cell]
     return out
@@ -296,32 +286,34 @@ def _ingest_pprops(
         return out
     if set(map(len, body)) != {len(header)}:
         _raise_pprops_fault(text, path, header, sizes)
-    keys, orders, *columns = zip(*body)
-    if not sizes.keys() >= set(keys) or not _all_ints(orders):
+    tids, orders, *columns = zip(*body)
+    if not sizes.keys() >= set(tids) or not _all_ints(orders):
         _raise_pprops_fault(text, path, header, sizes)
     ints = list(map(int, orders))
     longest = max(sizes.values())
     if min(ints) < 0 or max(ints) >= longest:
         _raise_pprops_fault(text, path, header, sizes)
     code = {tid: i for i, tid in enumerate(sizes)}
-    codes = np.fromiter(map(code.__getitem__, keys), np.int64, len(keys))
+    codes = np.fromiter(map(code.__getitem__, tids), np.int64, len(tids))
     order_col = np.array(ints, dtype=np.int64)
-    within = order_col < np.array(list(sizes.values()))[codes]
-    perm, repeated = _group_by_key(codes, order_col, longest)
-    if repeated or not within.all():
+    keys = codes * longest + order_col
+    perm = np.argsort(keys, kind="stable")
+    sorted_keys = keys[perm]
+    repeated = (sorted_keys[1:] == sorted_keys[:-1]).any()
+    if repeated or not (order_col < np.array(list(sizes.values()))[codes]).all():
         _raise_pprops_fault(text, path, header, sizes)
 
     starts = np.flatnonzero(np.r_[True, np.diff(codes[perm]) != 0])
-    bounds = list(zip(starts.tolist(), [*starts[1:].tolist(), len(keys)]))
+    bounds = list(zip(starts.tolist(), [*starts[1:].tolist(), len(tids)]))
     perm = perm.tolist()
     sorted_orders = list(map(ints.__getitem__, perm))
     for name, column in zip(header[2:], columns):
         parsed = _parsed_cells(column)
         cells = list(map(column.__getitem__, perm))
-        for s, e in bounds:
+        for s, e in bounds:  # an empty cell is an absent value: compress drops it
             pairs = tuple(compress(zip(sorted_orders[s:e], map(parsed.get, cells[s:e])), cells[s:e]))
             if pairs:
-                out[keys[perm[s]]][name] = pairs
+                out[tids[perm[s]]][name] = pairs
     return out
 
 

@@ -818,17 +818,14 @@ def trajectories_to_nf2(rel: TrajectoriesRelation) -> Nf2Relation:
     columns, so they conform by construction and skip the row checks; the
     outer rows are checked, as nothing types a relation's tids.
     """
-    rows = tuple(
-        (
-            tid,
-            _built(
-                POINTS_SCHEMA,
-                tuple(zip(range(len(t)), t.xs.tolist(), t.ys.tolist(), t.taus.tolist())),
-            ),
+    rows = []
+    for tid, t in rel.rows:
+        nested = _built(
+            POINTS_SCHEMA,
+            tuple(zip(range(len(t)), t.xs.tolist(), t.ys.tolist(), t.taus.tolist())),
         )
-        for tid, t in rel.rows
-    )
-    return Nf2Relation(TRAJECTORIES_SCHEMA, rows)
+        rows.append((tid, nested))
+    return Nf2Relation(TRAJECTORIES_SCHEMA, tuple(rows))
 
 
 # --- label compilers ----------------------------------------------------
