@@ -182,18 +182,19 @@ def _ingest_points(path: Path) -> TrajectoriesRelation:
     # Sorted, each trajectory's orders must read 0, 1, ..., count - 1, so
     # none repeats and none is missing.
     contiguous = np.array_equal(order_col[perm], np.arange(n) - np.repeat(starts, counts))
-    xs, ys, taus = values.reshape(3, n)[:, perm]
-    rising = taus[1:] > taus[:-1]
-    rising[starts[1:] - 1] = True  # no order between consecutive trajectories
-    if not contiguous or not rising.all():
+    if not contiguous:
         _raise_points_fault(text)
+    xs, ys, taus = values.reshape(3, n)[:, perm]
     bounds = zip(starts.tolist(), (starts + counts).tolist())
-    return TrajectoriesRelation(
-        tuple(
-            (tid, Trajectory(xs[s:e], ys[s:e], taus[s:e]))
-            for tid, (s, e) in zip(names, bounds)
+    try:  # the model checks that time increases
+        return TrajectoriesRelation(
+            tuple(
+                (tid, Trajectory(xs[s:e], ys[s:e], taus[s:e]))
+                for tid, (s, e) in zip(names, bounds)
+            )
         )
-    )
+    except NonMonotoneTimeError:
+        _raise_points_fault(text)
 
 
 def _raise_points_fault(text: str) -> NoReturn:
@@ -387,15 +388,6 @@ def _format_value(value: PropertyValue) -> str:
     return str(value)
 
 
-def _format_column(column: np.ndarray) -> list[str]:
-    """``format_float`` of every value of a finite float64 column, at once."""
-    integral = (column == np.trunc(column)) & (np.abs(column) < 2**53)
-    out = np.empty(column.size, dtype=object)
-    out[integral] = list(map(str, column[integral].astype(np.int64).tolist()))
-    out[~integral] = list(map(repr, column[~integral].tolist()))
-    return out.tolist()
-
-
 def _write_rows(path: Path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -414,7 +406,10 @@ def export_csv(d: Dataset, path: Union[str, Path]) -> None:
     """
     path = Path(path)
     rel = d.trajectories
-    columns = [_format_column(np.concatenate(c)) for c in zip(*((t.xs, t.ys, t.taus) for _, t in rel))]
+    columns = [
+        map(format_float, np.concatenate(c).tolist())
+        for c in zip(*((t.xs, t.ys, t.taus) for _, t in rel))
+    ]
     tids = chain.from_iterable(repeat(tid, len(t)) for tid, t in rel)
     orders = chain.from_iterable(map(str, range(len(t))) for _, t in rel)
     _write_rows(path, list(POINTS_HEADER), zip(tids, orders, *columns))

@@ -11,12 +11,9 @@ the same text, line and field; export must write the same bytes.
 
 import csv
 import io
-import math
-import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +22,6 @@ from trajq._fmt import format_float
 from trajq.dataset import (
     POINTS_HEADER,
     Dataset,
-    _format_column,
     _parse_float,
     _parse_int,
     _parse_value,
@@ -396,22 +392,3 @@ def test_column_ingest_matches_the_row_loop(files, terminator):
         if not any("\r" in cell for rows in files.values() for row in rows for cell in row):
             assert ingest_csv(tmp / "new" / "d.csv") == dataset
 
-
-EDGE_FLOATS = [
-    0.0, -0.0, 2.0**53 - 1, -(2.0**53 - 1), 2.0**53, -(2.0**53), 1e16, 5e-324,
-    sys.float_info.max, -sys.float_info.max, -1.5, 0.1, 1e-5, 1e15 + 0.5, 123456.0,
-]
-
-
-def test_column_formatter_matches_format_float_on_edge_values():
-    assert _format_column(np.array(EDGE_FLOATS)) == [format_float(v) for v in EDGE_FLOATS]
-    assert _format_column(np.empty(0)) == []
-
-
-@settings(derandomize=True, max_examples=200)
-@given(st.lists(finite, max_size=30))
-def test_column_formatter_matches_format_float(values):
-    texts = _format_column(np.array(values, dtype=np.float64))
-    assert texts == [format_float(v) for v in values]
-    assert all(float(s) == v and math.copysign(1, float(s)) == math.copysign(1, v) or v == 0
-               for s, v in zip(texts, values))
