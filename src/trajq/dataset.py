@@ -12,8 +12,10 @@ A dataset lives in up to three sibling files sharing one stem:
 Property cells are typed by content: an integer literal, then a float,
 then ``true``/``false``, then plain text. Empty cells mean the property is
 absent for that row. Export renders floats in shortest round-trip decimal
-form (integral floats without a trailing ``.0``) and uses LF line endings,
-so exporting a freshly ingested file reproduces it byte for byte.
+form (integral coordinates without a trailing ``.0``; a property float
+keeps it and reads back as a float), quotes every cell holding a CR or LF,
+and uses LF line endings, so exporting a freshly ingested file reproduces
+it byte for byte.
 
 Ingest and export work a column at a time: each column is checked and
 converted in one pass, and the rows are sorted by key once. Only when a
@@ -30,6 +32,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Mapping, NoReturn, Sequence, Union
 
 import numpy as np
@@ -383,16 +386,18 @@ def ingest_csv(path: Union[str, Path]) -> Dataset:
 def _format_value(value: PropertyValue) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_rows(path: Path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
+    # csv (3.11) quotes a cell holding a bare CR only if the line terminator
+    # holds one: write the rows with CRLF ends, then end each with LF.
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(line[:-2] + "\n" for line in lines)
 
 
 def export_csv(d: Dataset, path: Union[str, Path]) -> None:

@@ -253,16 +253,18 @@ def _leaf_keys(atom: Atom, env: EvalEnv) -> tuple[tuple[str, Op], ...]:
 def _leaf_params(target: Region | Interval, op: Op, t: Trajectory) -> ParamIntervals:
     if isinstance(target, Region):
         return box_params(
-            (t.xs, t.ys),
+            (t.xs[:-1], t.ys[:-1]),
+            (t.xs[1:], t.ys[1:]),
             (target.x_min, target.y_min),
             (target.x_max, target.y_max),
             op is Op.INSIDE,
         )
+    starts, ends = (t.taus[:-1],), (t.taus[1:],)
     if op is Op.BEFORE:
-        return box_params((t.taus,), (-math.inf,), (target.tau_s,), True)
+        return box_params(starts, ends, (-math.inf,), (target.tau_s,), True)
     if op is Op.AFTER:
-        return box_params((t.taus,), (target.tau_e,), (math.inf,), True)
-    return box_params((t.taus,), (target.tau_s,), (target.tau_e,), op is Op.INSIDE)
+        return box_params(starts, ends, (target.tau_e,), (math.inf,), True)
+    return box_params(starts, ends, (target.tau_s,), (target.tau_e,), op is Op.INSIDE)
 
 
 def _relaxed_sites(

@@ -17,11 +17,12 @@ solving linear threshold crossings; all endpoint parameters are derived from
 the same divisions, so the class sets of a segment partition [0, 1] exactly
 in float arithmetic, with no epsilon tolerances anywhere.
 
-The evaluator needs those sets for every segment of a polyline at once:
-:func:`box_params` computes, as numpy arrays, the one interval per segment
-where a box (a region's hull or interior, or a time band) holds, from the
-same divisions. A coordinate difference that overflows the float range has
-no usable crossing and raises :class:`CrossingOverflowError` on both paths.
+The evaluator and the NF² executor need those sets for many segments at
+once: :func:`box_params` computes, as numpy arrays, the one interval per
+segment where a box (a region's hull or interior, or a time band) holds,
+from the same divisions. A coordinate difference that overflows the float
+range has no usable crossing and raises :class:`CrossingOverflowError`, one
+segment or many.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def _band(c0: float, c1: float, lo: float, hi: float, strict: bool) -> ParamSet:
 
 @dataclass(frozen=True)
 class ParamIntervals:
-    """One subinterval of [0, 1] per segment of a polyline, as parallel arrays.
+    """One subinterval of [0, 1] per segment, as parallel arrays.
 
     Row i is the vector form of a single-interval :class:`ParamSet` on
     segment i. The set is empty where lo > hi, or where lo == hi and an end
@@ -287,18 +288,21 @@ class ParamIntervals:
     lo_closed: np.ndarray
     hi_closed: np.ndarray
 
+    def nonempty(self) -> np.ndarray:
+        """Per segment, whether its set holds any parameter."""
+        return (self.lo < self.hi) | ((self.lo == self.hi) & self.lo_closed & self.hi_closed)
+
 
 def _axis_band(
-    c: np.ndarray, lo: float, hi: float, strict: bool
+    c0: np.ndarray, c1: np.ndarray, lo: float, hi: float, strict: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unclamped ends of the parameter band lo < c(lam) < hi, per segment.
+    """Unclamped ends of the band lo < c(lam) < hi, per segment c0 -> c1.
 
     The crossings are (v - c0) / (c1 - c0), the division :func:`_axis_below`
     makes; negating all three operands, as :func:`_axis_above` does, leaves
     every rounding unchanged, so one quotient serves both directions and
     each end equals the ParamSet path's bit for bit.
     """
-    c0, c1 = c[:-1], c[1:]
     try:
         # Arithmetic on an infinite bound raises no flag; a flat row (x/0,
         # 0/0) or an overflow does, and takes the checked path below.
@@ -342,13 +346,16 @@ def _checked_axis_band(
 
 
 def box_params(
-    coords: Iterable[np.ndarray],
+    starts: Iterable[np.ndarray],
+    ends: Iterable[np.ndarray],
     lo: Iterable[float],
     hi: Iterable[float],
     strict: bool,
 ) -> ParamIntervals:
-    """Per segment of a polyline, the parameters where every coordinate
-    array lies in its band: lo < c(lam) < hi (strict) or lo <= c(lam) <= hi.
+    """Per segment, the parameters where every coordinate lies in its band:
+    lo < c(lam) < hi (strict) or lo <= c(lam) <= hi. Segment i runs from
+    entry i of the ``starts`` arrays (one per coordinate) to entry i of the
+    ``ends`` arrays; for a polyline, its arrays minus the last or first point.
 
     This is :func:`segment_region_params` (closed hull or interior) and
     :func:`segment_interval_params` on all segments at once. A bound may be
@@ -359,7 +366,7 @@ def box_params(
     Raises:
         CrossingOverflowError: a coordinate difference is not finite.
     """
-    bands = [_axis_band(c, a, b, strict) for c, a, b in zip(coords, lo, hi)]
+    bands = [_axis_band(*args, strict) for args in zip(starts, ends, lo, hi)]
     start, end = bands[0]
     for s, e in bands[1:]:
         start = np.maximum(start, s)

@@ -32,6 +32,10 @@ linear in points per trajectory:
   type checker, which resolves every name) is invariant: it is evaluated
   lazily on first use and kept for that one evaluation of the operator,
   i.e. once per outer row.
+* A segment test (``SegIntersects``) is only ever a selection's whole
+  condition, decided for all its rows in one call of the evaluator's
+  crossing code (``geometry.box_params``): it raises
+  ``CrossingOverflowError`` wherever relaxed evaluation does.
 * Rows are checked where they enter: by the public ``Nf2Relation``
   constructor, and once on the result of ``execute``. Relations built
   inside a plan take their schemas from the checker and skip the per-row
@@ -41,21 +45,22 @@ linear in points per trajectory:
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Union
+
+import numpy as np
 
 from ._fmt import format_float
 from .errors import (
-    CrossingOverflowError,
     PredicateTypeError,
     TypeMismatchError,
     UnknownAttributeError,
     UnsupportedLabelError,
     UnsupportedStrictnessError,
 )
-from .geometry import _OVERFLOW, Interval, Region
+from .geometry import Interval, Region, box_params
 from .model import TrajectoriesRelation
 from .relations import AllenLabel, De9imLabel
 
@@ -293,11 +298,12 @@ class Arith:
 
 @dataclass(frozen=True)
 class SegIntersects:
-    """Row condition: does the segment (x1,y1)-(x2,y2) hit the rectangle?
+    """Selection condition: does the segment (x1,y1)-(x2,y2) hit the rectangle?
 
     With closed=True the rectangle includes its boundary (touching counts);
     with closed=False only passing through the open interior counts. The
-    four fields name numeric attributes of the current row.
+    four fields name float attributes of the selected rows. It is only ever
+    the whole condition of a ``Select``, which decides all its rows at once.
     """
 
     region: Region
@@ -448,6 +454,11 @@ class _Checker:
             return e.rel.schema
         if isinstance(e, Select):
             src = self._relation(e.src, scope)
+            if isinstance(e.cond, SegIntersects):  # reads the selected rows only
+                c = e.cond
+                if any(src.get(n).type != "float" for n in (c.x1, c.y1, c.x2, c.y2)):
+                    raise TypeMismatchError("a segment condition needs float attributes")
+                return src
             row = _types(src, scope)
             if self._within((row,), e.cond, row) != "bool":
                 raise TypeMismatchError("selection condition must be boolean")
@@ -488,14 +499,7 @@ class _Checker:
                 raise TypeMismatchError(f"arithmetic over {lt} and {rt}")
             return "int" if lt == rt == "int" else "float"
         if isinstance(e, SegIntersects):
-            if scope is None:
-                raise UnknownAttributeError("segment condition needs a row context")
-            for name in (e.x1, e.y1, e.x2, e.y2):
-                if not _numeric(self._resolve(scope, name)):
-                    raise TypeMismatchError(
-                        f"segment condition needs numeric attribute {name!r}"
-                    )
-            return "bool"
+            raise TypeMismatchError("a segment condition must be a selection's whole condition")
         raise TypeMismatchError(f"unknown expression node {e!r}")
 
     def _infer_join(self, e: Join, scope: _Scope | None) -> Nf2Schema:
@@ -586,7 +590,8 @@ def check(e: AlgebraExpr, input_schema: Nf2Schema) -> Nf2Schema:
     """Type-check an expression; returns the output schema.
 
     Raises:
-        UnknownAttributeError: a name that no enclosing row provides.
+        UnknownAttributeError: a name that no enclosing row provides (for a
+            segment condition, that the selected rows lack).
         TypeMismatchError: any other ill-typed construction.
     """
     return _Checker(input_schema).check(e)
@@ -595,46 +600,13 @@ def check(e: AlgebraExpr, input_schema: Nf2Schema) -> Nf2Schema:
 # --- execution ----------------------------------------------------------
 
 
-def _segment_hits_rect(
-    x1: float, y1: float, x2: float, y2: float, r: Region, closed: bool
-) -> bool:
-    # Slab clipping: intersect the per-axis parameter bands over the segment
-    # parameter range [0, 1], tracking open endpoints for the interior test.
-    # A difference that overflows has no usable crossing; it raises, as the
-    # evaluator's geometry.box_params does.
-    lo, lo_open = 0.0, False
-    hi, hi_open = 1.0, False
-    for c0, c1, vmin, vmax in (
-        (x1, x2, r.x_min, r.x_max),
-        (y1, y2, r.y_min, r.y_max),
-    ):
-        d = c1 - c0
-        if math.isinf(d) or (d != 0.0 and (math.isinf(vmin - c0) or math.isinf(vmax - c0))):
-            raise CrossingOverflowError(_OVERFLOW)
-        if d == 0.0:
-            if closed:
-                if not (vmin <= c0 <= vmax):
-                    return False
-            elif not (vmin < c0 < vmax):
-                return False
-            continue
-        a = (vmin - c0) / d
-        b = (vmax - c0) / d
-        axlo, axhi = (a, b) if a <= b else (b, a)
-        strict = not closed
-        if axlo > lo:
-            lo, lo_open = axlo, strict
-        elif axlo == lo and strict:
-            lo_open = True
-        if axhi < hi:
-            hi, hi_open = axhi, strict
-        elif axhi == hi and strict:
-            hi_open = True
-    if lo > hi:
-        return False
-    if lo == hi:
-        return not (lo_open or hi_open)
-    return True
+def _segments_hitting(rel: Nf2Relation, c: SegIntersects) -> tuple:
+    """The rows of rel whose segment meets the rectangle, all in one call of
+    the evaluator's crossing code (which may raise CrossingOverflowError)."""
+    x1, y1, x2, y2 = (np.array(rel.column(n), float) for n in (c.x1, c.y1, c.x2, c.y2))
+    r = c.region
+    hit = box_params((x1, y1), (x2, y2), (r.x_min, r.y_min), (r.x_max, r.y_max), not c.closed)
+    return tuple(compress(rel.rows, hit.nonempty().tolist()))
 
 
 class _Executor:
@@ -665,15 +637,6 @@ class _Executor:
             if lv is UNDEFINED or rv is UNDEFINED:
                 return UNDEFINED
             return _ARITH[e.op](lv, rv)
-        if isinstance(e, SegIntersects):
-            return _segment_hits_rect(
-                scope.lookup(e.x1),
-                scope.lookup(e.y1),
-                scope.lookup(e.x2),
-                scope.lookup(e.y2),
-                e.region,
-                e.closed,
-            )
         if not self.hoisted.get(id(e)):
             return self._relational(e, scope)
         memo = scope.memo
@@ -692,6 +655,8 @@ class _Executor:
             return self._project(src, e.items, self.schemas[id(e)], scope)
         if isinstance(e, Select):
             src: Nf2Relation = self.run(e.src, scope)
+            if isinstance(e.cond, SegIntersects):
+                return _built(src.schema, _segments_hitting(src, e.cond))
             positions, memo, cond = src.schema.positions, {}, e.cond
             kept = tuple(
                 row

@@ -6,9 +6,12 @@ demand identical tid sets; the acceptance suite repeats this at larger
 counts for its fixed label list.
 """
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import off_boundary_trajectory, random_interval, random_region, random_trajectory
 from trajq.errors import (
@@ -18,7 +21,7 @@ from trajq.errors import (
     UnsupportedLabelError,
     UnsupportedStrictnessError,
 )
-from trajq.evaluate import RELAXED, STRICT, EvalEnv, approximated, select_st
+from trajq.evaluate import RELAXED, STRICT, EvalEnv, approximated, evaluate, select_st
 from trajq.geometry import Interval, Region
 from trajq.model import TrajectoriesRelation, build_trajectory
 from trajq.nf2 import (
@@ -40,6 +43,7 @@ from trajq.nf2 import (
     Nf2Relation,
     Nf2Schema,
     Project,
+    SegIntersects,
     Select,
     Sub,
     Unnest,
@@ -51,6 +55,7 @@ from trajq.nf2 import (
     segment_join,
     trajectories_to_nf2,
 )
+from trajq.predicate import parse_predicate
 from trajq.relations import AllenLabel, De9imLabel, allen_predicate, de9im_predicate
 
 REL = TrajectoriesRelation.from_pairs(
@@ -358,6 +363,8 @@ def test_edge_graze_separates_closed_and_open_tests():
         ([(-1e308, 0.5, 0), (1e308, 0.5, 1)], Region(-1, 0, 1, 1)),
         # x1 - x0 is finite, but x_max - x0 overflows
         ([(-1e308, 0.5, 0), (-0.9e308, 0.5, 1)], Region(-1, 0, 1e308, 1)),
+        # x is flat and outside R, and y1 - y0 overflows
+        ([(1e308, -1e308, 0), (1e308, 1e308, 1)], Region(1, 1, 3, 3)),
     ),
 )
 def test_overflowing_segment_is_an_error_not_an_answer(label, samples, r):
@@ -366,6 +373,64 @@ def test_overflowing_segment_is_an_error_not_an_answer(label, samples, r):
         execute(compile_spatial(label, r, RELAXED), trajectories_to_nf2(rel))
     with pytest.raises(CrossingOverflowError):  # as the evaluator does
         select_st(rel, de9im_predicate(label), EvalEnv({"R": r}), RELAXED)
+
+
+SEGMENT_SCHEMA = Nf2Schema(tuple(Attribute(n, "float") for n in ("x", "y", "x2", "y2")))
+SEGMENT_R = Region(1.0, 1.0, 3.0, 3.0)
+# R's bounds and the floats beside them, points inside and outside R, and ±1e308
+SEGMENT_GRID = (-1e308, -1.0, 0.0, 2.0, 4.0, 1e308) + tuple(
+    w for v in (1.0, 3.0) for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+)
+POINT_WITHIN = parse_predicate("EXISTS p IN T: p WITHIN R")
+POINT_INSIDE = parse_predicate("EXISTS p IN T: p INSIDE R")
+
+
+def _outcome(run):
+    try:
+        return run()
+    except CrossingOverflowError:
+        return CrossingOverflowError
+
+
+@settings(max_examples=3000)
+@given(
+    st.tuples(*[st.sampled_from(SEGMENT_GRID)] * 4),
+    st.booleans(),
+    st.booleans(),
+)
+def test_segment_condition_is_relaxed_evaluation(coords, zero_length, closed):
+    """A selection on SegIntersects keeps a one-segment row exactly when the
+    relaxed evaluator finds a point of the two-point path within (closed) or
+    inside (open) R, and raises where the evaluator raises."""
+    x, y, x2, y2 = coords
+    if zero_length:
+        x2, y2 = x, y
+    rel = Nf2Relation(SEGMENT_SCHEMA, ((x, y, x2, y2),))
+    plan = Select(Input(), SegIntersects(SEGMENT_R, closed, "x", "y", "x2", "y2"))
+    t = build_trajectory([(x, y, 0.0), (x2, y2, 1.0)])
+    ast = POINT_WITHIN if closed else POINT_INSIDE
+    kept = _outcome(lambda: len(execute(plan, rel)) == 1)
+    holds = _outcome(lambda: evaluate(ast, t, EvalEnv({"R": SEGMENT_R}), RELAXED))
+    assert kept == holds
+
+
+def test_segment_condition_is_the_whole_condition_of_a_selection():
+    cond = SegIntersects(SEGMENT_R, True, "x", "y", "x2", "y2")
+    schema = Nf2Schema(SEGMENT_SCHEMA.attributes + (Attribute("n", "int"),))
+    with pytest.raises(TypeMismatchError):  # inside a connective
+        check(Select(Input(), BoolAnd((cond, Cmp("=", Attr("n"), Lit(0))))), schema)
+    with pytest.raises(TypeMismatchError):  # as a join condition
+        check(Join(Input(), Project(Input(), (As("m", "n"),)), cond), schema)
+    nested = Nf2Schema((Attribute("x0", "float"), Attribute("S", POINTS_SCHEMA)))
+    outer_x = SegIntersects(SEGMENT_R, True, "x0", "y", "x", "y")
+    with pytest.raises(UnknownAttributeError):  # x0 belongs to the enclosing row
+        check(
+            Select(Input(), Cmp(">", Agg("count", Select(Attr("S"), outer_x)), Lit(0))),
+            nested,
+        )
+    with pytest.raises(TypeMismatchError):  # n is an int
+        check(Select(Input(), SegIntersects(SEGMENT_R, True, "x", "y", "n", "y2")), schema)
+    assert check(Select(Input(), cond), schema) == schema
 
 
 def test_compile_rejections():
