@@ -315,7 +315,8 @@ def _ingest_pprops(
         parsed = _parsed_cells(column)
         cells = list(map(column.__getitem__, perm))
         for s, e in bounds:  # an empty cell is an absent value: compress drops it
-            pairs = tuple(compress(zip(sorted_orders[s:e], map(parsed.get, cells[s:e])), cells[s:e]))
+            values = zip(sorted_orders[s:e], map(parsed.get, cells[s:e]))
+            pairs = tuple(compress(values, cells[s:e]))
             if pairs:
                 out[tids[perm[s]]][name] = pairs
     return out

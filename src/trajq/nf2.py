@@ -15,9 +15,10 @@ and falls back to the enclosing row for ``T``. A min/max over an empty
 relation yields an undefined value; any comparison against it is false, so
 selections simply drop such rows, and count of an empty relation is 0.
 
-Every expression type-checks against the input schema before execution and
-has a stable text rendering (PROJECT[...], SELECT[...], UNNEST[...],
-JOIN[...]) used by the command line explain output.
+Every expression is type-checked against the input schema and compiled in
+the same pass, so one node object may appear anywhere in a plan. It has a
+stable text rendering (PROJECT[...], SELECT[...], UNNEST[...], JOIN[...])
+used by the command line explain output.
 
 Execution is linear in the rows of each operator, so compiled plans are
 linear in points per trajectory:
@@ -28,17 +29,17 @@ linear in points per trajectory:
   input order), and an undefined or NaN key matches nothing. Any other
   join is a nested loop.
 * A relation-valued or aggregate subexpression that reads no attribute of
-  the rows of its enclosing selection, join or projection (found by the
-  type checker, which resolves every name) is invariant: it is evaluated
-  lazily on first use and kept for that one evaluation of the operator,
-  i.e. once per outer row.
+  the rows of its enclosing selection, join or projection (found while it
+  is compiled, as every name is resolved then) is invariant: it is
+  evaluated lazily on first use and kept for that one evaluation of the
+  operator, i.e. once per outer row.
 * A segment test (``SegIntersects``) is only ever a selection's whole
   condition, decided for all its rows in one call of the evaluator's
   crossing code (``geometry.box_params``): it raises
   ``CrossingOverflowError`` wherever relaxed evaluation does.
 * Rows are checked where they enter: by the public ``Nf2Relation``
   constructor, and once on the result of ``execute``. Relations built
-  inside a plan take their schemas from the checker and skip the per-row
+  inside a plan take their schemas from the compiler and skip the per-row
   checks.
 """
 
@@ -109,11 +110,16 @@ def _conforms(value, atype) -> bool:
         return isinstance(value, Nf2Relation) and value.schema == atype
     if atype == "str":
         return isinstance(value, str)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
     if atype == "int":
-        return isinstance(value, int) and not isinstance(value, bool)
-    return (isinstance(value, float) or isinstance(value, int)) and not isinstance(
-        value, bool
-    )
+        return isinstance(value, int)
+    if isinstance(value, int):  # a float attribute holds ints that float() takes
+        try:
+            float(value)
+        except OverflowError:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,7 @@ class Nf2Relation:
 
 
 def _built(schema: Nf2Schema, rows: tuple) -> Nf2Relation:
-    """A relation the executor built from checked parts, without row checks."""
+    """A relation a plan built from checked parts, without row checks."""
     rel = object.__new__(Nf2Relation)
     object.__setattr__(rel, "schema", schema)
     object.__setattr__(rel, "rows", rows)
@@ -338,10 +344,11 @@ AlgebraExpr = Union[
 class _Scope:
     """One row of an operator, chained to the rows enclosing it.
 
-    ``positions`` maps an attribute name to its place in ``row``. The checker
-    chains rows of types, the executor rows of values. ``memo`` holds the
-    invariant subexpressions of one evaluation of the operator; all its rows
-    share it.
+    ``positions`` maps an attribute name to its place in ``row``. The
+    compiler chains rows of types, a compiled plan rows of values; the
+    outermost scope of a plan holds the input relation under no name.
+    ``memo`` holds the invariant subexpressions of one evaluation of the
+    operator; all its rows share it.
     """
 
     __slots__ = ("positions", "row", "parent", "memo")
@@ -372,53 +379,71 @@ def _comparable(lt: str, rt: str) -> None:
         raise TypeMismatchError(f"cannot compare {lt} with {rt}")
 
 
+def _input(s: _Scope) -> Nf2Relation:
+    """The input relation, which the outermost scope holds."""
+    while s.parent is not None:
+        s = s.parent
+    return s.row[0]
+
+
+def _compare(op: str, left, right):
+    """The runner of ``left op right``: false if either side is undefined."""
+    fn = _COMPARE[op]
+
+    def run(s):
+        lv, rv = left(s), right(s)
+        return lv is not UNDEFINED and rv is not UNDEFINED and fn(lv, rv)
+
+    return run
+
+
 # The subexpressions worth keeping when invariant: relations and aggregates.
 _HOISTABLE = frozenset((Project, Select, Unnest, Join, Agg))
 
 
-class _Checker:
-    """Type-checks an expression and notes for the executor, by node
-    identity, the output schema of each projection, unnest and join, the
-    invariant subexpressions and the keys of each hash join."""
+class _Compiler:
+    """Type-checks an expression and compiles it in the same pass: each
+    occurrence of a node becomes its type and a runner, a function of the
+    row scope that evaluates it. A runner holds what the check found there:
+    output schemas, invariance in the rows of the operator (kept in its
+    memo), hash-join keys, the coercion of a one-column relation to a
+    scalar."""
 
     def __init__(self, input_schema: Nf2Schema):
         self.input_schema = input_schema
-        self.schemas: dict[int, Nf2Schema] = {}
-        self.hoisted: dict[int, bool] = {}  # invariant wherever the node occurs
-        self.join_keys: dict[int, tuple | None] = {}  # (left key, right key)
         self.own: tuple[_Scope, ...] = ()  # rows of the innermost operator
-        self.reads: set[_Scope] = set()  # rows the names inferred so far read
+        self.reads: set[_Scope] = set()  # rows the names compiled so far read
 
-    def infer(self, e: AlgebraExpr, scope: _Scope | None):
+    def compile(self, e: AlgebraExpr, scope: _Scope | None):
         if type(e) not in _HOISTABLE:
-            return self._infer(e, scope)
-        t, reads = self._reading(self._infer, e, scope)
-        invariant = bool(self.own) and reads.isdisjoint(self.own)
-        self.hoisted[id(e)] = self.hoisted.get(id(e), True) and invariant
-        return t
+            return self._compile(e, scope)
+        (t, run), reads = self._reading(self._compile, e, scope)
+        if not self.own or not reads.isdisjoint(self.own):
+            return t, run
 
-    def _reading(self, infer, e: AlgebraExpr, scope: _Scope | None):
-        """``infer(e, scope)`` and the rows that the free names of e read."""
+        def kept(s):  # evaluated once per evaluation of the operator
+            memo = s.memo
+            value = memo.get(kept, memo)  # the memo itself marks a miss
+            if value is memo:
+                value = memo[kept] = run(s)
+            return value
+
+        return t, kept
+
+    def _reading(self, compile, e: AlgebraExpr, scope: _Scope | None):
+        """``compile(e, scope)`` and the rows that the free names of e read."""
         outer, self.reads = self.reads, set()
-        t = infer(e, scope)
+        compiled = compile(e, scope)
         reads, self.reads = self.reads, outer
         outer |= reads
-        return t, reads
+        return compiled, reads
 
     def _within(self, own: tuple, e: AlgebraExpr, scope: _Scope):
-        """Infer e per row of an operator whose rows are ``own``."""
+        """Compile e to run per row of an operator whose rows are ``own``."""
         outer, self.own = self.own, own
-        t = self.infer(e, scope)
+        compiled = self.compile(e, scope)
         self.own = outer
-        return t
-
-    def _note(self, e: AlgebraExpr, schema: Nf2Schema) -> Nf2Schema:
-        known = self.schemas.setdefault(id(e), schema)
-        if known is not schema and known != schema:
-            raise TypeMismatchError(
-                f"one {type(e).__name__} node is used with two schemas"
-            )
-        return schema
+        return compiled
 
     def _resolve(self, scope: _Scope | None, name: str):
         while scope is not None:
@@ -429,161 +454,262 @@ class _Checker:
             scope = scope.parent
         raise UnknownAttributeError(name)
 
-    def _infer(self, e: AlgebraExpr, scope: _Scope | None):
+    def _compile(self, e: AlgebraExpr, scope: _Scope | None):
         if isinstance(e, Attr):
             if scope is None:
-                raise UnknownAttributeError(
-                    f"{e.name} (no row context at the top level)"
-                )
-            return self._resolve(scope, e.name)
+                raise UnknownAttributeError(f"{e.name} (no row context at the top level)")
+            return self._resolve(scope, e.name), operator.methodcaller("lookup", e.name)
         if isinstance(e, Lit):
-            if isinstance(e.value, bool) or e.value is None:
-                raise TypeMismatchError(f"unsupported literal {e.value!r}")
-            if isinstance(e.value, str):
-                return "str"
-            return "int" if isinstance(e.value, int) else "float"
+            value = e.value
+            if isinstance(value, bool) or value is None:
+                raise TypeMismatchError(f"unsupported literal {value!r}")
+            t = "str" if isinstance(value, str) else "int" if isinstance(value, int) else "float"
+            return t, lambda s: value
         if isinstance(e, Cmp):
-            _comparable(self._scalar(e.left, scope), self._scalar(e.right, scope))
-            return "bool"
+            lt, left = self._scalar(e.left, scope)
+            rt, right = self._scalar(e.right, scope)
+            _comparable(lt, rt)
+            return "bool", _compare(e.op, left, right)
         if isinstance(e, Project):
-            src = self._relation(e.src, scope)
-            return self._note(e, self._infer_project(src, e.items, scope))
+            src_t, src = self._relation(e.src, scope)
+            schema, project = self._project(src_t, e.items, scope)
+            return schema, lambda s: project(src(s), s)
         if isinstance(e, Input):
-            return self.input_schema
+            return self.input_schema, _input
         if isinstance(e, ConstRel):
-            return e.rel.schema
+            rel = e.rel
+            return rel.schema, lambda s: rel
         if isinstance(e, Select):
-            src = self._relation(e.src, scope)
-            if isinstance(e.cond, SegIntersects):  # reads the selected rows only
-                c = e.cond
-                if any(src.get(n).type != "float" for n in (c.x1, c.y1, c.x2, c.y2)):
-                    raise TypeMismatchError("a segment condition needs float attributes")
-                return src
-            row = _types(src, scope)
-            if self._within((row,), e.cond, row) != "bool":
-                raise TypeMismatchError("selection condition must be boolean")
-            return src
+            return self._select(e, scope)
         if isinstance(e, Unnest):
-            src = self._relation(e.src, scope)
-            target = src.get(e.attr)
+            src_t, src = self._relation(e.src, scope)
+            target = src_t.get(e.attr)
             if not isinstance(target.type, Nf2Schema):
                 raise TypeMismatchError(f"cannot unnest atomic attribute {e.attr!r}")
-            attrs: list[Attribute] = []
-            for a in src.attributes:
-                attrs.extend(target.type.attributes if a.name == e.attr else [a])
-            return self._note(e, Nf2Schema(tuple(attrs)))
+            i, attrs = src_t.positions[e.attr], src_t.attributes
+            schema = Nf2Schema(attrs[:i] + target.type.attributes + attrs[i + 1 :])
+            return schema, lambda s: _built(
+                schema, tuple(r[:i] + n + r[i + 1 :] for r in src(s).rows for n in r[i].rows)
+            )
         if isinstance(e, Join):
-            return self._note(e, self._infer_join(e, scope))
+            return self._join(e, scope)
         if isinstance(e, Agg):
-            src = self._relation(e.src, scope)
+            src_t, src = self._relation(e.src, scope)
             if e.fn == "count":
-                return "int"
-            if len(src.attributes) != 1 or not _numeric(src.attributes[0].type):
+                return "int", lambda s: len(src(s).rows)
+            if len(src_t.attributes) != 1 or not _numeric(src_t.attributes[0].type):
                 raise TypeMismatchError(
-                    f"{e.fn} needs a single numeric column, got {src.names()}"
+                    f"{e.fn} needs a single numeric column, got {src_t.names()}"
                 )
-            return src.attributes[0].type
+            pick = min if e.fn == "min" else max
+
+            def aggregate(s):
+                rows = src(s).rows
+                return pick(row[0] for row in rows) if rows else UNDEFINED
+
+            return src_t.attributes[0].type, aggregate
         if isinstance(e, (BoolAnd, BoolOr)):
+            parts = []
             for part in e.parts:
-                if self.infer(part, scope) != "bool":
+                t, run = self.compile(part, scope)
+                if t != "bool":
                     raise TypeMismatchError("boolean connective over non-boolean")
-            return "bool"
+                parts.append(run)
+            every = all if isinstance(e, BoolAnd) else any
+            return "bool", lambda s: every(run(s) for run in parts)
         if isinstance(e, BoolNot):
-            if self.infer(e.child, scope) != "bool":
+            t, child = self.compile(e.child, scope)
+            if t != "bool":
                 raise TypeMismatchError("NOT over non-boolean")
-            return "bool"
+            return "bool", lambda s: not child(s)
         if isinstance(e, Arith):
-            lt = self._scalar(e.left, scope)
-            rt = self._scalar(e.right, scope)
-            if not (_numeric(lt) and _numeric(rt)):
-                raise TypeMismatchError(f"arithmetic over {lt} and {rt}")
-            return "int" if lt == rt == "int" else "float"
+            return self._arith(e, scope)
         if isinstance(e, SegIntersects):
             raise TypeMismatchError("a segment condition must be a selection's whole condition")
         raise TypeMismatchError(f"unknown expression node {e!r}")
 
-    def _infer_join(self, e: Join, scope: _Scope | None) -> Nf2Schema:
-        left = self._relation(e.left, scope)
-        right = self._relation(e.right, scope)
-        overlap = set(left.positions) & set(right.positions)
+    def _select(self, e: Select, scope: _Scope | None):
+        src_t, src = self._relation(e.src, scope)
+        cond = e.cond
+        if isinstance(cond, SegIntersects):  # reads the selected rows only
+            if any(src_t.get(n).type != "float" for n in (cond.x1, cond.y1, cond.x2, cond.y2)):
+                raise TypeMismatchError("a segment condition needs float attributes")
+            return src_t, lambda s: _built(src_t, _segments_hitting(src(s), cond))
+        row = _types(src_t, scope)
+        t, test = self._within((row,), cond, row)
+        if t != "bool":
+            raise TypeMismatchError("selection condition must be boolean")
+        positions = src_t.positions
+
+        def select(s):
+            memo = {}
+            rows = src(s).rows
+            return _built(src_t, tuple(r for r in rows if test(_Scope(positions, r, s, memo))))
+
+        return src_t, select
+
+    def _join(self, e: Join, scope: _Scope | None):
+        left_t, left = self._relation(e.left, scope)
+        right_t, right = self._relation(e.right, scope)
+        overlap = set(left_t.positions) & set(right_t.positions)
         if overlap:
-            raise TypeMismatchError(
-                f"join sides share attribute names {sorted(overlap)}"
-            )
+            raise TypeMismatchError(f"join sides share attribute names {sorted(overlap)}")
         # The names are disjoint, so a right row chained to a left row
         # resolves every name as the concatenated row would.
-        lrow = _types(left, scope)
-        rrow = _types(right, lrow)
+        lrow = _types(left_t, scope)
+        rrow = _types(right_t, lrow)
         cond, keys = e.cond, None
         if isinstance(cond, Cmp) and cond.op == "=":
             outer, self.own = self.own, (lrow, rrow)
-            lt, a = self._reading(self._scalar, cond.left, rrow)
-            rt, b = self._reading(self._scalar, cond.right, rrow)
+            (lt, a), a_reads = self._reading(self._scalar, cond.left, rrow)
+            (rt, b), b_reads = self._reading(self._scalar, cond.right, rrow)
             self.own = outer
             _comparable(lt, rt)
-            if rrow not in a and lrow not in b:
-                keys = (cond.left, cond.right)
-            elif lrow not in a and rrow not in b:
-                keys = (cond.right, cond.left)
-        elif self._within((lrow, rrow), cond, rrow) != "bool":
-            raise TypeMismatchError("join condition must be boolean")
-        if self.join_keys.setdefault(id(e), keys) != keys:
-            self.join_keys[id(e)] = None  # keys differ between occurrences
-        return Nf2Schema(left.attributes + right.attributes)
+            if rrow not in a_reads and lrow not in b_reads:
+                keys = (a, b)
+            elif lrow not in a_reads and rrow not in b_reads:
+                keys = (b, a)
+            test = _compare("=", a, b)
+        else:
+            t, test = self._within((lrow, rrow), cond, rrow)
+            if t != "bool":
+                raise TypeMismatchError("join condition must be boolean")
+        schema = Nf2Schema(left_t.attributes + right_t.attributes)
+        lpos, rpos = left_t.positions, right_t.positions
 
-    def _relation(self, e: AlgebraExpr, scope: _Scope | None) -> Nf2Schema:
-        t = self.infer(e, scope)
+        def join(s):
+            lrows, rrows = left(s).rows, right(s).rows
+            memo, rows = {}, []
+            if keys is None:
+                for lr in lrows:
+                    ls = _Scope(lpos, lr, s, memo)
+                    rows.extend(lr + rr for rr in rrows if test(_Scope(rpos, rr, ls, memo)))
+            elif lrows and rrows:
+                lkey, rkey = keys
+                index: dict = {}
+                for rr in rrows:
+                    k = rkey(_Scope(rpos, rr, s, memo))
+                    # `=` is false for an undefined key and for NaN, which the
+                    # dict would match with itself by identity: leave them out.
+                    if k is not UNDEFINED and k == k:
+                        index.setdefault(k, []).append(rr)
+                for lr in lrows:
+                    k = lkey(_Scope(lpos, lr, s, memo))
+                    rows.extend(lr + rr for rr in index.get(k, ()))
+            return _built(schema, tuple(rows))
+
+        return schema, join
+
+    def _arith(self, e: Arith, scope: _Scope | None):
+        lt, left = self._scalar(e.left, scope)
+        rt, right = self._scalar(e.right, scope)
+        if not (_numeric(lt) and _numeric(rt)):
+            raise TypeMismatchError(f"arithmetic over {lt} and {rt}")
+        t = "int" if lt == rt == "int" else "float"
+        op, fn = e.op, _ARITH[e.op]
+
+        def arith(s):
+            lv, rv = left(s), right(s)
+            if lv is UNDEFINED or rv is UNDEFINED:
+                return UNDEFINED
+            try:  # an int operand or result that no float holds, typed float
+                v = fn(lv, rv)
+                if t == "float":
+                    float(v)
+            except OverflowError:
+                raise TypeMismatchError(f"{op} overflows a float") from None
+            return v
+
+        return t, arith
+
+    def _relation(self, e: AlgebraExpr, scope: _Scope | None):
+        t, run = self.compile(e, scope)
         if not isinstance(t, Nf2Schema):
             raise TypeMismatchError(f"expected a relation, got {t}")
-        return t
+        return t, run
 
-    def _scalar(self, e: AlgebraExpr, scope: _Scope | None) -> str:
-        """Scalar type of a comparison/arithmetic operand.
+    def _scalar(self, e: AlgebraExpr, scope: _Scope | None):
+        """Scalar type and runner of a comparison/arithmetic operand.
 
         A relation-valued operand is legal if it has a single atomic column:
-        at run time it is coerced to its sole value (or undefined if empty).
+        its runner coerces it to its sole value (or undefined if empty).
         """
-        t = self.infer(e, scope)
+        t, run = self.compile(e, scope)
         if isinstance(t, Nf2Schema):
             if len(t.attributes) == 1 and isinstance(t.attributes[0].type, str):
-                return t.attributes[0].type
-            raise TypeMismatchError(
-                "only single-column relations can be used as scalars"
-            )
+
+                def sole(s):
+                    rows = run(s).rows
+                    if len(rows) > 1:
+                        raise TypeMismatchError(f"scalar coercion of a {len(rows)}-row relation")
+                    return rows[0][0] if rows else UNDEFINED
+
+                return t.attributes[0].type, sole
+            raise TypeMismatchError("only single-column relations can be used as scalars")
         if t == "bool":
             raise TypeMismatchError("boolean used as a scalar operand")
-        return t
+        return t, run
 
-    def _infer_project(
-        self, src: Nf2Schema, items: tuple[ProjItem, ...], scope: _Scope | None
-    ) -> Nf2Schema:
+    def _project(self, src: Nf2Schema, items: tuple[ProjItem, ...], scope: _Scope | None):
+        """The schema of projecting rows of ``src`` on ``items``, and a
+        function of (relation, scope) that projects a relation."""
         row = _types(src, scope)
         attrs: list[Attribute] = []
+        cells: list = []  # per item: a position in the row, or a runner
         for item in items:
-            if isinstance(item, Col):
-                attrs.append(src.get(item.name))
-            elif isinstance(item, As):
-                attrs.append(Attribute(item.name, src.get(item.source).type))
+            if isinstance(item, (Col, As)):
+                source = item.name if isinstance(item, Col) else item.source
+                attrs.append(Attribute(item.name, src.get(source).type))
+                cells.append(src.positions[source])
             elif isinstance(item, Sub):
                 target = src.get(item.name)
                 if not isinstance(target.type, Nf2Schema):
                     raise TypeMismatchError(
                         f"sub-projection needs a nested relation, {item.name!r} is atomic"
                     )
-                inner = self._infer_project(target.type, item.items, row)
-                attrs.append(Attribute(item.name, inner))
+                inner_t, inner = self._project(target.type, item.items, row)
+                attrs.append(Attribute(item.name, inner_t))
+                i = src.positions[item.name]
+                cells.append(lambda s, i=i, inner=inner: inner(s.row[i], s))
             else:
-                t = self._within((row,), item.expr, row)
+                t, value = self._within((row,), item.expr, row)
                 if t == "bool":
                     raise TypeMismatchError("projected attribute cannot be boolean")
                 attrs.append(Attribute(item.name, t))
-        return Nf2Schema(tuple(attrs))
+                cells.append(_stored(item.name, value))
+        schema = Nf2Schema(tuple(attrs))
+        if cells and all(isinstance(c, int) for c in cells):  # no row scope needed
+            pick = operator.itemgetter(*cells) if len(cells) > 1 else lambda r, i=cells[0]: (r[i],)
+            return schema, lambda rel, s: _built(schema, tuple(map(pick, rel.rows)))
+        positions = src.positions
 
-    def check(self, e: AlgebraExpr) -> Nf2Schema:
-        t = self.infer(e, None)
+        def project(rel: Nf2Relation, s: _Scope | None) -> Nf2Relation:
+            memo, rows = {}, []
+            for r in rel.rows:
+                rs = _Scope(positions, r, s, memo)
+                rows.append(tuple([r[c] if type(c) is int else c(rs) for c in cells]))
+            return _built(schema, tuple(rows))
+
+        return schema, project
+
+    def plan(self, e: AlgebraExpr):
+        """The output schema of e and its runner over the outermost scope."""
+        t, run = self.compile(e, None)
         if not isinstance(t, Nf2Schema):
             raise TypeMismatchError(f"top-level expression is {t}, not a relation")
-        return t
+        return t, run
+
+
+def _stored(name: str, value):
+    """The runner of a computed attribute, which must have a value."""
+
+    def stored(s):
+        v = value(s)
+        if v is UNDEFINED:
+            raise TypeMismatchError(f"projected attribute {name!r} has no storable value")
+        return v
+
+    return stored
 
 
 def check(e: AlgebraExpr, input_schema: Nf2Schema) -> Nf2Schema:
@@ -594,10 +720,7 @@ def check(e: AlgebraExpr, input_schema: Nf2Schema) -> Nf2Schema:
             segment condition, that the selected rows lack).
         TypeMismatchError: any other ill-typed construction.
     """
-    return _Checker(input_schema).check(e)
-
-
-# --- execution ----------------------------------------------------------
+    return _Compiler(input_schema).plan(e)[0]
 
 
 def _segments_hitting(rel: Nf2Relation, c: SegIntersects) -> tuple:
@@ -609,154 +732,13 @@ def _segments_hitting(rel: Nf2Relation, c: SegIntersects) -> tuple:
     return tuple(compress(rel.rows, hit.nonempty().tolist()))
 
 
-class _Executor:
-    def __init__(self, input_rel: Nf2Relation, checker: _Checker):
-        self.input_rel = input_rel
-        self.schemas = checker.schemas
-        self.hoisted = checker.hoisted
-        self.join_keys = checker.join_keys
-
-    def run(self, e: AlgebraExpr, scope: _Scope | None):
-        if isinstance(e, Attr):
-            return scope.lookup(e.name)
-        if isinstance(e, Lit):
-            return e.value
-        if isinstance(e, Cmp):
-            lv = self._scalar(e.left, scope)
-            rv = self._scalar(e.right, scope)
-            return lv is not UNDEFINED and rv is not UNDEFINED and _COMPARE[e.op](lv, rv)
-        if isinstance(e, BoolAnd):
-            return all(self.run(p, scope) for p in e.parts)
-        if isinstance(e, BoolOr):
-            return any(self.run(p, scope) for p in e.parts)
-        if isinstance(e, BoolNot):
-            return not self.run(e.child, scope)
-        if isinstance(e, Arith):
-            lv = self._scalar(e.left, scope)
-            rv = self._scalar(e.right, scope)
-            if lv is UNDEFINED or rv is UNDEFINED:
-                return UNDEFINED
-            return _ARITH[e.op](lv, rv)
-        if not self.hoisted.get(id(e)):
-            return self._relational(e, scope)
-        memo = scope.memo
-        value = memo.get(id(e), memo)  # the memo itself marks a miss
-        if value is memo:
-            value = memo[id(e)] = self._relational(e, scope)
-        return value
-
-    def _relational(self, e: AlgebraExpr, scope: _Scope | None):
-        if isinstance(e, Input):
-            return self.input_rel
-        if isinstance(e, ConstRel):
-            return e.rel
-        if isinstance(e, Project):
-            src = self.run(e.src, scope)
-            return self._project(src, e.items, self.schemas[id(e)], scope)
-        if isinstance(e, Select):
-            src: Nf2Relation = self.run(e.src, scope)
-            if isinstance(e.cond, SegIntersects):
-                return _built(src.schema, _segments_hitting(src, e.cond))
-            positions, memo, cond = src.schema.positions, {}, e.cond
-            kept = tuple(
-                row
-                for row in src.rows
-                if self.run(cond, _Scope(positions, row, scope, memo))
-            )
-            return _built(src.schema, kept)
-        if isinstance(e, Unnest):
-            src = self.run(e.src, scope)
-            i = src.schema.positions[e.attr]
-            rows = tuple(
-                row[:i] + inner + row[i + 1 :]
-                for row in src.rows
-                for inner in row[i].rows
-            )
-            return _built(self.schemas[id(e)], rows)
-        if isinstance(e, Join):
-            return self._join(e, scope)
-        if isinstance(e, Agg):
-            src = self.run(e.src, scope)
-            if e.fn == "count":
-                return len(src.rows)
-            if not src.rows:
-                return UNDEFINED
-            return (min if e.fn == "min" else max)(row[0] for row in src.rows)
-        raise TypeMismatchError(f"unknown expression node {e!r}")
-
-    def _scalar(self, e: AlgebraExpr, scope: _Scope | None):
-        v = self.run(e, scope)
-        if not isinstance(v, Nf2Relation):
-            return v
-        if len(v.rows) > 1:
-            raise TypeMismatchError(f"scalar coercion of a {len(v.rows)}-row relation")
-        return v.rows[0][0] if v.rows else UNDEFINED
-
-    def _project(
-        self,
-        src: Nf2Relation,
-        items: tuple[ProjItem, ...],
-        schema: Nf2Schema,
-        scope: _Scope | None,
-    ) -> Nf2Relation:
-        positions, memo = src.schema.positions, {}
-        out_rows = []
-        for row in src.rows:
-            row_scope = _Scope(positions, row, scope, memo)
-            cells = []
-            for item, attr in zip(items, schema.attributes):
-                if isinstance(item, Col):
-                    cells.append(row[positions[item.name]])
-                elif isinstance(item, As):
-                    cells.append(row[positions[item.source]])
-                elif isinstance(item, Sub):
-                    nested = row[positions[item.name]]
-                    cells.append(self._project(nested, item.items, attr.type, row_scope))
-                else:
-                    value = self.run(item.expr, row_scope)
-                    if value is UNDEFINED:
-                        raise TypeMismatchError(
-                            f"projected attribute {item.name!r} has no storable value"
-                        )
-                    cells.append(value)
-            out_rows.append(tuple(cells))
-        return _built(schema, tuple(out_rows))
-
-    def _join(self, e: Join, scope: _Scope | None) -> Nf2Relation:
-        left: Nf2Relation = self.run(e.left, scope)
-        right: Nf2Relation = self.run(e.right, scope)
-        lpos, rpos, memo = left.schema.positions, right.schema.positions, {}
-        keys = self.join_keys[id(e)]
-        rows = []
-        if keys is None:
-            for lrow in left.rows:
-                lscope = _Scope(lpos, lrow, scope, memo)
-                for rrow in right.rows:
-                    if self.run(e.cond, _Scope(rpos, rrow, lscope, memo)):
-                        rows.append(lrow + rrow)
-        elif left.rows and right.rows:
-            lkey, rkey = keys
-            index: dict = {}
-            for rrow in right.rows:
-                k = self._scalar(rkey, _Scope(rpos, rrow, scope, memo))
-                # `=` is false for an undefined key and for NaN, which the
-                # dict would match with itself by identity: leave them out.
-                if k is not UNDEFINED and k == k:
-                    index.setdefault(k, []).append(rrow)
-            for lrow in left.rows:
-                k = self._scalar(lkey, _Scope(lpos, lrow, scope, memo))
-                rows.extend(lrow + rrow for rrow in index.get(k, ()))
-        return _built(self.schemas[id(e)], tuple(rows))
-
-
 def execute(e: AlgebraExpr, input_rel: Nf2Relation) -> Nf2Relation:
     """Type-check and evaluate an algebra expression over a relation.
 
     The result's rows are checked against its schema here, once.
     """
-    checker = _Checker(input_rel.schema)
-    checker.check(e)
-    result = _Executor(input_rel, checker).run(e, None)
+    _, run = _Compiler(input_rel.schema).plan(e)
+    result = run(_Scope({}, (input_rel,), None))
     return Nf2Relation(result.schema, result.rows)
 
 

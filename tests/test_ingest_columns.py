@@ -392,9 +392,9 @@ def test_column_ingest_matches_the_row_loop(files, terminator):
             assert new.exists() == old.exists()
             if old.exists():
                 assert new.read_bytes() == old.read_bytes()
-        # Property values read back with their types (a float 3.0 as a
-        # float); a coordinate -0.0 is written as 0, an equal value.
+        # Values read back with their types (a float 3.0 as a float) and
+        # signs (-0.0 as -0.0).
         again = ingest_csv(tmp / "new" / "d.csv")
         assert again == dataset
-        assert _typed(again)[1:] == _typed(dataset)[1:]
+        assert _typed(again) == _typed(dataset)
 

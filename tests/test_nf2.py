@@ -33,10 +33,12 @@ from trajq.nf2 import (
     Attr,
     Attribute,
     BoolAnd,
+    BoolNot,
     BoolOr,
     Cmp,
     Col,
     Computed,
+    ConstRel,
     Input,
     Join,
     Lit,
@@ -208,11 +210,148 @@ def test_checker_rejections():
         execute(join_same_names, NREL)
 
 
+# (plan, error, message): one rejection per check in the type checker;
+# check and execute raise the same error.
+REJECTED = {
+    "top-level attribute": (
+        Select(Attr("T"), Cmp(">", Attr("order"), Lit(0))),
+        UnknownAttributeError,
+        r"T \(no row context at the top level\)",
+    ),
+    "min over many columns": (
+        Select(Input(), Cmp("<", Agg("min", Attr("T")), Lit(1.0))),
+        TypeMismatchError,
+        r"min needs a single numeric column, got \('order', 'x', 'y', 'tau'\)",
+    ),
+    "AND over a scalar": (
+        Select(Input(), BoolAnd((Cmp("=", Attr("tid"), Lit("1")), Attr("tid")))),
+        TypeMismatchError,
+        "boolean connective over non-boolean",
+    ),
+    "NOT over a scalar": (
+        Select(Input(), BoolNot(Attr("tid"))),
+        TypeMismatchError,
+        "NOT over non-boolean",
+    ),
+    "arithmetic over text": (
+        Select(Input(), Cmp("=", Arith("+", Attr("tid"), Lit(1)), Lit(2))),
+        TypeMismatchError,
+        "arithmetic over str and int",
+    ),
+    "join on a number": (
+        Project(
+            Input(),
+            (
+                Computed(
+                    "J",
+                    Join(
+                        Attr("T"),
+                        Project(Attr("T"), (As("order2", "order"),)),
+                        Arith("+", Attr("order"), Attr("order2")),
+                    ),
+                ),
+            ),
+        ),
+        TypeMismatchError,
+        "join condition must be boolean",
+    ),
+    "unnest of a number": (
+        Unnest(Agg("count", Input()), "T"),
+        TypeMismatchError,
+        "expected a relation, got int",
+    ),
+    "many columns as a scalar": (
+        Select(Input(), Cmp("=", Attr("T"), Lit(1))),
+        TypeMismatchError,
+        "only single-column relations can be used as scalars",
+    ),
+    "boolean as a scalar": (
+        Select(Input(), Cmp("=", Cmp("=", Attr("tid"), Lit("1")), Lit(1))),
+        TypeMismatchError,
+        "boolean used as a scalar operand",
+    ),
+    "sub-projection of text": (
+        Project(Input(), (Sub("tid", (Col("x"),)),)),
+        TypeMismatchError,
+        "sub-projection needs a nested relation, 'tid' is atomic",
+    ),
+    "boolean attribute": (
+        Project(Input(), (Computed("b", Cmp("=", Attr("tid"), Lit("1"))),)),
+        TypeMismatchError,
+        "projected attribute cannot be boolean",
+    ),
+}
+
+
+@pytest.mark.parametrize("plan, error, message", REJECTED.values(), ids=REJECTED)
+def test_checker_rejection_messages(plan, error, message):
+    with pytest.raises(error, match=message):
+        check(plan, TRAJECTORIES_SCHEMA)
+    with pytest.raises(error, match=message):
+        execute(plan, NREL)
+
+
+FOUR_POINTS = Nf2Relation(POINTS_SCHEMA, tuple((o, float(o), 0.0, float(o)) for o in range(4)))
+
+
+def test_negated_condition():
+    plan = Select(Input(), BoolNot(Cmp("<", Attr("order"), Lit(2))))
+    assert render(plan) == "SELECT[NOT (order < 2)](INPUT)"
+    assert check(plan, POINTS_SCHEMA) == POINTS_SCHEMA
+    assert execute(plan, FOUR_POINTS).column("order") == (2, 3)
+
+
+def test_arithmetic_on_an_undefined_value_is_undefined():
+    # max over no points is undefined, and so is max + 1: every comparison
+    # with it is false, and no projected attribute can hold it.
+    later = Arith("+", Agg("max", Project(Attr("T"), (Col("tau"),))), Lit(1.0))
+    assert execute(Project(Input(), (Col("tid"), Computed("m", later))), NREL).rows == (
+        ("1", 41.0),
+        ("2", 11.0),
+    )
+    empty_t = Nf2Relation(TRAJECTORIES_SCHEMA, (("E", Nf2Relation(POINTS_SCHEMA, ())),))
+    for op in ("<", "!="):
+        assert execute(Select(Input(), Cmp(op, later, Lit(0.0))), empty_t).rows == ()
+    with pytest.raises(TypeMismatchError, match="projected attribute 'm' has no storable value"):
+        execute(Project(Input(), (Computed("m", later),)), empty_t)
+
+
+def test_render_of_a_constant_relation_and_a_computed_attribute():
+    plan = Project(ConstRel(FOUR_POINTS), (Col("order"), Computed("w", Arith("*", Attr("x"), Lit(2)))))
+    assert render(plan) == "PROJECT[order, w := x * 2](CONST(4 rows))"
+
+
 def test_relation_conformance_checked():
     with pytest.raises(TypeMismatchError):
         Nf2Relation(POINTS_SCHEMA, ((0, "oops", 1.0, 2.0),))
     with pytest.raises(TypeMismatchError):
         Nf2Schema((Attribute("a", "int"), Attribute("a", "float")))
+
+
+def test_an_int_beyond_the_float_range_is_not_a_float_value():
+    segments = Nf2Schema(tuple(Attribute(n, "float") for n in ("x", "y", "x2", "y2")))
+    plan = Select(Input(), SegIntersects(Region(0, 0, 1, 1), True, "x", "y", "x2", "y2"))
+    assert len(Nf2Relation(segments, ((2**1000, 0, 1, 1),))) == 1
+    with pytest.raises(TypeMismatchError, match="does not conform to attribute x of type float"):
+        execute(plan, Nf2Relation(segments, ((10**400, 0, 1, 1),)))
+    ints = Nf2Schema((Attribute("a", "int"),))
+    assert Nf2Relation(ints, ((10**400,),)).rows == ((10**400,),)
+
+
+def test_arithmetic_beyond_the_float_range_is_a_type_error():
+    rel = Nf2Relation(Nf2Schema((Attribute("a", "int"),)), ((10**400,),))
+    plus = Project(Input(), (Computed("b", Arith("+", Attr("a"), Lit(1))),))
+    assert execute(plus, rel).rows == ((10**400 + 1,),)
+    plus = Project(Input(), (Computed("b", Arith("+", Attr("a"), Lit(1.0))),))
+    with pytest.raises(TypeMismatchError, match=r"\+ overflows a float"):
+        execute(plus, rel)
+    # An int in a float attribute times an int is typed float, so the
+    # product must have a float value too.
+    rel = Nf2Relation(Nf2Schema((Attribute("x", "float"),)), ((10**308,),))
+    times = [Project(Input(), (Computed("y", Arith("*", Attr("x"), Lit(k))),)) for k in (1, 10)]
+    assert execute(times[0], rel).rows == ((10**308,),)
+    with pytest.raises(TypeMismatchError, match=r"\* overflows a float"):
+        execute(times[1], rel)
 
 
 def test_arith_and_connectives():

@@ -3,7 +3,9 @@ kept per operator evaluation, and cost linear in points per trajectory.
 
 Each property is checked against a plan the executor cannot shortcut
 (the same join under a condition that is not a bare ``=``) or against
-answers worked out by hand on small relations.
+answers worked out by hand on small relations. Costs are observed as
+counts: the row scopes (``_Scope`` objects) a plan builds, and the rows
+of the relations its operators build (``_built``).
 """
 
 import math
@@ -89,10 +91,32 @@ CONDITIONS = tuple(Cmp("=", a, b) for a, b in KEY_PAIRS) + tuple(
 )
 
 
-def _hashed(plan: Join, schema: Nf2Schema) -> bool:
-    checker = nf2._Checker(schema)
-    checker.check(plan)
-    return checker.join_keys[id(plan)] is not None
+def _counted(run, *args) -> tuple:
+    """run(*args), the row scopes it built and the rows of the relations
+    built inside the plans it ran."""
+    counts = {"scopes": 0, "rows": 0}
+    init, built = nf2._Scope.__init__, nf2._built
+
+    def counting_init(self, *a):
+        counts["scopes"] += 1
+        init(self, *a)
+
+    def counting_built(schema, rows):
+        counts["rows"] += len(rows)
+        return built(schema, rows)
+
+    nf2._Scope.__init__, nf2._built = counting_init, counting_built
+    try:
+        return run(*args), counts
+    finally:
+        nf2._Scope.__init__, nf2._built = init, built
+
+
+def _run_cost(plan, rel: Nf2Relation) -> tuple:
+    """execute(plan, rel) and what running the plan costs, beyond checking it."""
+    result, cost = _counted(execute, plan, rel)
+    _, checking = _counted(nf2.check, plan, rel.schema)
+    return result, {k: cost[k] - checking[k] for k in cost}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -103,10 +127,12 @@ def test_hash_join_equals_nested_loop(lr):
     for cond in CONDITIONS:
         hashed = Join(ConstRel(left), ConstRel(right), cond)
         looped = Join(ConstRel(left), ConstRel(right), BoolOr((cond,)))
-        assert _hashed(hashed, dummy.schema) and not _hashed(looped, dummy.schema)
-        got, want = execute(hashed, dummy), execute(looped, dummy)
+        got, cost = _run_cost(hashed, dummy)
+        want = execute(looped, dummy)
         assert got.schema == want.schema
         assert got.rows == want.rows, cond
+        # A scope per row of each side and one for the plan, none per pair.
+        assert cost["scopes"] <= len(left) + len(right) + 1, cond
 
 
 def test_hash_join_keys_read_the_enclosing_row():
@@ -168,17 +194,25 @@ def _outer_rel() -> Nf2Relation:
     return Nf2Relation(OUTER, (("a", 10.0, 1.0, points),))
 
 
+def _orders_plan(cond) -> Project:
+    orders = Project(Select(Attr("T"), cond), (Col("order"),))
+    return Project(Input(), (Col("tid"), Computed("O", orders)))
+
+
 def _orders_where(cond) -> tuple:
     """The orders of the points of the one outer row that satisfy cond."""
-    orders = Project(Select(Attr("T"), cond), (Col("order"),))
-    (row,) = execute(Project(Input(), (Col("tid"), Computed("O", orders))), _outer_rel()).rows
+    (row,) = execute(_orders_plan(cond), _outer_rel()).rows
     return tuple(o for (o,) in row[1].rows)
 
 
-def _hoisted(plan, schema, node) -> bool:
-    checker = nf2._Checker(schema)
-    checker.check(plan)
-    return checker.hoisted[id(node)]
+def _extra_cost(cond) -> dict:
+    """What selecting the points on cond costs beyond a condition with no
+    subexpression that keeps the same points."""
+    kept = _orders_where(cond)
+    plain = BoolOr(tuple(Cmp("=", Attr("order"), Lit(o)) for o in kept))
+    _, cost = _run_cost(_orders_plan(cond), _outer_rel())
+    _, base = _run_cost(_orders_plan(plain), _outer_rel())
+    return {k: cost[k] - base[k] for k in cost}
 
 
 def test_shadowing_inner_attribute_is_read_per_row():
@@ -186,8 +220,8 @@ def test_shadowing_inner_attribute_is_read_per_row():
     below_x = Agg("count", Select(C, Cmp("<", Attr("c"), Attr("x"))))
     cond = Cmp(">=", below_x, Lit(2))
     assert _orders_where(cond) == (2, 3)
-    plan = Select(Input(), Cmp(">", Agg("count", Select(Attr("T"), cond)), Lit(0)))
-    assert not _hoisted(plan, OUTER, below_x)
+    # Each of the 4 points selects over the 3 rows of C.
+    assert _extra_cost(cond) == {"scopes": 4 * 3, "rows": 0 + 1 + 2 + 3}
 
 
 def test_inner_and_outer_names_are_read_per_row():
@@ -195,16 +229,19 @@ def test_inner_and_outer_names_are_read_per_row():
     below = Agg("count", Select(C, Cmp("<", Attr("c"), Arith("-", Attr("x"), Attr("shift")))))
     cond = Cmp("=", below, Lit(1))  # x - 1 in (1, 2]: the point x = 2.5
     assert _orders_where(cond) == (2,)
-    plan = Select(Input(), Cmp(">", Agg("count", Select(Attr("T"), cond)), Lit(0)))
-    assert not _hoisted(plan, OUTER, below)
+    assert _extra_cost(cond) == {"scopes": 4 * 3, "rows": 0 + 0 + 1 + 2}
 
 
 def test_outer_only_subexpression_is_kept_per_operator():
     last = Agg("max", Project(Attr("T"), (Col("order"),)))
     cond = Cmp("=", Attr("order"), last)
     assert _orders_where(cond) == (3,)
-    plan = Select(Input(), Cmp(">", Agg("count", Select(Attr("T"), cond)), Lit(0)))
-    assert _hoisted(plan, OUTER, last)
+    # The projection of the 4 points is built once, not once per point.
+    assert _extra_cost(cond) == {"scopes": 0, "rows": 4}
+    # So is a computed column, with a scope per point.
+    last = Agg("max", Project(Attr("T"), (Computed("o", Attr("order")),)))
+    assert _orders_where(Cmp("=", Attr("order"), last)) == (3,)
+    assert _extra_cost(Cmp("=", Attr("order"), last)) == {"scopes": 4, "rows": 4}
 
 
 def test_invariant_subexpression_that_would_raise_is_not_run_early():
@@ -236,22 +273,19 @@ def test_result_rows_are_checked_at_the_boundary():
         execute(ConstRel(bad), bad)
 
 
-def test_node_reused_with_two_schemas_is_rejected():
-    # The executor takes each projection's schema from the checker by node
-    # identity, so one node object may not stand for two schemas.
+def test_node_reused_with_two_schemas_runs_like_its_copy():
+    # One node object standing for two schemas: PROJECT[x](T) over the
+    # points (x a float) and over a relation whose T has an int x.
     xs = Project(Attr("T"), (Col("x"),))
     ints = Nf2Schema((Attribute("x", "int"),))
     other = ConstRel(
         Nf2Relation(Nf2Schema((Attribute("T", ints),)), ((Nf2Relation(ints, ((1,),)),),))
     )
-    inner = Project(other, (Computed("c", Agg("count", xs)),))
-    plan = Project(Input(), (Computed("a", Agg("count", xs)), Computed("b", Agg("count", inner))))
-    with pytest.raises(TypeMismatchError):
-        execute(plan, _outer_rel())
     copy = Project(Attr("T"), (Col("x"),))  # an equal node of its own
-    inner = Project(other, (Computed("c", Agg("count", copy)),))
-    plan = Project(Input(), (Computed("a", Agg("count", xs)), Computed("b", Agg("count", inner))))
-    assert execute(plan, _outer_rel()).rows == ((4, 1),)
+    for node in (xs, copy):
+        inner = Project(other, (Computed("c", Agg("count", node)),))
+        plan = Project(Input(), (Computed("a", Agg("count", xs)), Computed("b", Agg("count", inner))))
+        assert execute(plan, _outer_rel()).rows == ((4, 1),)
 
 
 # --- linearity guard --------------------------------------------------------
@@ -275,28 +309,17 @@ def _miss_walk(seed: int, n: int) -> Nf2Relation:
     ((De9imLabel.R031, RELAXED), (De9imLabel.R223, RELAXED), (De9imLabel.R223, STRICT)),
     ids=("R031-relaxed", "R223-relaxed", "R223-strict"),
 )
-def test_plan_cost_is_linear_in_points(monkeypatch, label, mode):
-    # Counts expression evaluations (calls of _Executor.run) and row scopes
-    # (constructions of _Scope): 4x the points must cost at most 5x of each;
-    # a quadratic plan costs ~14x.
-    counts = {"run": 0, "scope": 0}
-
-    def counting(kind, method):
-        def wrapper(self, *args):
-            counts[kind] += 1
-            return method(self, *args)
-
-        return wrapper
-
-    monkeypatch.setattr(nf2._Executor, "run", counting("run", nf2._Executor.run))
-    monkeypatch.setattr(nf2._Scope, "__init__", counting("scope", nf2._Scope.__init__))
+def test_plan_cost_is_linear_in_points(label, mode):
+    # Counts row scopes and the rows of relations built inside the plan:
+    # 4x the points must cost at most 5x of each; a quadratic plan costs
+    # ~14x.
     plan = compile_spatial(label, R, mode)
     disjoint = ("w",) if label is De9imLabel.R031 else ()
     seen = []
     for n in (15, 60):
-        counts.update(run=0, scope=0)
-        assert execute(plan, _miss_walk(11, n)).column("tid") == disjoint
-        seen.append(dict(counts))
-    for kind in counts:
+        result, cost = _counted(execute, plan, _miss_walk(11, n))
+        assert result.column("tid") == disjoint
+        seen.append(cost)
+    for kind in seen[0]:
         assert seen[1][kind] <= 5 * seen[0][kind], seen
 
