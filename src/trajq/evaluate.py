@@ -9,33 +9,37 @@ the sites a quantifier ranges over:
 * relaxed: the continuum of the interpolated polyline, evaluated exactly
   on a finite set of sites (no sampling anywhere).
 
-``_holds`` walks the clauses and stops at the first that fails. One atom
-rule, ``_atom_mask``, tests strict and approximated sites as arrays and the
-pf or pl of a ground clause as floats, so ground clauses agree in every mode.
+A mode supplies only its site source (``_site_source``): for the atoms of a
+quantified clause, the truth of each atom at every site and, per domain (T,
+TFL), the mask of the sites it owns. ``_holds``, the one clause loop, holds
+the one quantifier rule: EXISTS holds iff the body holds at some owned
+site, FORALL iff it fails at none. One atom rule, ``_atom_mask``, tests
+point sites as arrays and the pf or pl of a ground clause as floats, so
+ground clauses agree in every mode.
 
-Relaxed evaluation decides each quantified clause in one vectorised pass
-over all segments of a trajectory. On one segment every atom holds on one
-interval of the parameter range [0, 1] (region OUTSIDE is the complement of
-the closed hull, time OUTSIDE the union of BEFORE and AFTER). Its ends are
-threshold crossings (v - c0) / (c1 - c0). The sites of a segment are 0, 1
-and every crossing, sorted, plus the open cell between each pair of
-neighbours that differ; no atom changes truth inside a cell. Whether an
-atom holds at a site or on a cell is decided only by ordinal comparisons
-of the site values with the interval ends and their open/closed flags: no
-midpoints and no epsilons, so a cell between two adjacent floats still
-counts. AND, OR and NOT then act on boolean site masks. Segment domains
-are half-open so that a vertex shared by two segments is owned by exactly
-one of them; the final segment also owns the last point, and the TFL
-domain drops just the first and last points (a measure-zero exclusion: the
-inner continuum reaches arbitrarily close to both). EXISTS holds iff the
-body holds at some owned site, FORALL iff it fails at none. A trajectory of
-one point has no continuum and is decided on that point.
+Relaxed sites come from one vectorised pass over all segments of a
+trajectory. On one segment every atom holds on one interval of the
+parameter range [0, 1] (region OUTSIDE is the complement of the closed
+hull, time OUTSIDE the union of BEFORE and AFTER). Its ends are threshold
+crossings (v - c0) / (c1 - c0). The sites of a segment are 0, 1 and every
+crossing, sorted, plus the open cell between each pair of neighbours that
+differ; no atom changes truth inside a cell. Whether an atom holds at a
+site or on a cell is decided only by ordinal comparisons of the site
+values with the interval ends and their open/closed flags: no midpoints
+and no epsilons, so a cell between two adjacent floats still counts. AND,
+OR and NOT then act on boolean site masks. Segment domains are half-open
+so that a vertex shared by two segments is owned by exactly one of them;
+the final segment also owns the last point, and the TFL domain drops just
+the first and last points (a measure-zero exclusion: the inner continuum
+reaches arbitrarily close to both). A trajectory of one point has no
+continuum; its relaxed site is that point.
 
 A predicate whose atoms all test one region reads of a trajectory only its
 class signature (``region_signature``): the class of pf and of pl, and the
 classes the TFL and the T sites of the mode meet. ``holds_on_signature``
-decides such a predicate from the signature alone; area classification
-computes one signature per trajectory instead of evaluating each formula.
+runs the clause loop on the sites I, B and E, each domain owning the
+classes the signature saw there; area classification computes one
+signature per trajectory instead of evaluating each formula.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,7 +72,6 @@ from .predicate import (
     PointRef,
     Predicate,
     Quantifier,
-    QuantifiedClause,
     Var,
     _walk_atoms,
     validate,
@@ -154,7 +157,7 @@ def _require_valid(ast: Predicate, env: EvalEnv) -> None:
         raise ValidationFailedError(diags)
 
 
-# --- the clause loop, the atom rule and strict sites --------------------
+# --- the clause loop, the atom rule and point sites ---------------------
 
 
 def _band(c, lo: float, hi: float, strict: bool):
@@ -204,38 +207,52 @@ def _ground_atom(atom: Atom, t: Trajectory, env: EvalEnv) -> bool:
     return _atom_mask(atom, t.xs.item(i), t.ys.item(i), t.taus.item(i), env)
 
 
-def _points_clause(
-    clause: QuantifiedClause, xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv
-) -> bool:
-    """A quantified clause over a finite polyline of points, first to last."""
-    if clause.domain is Domain.INNER_POINTS:
-        xs, ys, taus = xs[1:-1], ys[1:-1], taus[1:-1]
-    if xs.size == 0:
-        return clause.quantifier is Quantifier.FORALL
-    mask = _body_mask(clause.body, lambda atom: _atom_mask(atom, xs, ys, taus, env))
-    return bool(mask.any() if clause.quantifier is Quantifier.EXISTS else mask.all())
+Sites = Callable[[Iterable[Atom]], tuple[Callable[[Atom], np.ndarray], Callable[[Domain], Any]]]
+SiteSource = Callable[[Trajectory, EvalEnv], Sites]
 
 
-def _holds(
-    ast: Predicate, t: Trajectory, env: EvalEnv, quantified: Callable[[QuantifiedClause], bool]
-) -> bool:
-    """The clause loop of every mode: validate, then require each clause in
-    turn. Ground clauses are decided at the first or last recorded point;
-    ``quantified`` decides the others over the mode's sites."""
-    _require_valid(ast, env)
+def _holds(ast: Predicate, ground: Callable[[Atom], bool], sites: Sites) -> bool:
+    """The clause loop of every mode and of signature lookup; ``ground``
+    judges the atoms of a ground clause, ``sites`` serve the others."""
     for clause in ast.clauses:
         if isinstance(clause, GroundClause):
-            ok = _body_mask(clause.body, lambda atom: _ground_atom(atom, t, env))
+            ok = _body_mask(clause.body, ground)
         else:
-            ok = quantified(clause)
+            truth, owned = sites(_walk_atoms(clause.body))
+            body, domain = _body_mask(clause.body, truth), owned(clause.domain)
+            exists = clause.quantifier is Quantifier.EXISTS
+            ok = (body & domain).any() if exists else not (~body & domain).any()
         if not ok:
             return False
     return True
 
 
+def _decide(ast: Predicate, t: Trajectory, env: EvalEnv, source: SiteSource) -> bool:
+    """Validate, then run the clause loop with pf and pl and source's sites."""
+    _require_valid(ast, env)
+    return _holds(ast, lambda atom: _ground_atom(atom, t, env), source(t, env))
+
+
+def _point_sites(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv) -> Sites:
+    """Sites at the points of coordinate arrays: T owns all, TFL all but the ends."""
+
+    def owned(d: Domain):
+        if d is Domain.ALL_POINTS:
+            return True
+        inner = np.zeros(xs.size, dtype=bool)
+        inner[1:-1] = True
+        return inner
+
+    return lambda atoms: ((lambda atom: _atom_mask(atom, xs, ys, taus, env)), owned)
+
+
+def _strict_sites(t: Trajectory, env: EvalEnv) -> Sites:
+    return _point_sites(t.xs, t.ys, t.taus, env)
+
+
 def eval_strict(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
     """Truth of the predicate using only the recorded points."""
-    return _holds(ast, t, env, lambda c: _points_clause(c, t.xs, t.ys, t.taus, env))
+    return _decide(ast, t, env, _strict_sites)
 
 
 # --- relaxed machinery --------------------------------------------------
@@ -267,65 +284,55 @@ def _leaf_params(target: Region | Interval, op: Op, t: Trajectory) -> ParamInter
     return box_params(starts, ends, (target.tau_s,), (target.tau_e,), op is Op.INSIDE)
 
 
-def _relaxed_sites(
-    t: Trajectory, env: EvalEnv, keys: Iterable[tuple[str, Op]]
-) -> tuple[dict[tuple[str, Op], np.ndarray], Callable[[Domain], np.ndarray]]:
-    """The site pass over all segments of a trajectory of two or more points:
-    the truth of each interval-shaped leaf at every site and on every cell,
-    and a function giving the sites and cells a domain owns, in that layout."""
-    leaves = {k: _leaf_params(env.bindings[k[0]], k[1], t) for k in keys}
-    m = len(t) - 1
-    bounds = [np.zeros(m), np.ones(m)]
-    for p in leaves.values():
-        bounds += [p.lo, p.hi]
-    # sites[j, i] is the j-th smallest site of segment i
-    sites = np.sort(np.minimum(np.maximum(np.array(bounds), 0.0), 1.0), axis=0)
-    left, right = sites[:-1], sites[1:]
-
-    def holds(p: ParamIntervals) -> np.ndarray:
-        at_site = np.where(p.lo_closed, p.lo <= sites, p.lo < sites) & np.where(
-            p.hi_closed, sites <= p.hi, sites < p.hi
-        )
-        on_cell = (p.lo <= left) & (right <= p.hi)
-        return np.concatenate((at_site, on_cell))
-
-    def domain(d: Domain) -> np.ndarray:
-        owned = sites < 1.0  # a vertex belongs to the segment starting there
-        if d is Domain.ALL_POINTS:
-            owned[:, -1] = True
-        else:
-            owned[:, 0] &= sites[:, 0] > 0.0  # TFL also drops the first point
-        return np.concatenate((owned, left < right))
-
-    return {k: holds(p) for k, p in leaves.items()}, domain
-
-
-def _quantify(q: Quantifier, body: np.ndarray, domain: np.ndarray) -> bool:
-    """EXISTS: the body holds somewhere in the domain; FORALL: it fails nowhere."""
-    if q is Quantifier.EXISTS:
-        return bool((body & domain).any())
-    return not (~body & domain).any()
-
-
-def _relaxed_clause(clause: QuantifiedClause, t: Trajectory, env: EvalEnv) -> bool:
+def _relaxed_sites(t: Trajectory, env: EvalEnv) -> Sites:
+    """The site pass over all segments of a trajectory: the truth of each
+    interval-shaped leaf of the atoms at every site and on every cell, and
+    the sites and cells each domain owns, in that layout."""
     if len(t) == 1:  # one recorded point, no continuum
-        return _points_clause(clause, t.xs, t.ys, t.taus, env)
-    keys = dict.fromkeys(k for a in _walk_atoms(clause.body) for k in _leaf_keys(a, env))
-    truth, domain = _relaxed_sites(t, env, keys)
+        return _strict_sites(t, env)
 
-    def atom_mask(atom: Atom) -> np.ndarray:
-        masks = [truth[k] for k in _leaf_keys(atom, env)]
-        if len(masks) == 2:
-            return masks[0] | masks[1]
-        return ~masks[0] if atom.op is Op.OUTSIDE else masks[0]
+    def sites(atoms: Iterable[Atom]):
+        keys = dict.fromkeys(k for a in atoms for k in _leaf_keys(a, env))
+        leaves = {k: _leaf_params(env.bindings[k[0]], k[1], t) for k in keys}
+        m = len(t) - 1
+        bounds = [np.zeros(m), np.ones(m)]
+        for p in leaves.values():
+            bounds += [p.lo, p.hi]
+        # at[j, i] is the j-th smallest site of segment i
+        at = np.sort(np.minimum(np.maximum(np.array(bounds), 0.0), 1.0), axis=0)
+        left, right = at[:-1], at[1:]
 
-    body = _body_mask(clause.body, atom_mask)
-    return _quantify(clause.quantifier, body, domain(clause.domain))
+        def holds(p: ParamIntervals) -> np.ndarray:
+            at_site = np.where(p.lo_closed, p.lo <= at, p.lo < at) & np.where(
+                p.hi_closed, at <= p.hi, at < p.hi
+            )
+            on_cell = (p.lo <= left) & (right <= p.hi)
+            return np.concatenate((at_site, on_cell))
+
+        truth = {k: holds(p) for k, p in leaves.items()}
+
+        def atom_mask(atom: Atom) -> np.ndarray:
+            masks = [truth[k] for k in _leaf_keys(atom, env)]
+            if len(masks) == 2:
+                return masks[0] | masks[1]
+            return ~masks[0] if atom.op is Op.OUTSIDE else masks[0]
+
+        def owned(d: Domain) -> np.ndarray:
+            mask = at < 1.0  # a vertex belongs to the segment starting there
+            if d is Domain.ALL_POINTS:
+                mask[:, -1] = True
+            else:
+                mask[:, 0] &= at[:, 0] > 0.0  # TFL also drops the first point
+            return np.concatenate((mask, left < right))
+
+        return atom_mask, owned
+
+    return sites
 
 
 def eval_relaxed(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
     """Truth of the predicate over the interpolated continuum, computed exactly."""
-    return _holds(ast, t, env, lambda c: _relaxed_clause(c, t, env))
+    return _decide(ast, t, env, _relaxed_sites)
 
 
 # --- approximated machinery ---------------------------------------------
@@ -353,30 +360,41 @@ def _augmented_arrays(
     return densify(t.xs, t.ys, t.taus, seg[inner], lam[inner])
 
 
+def _approximated_sites(strategy: ApproxStrategy, t: Trajectory, env: EvalEnv) -> Sites:
+    """The recorded points plus the strategy's, made once, on first use."""
+    points = functools.cache(lambda: _point_sites(*_augmented_arrays(t, strategy), env))
+    return lambda atoms: points()(atoms)
+
+
 def eval_approximated(
     ast: Predicate, t: Trajectory, env: EvalEnv, strategy: ApproxStrategy
 ) -> bool:
-    """Strict evaluation over the trajectory plus strategy-generated points.
+    """Strict evaluation over the trajectory plus strategy-generated points;
+    ground clauses and the TFL domain ignore how many a strategy adds."""
+    return _decide(ast, t, env, functools.partial(_approximated_sites, strategy))
 
-    The augmented trajectory keeps the original first and last points as its
-    endpoints, so ground clauses and the TFL domain are unaffected by how
-    many intermediate points a strategy adds. The strategy runs once, when
-    the first quantified clause is reached.
+
+def _site_source(s: Strictness) -> SiteSource:
+    """The sites of the mode s; the one place a Strictness is read.
+
+    Raises:
+        UnsupportedStrictnessError: s is not a Strictness, or of an unknown kind.
+        UnknownStrategyError: approximated, no strategy has that name.
     """
-    sites = functools.cache(lambda: _augmented_arrays(t, strategy))
-    return _holds(ast, t, env, lambda c: _points_clause(c, *sites(), env))
+    if not isinstance(s, Strictness):
+        raise UnsupportedStrictnessError(f"a strictness is a Strictness value, got {s!r}")
+    if s.kind == "strict":
+        return _strict_sites
+    if s.kind == "relaxed":
+        return _relaxed_sites
+    if s.kind == "approximated":
+        return functools.partial(_approximated_sites, resolve_strategy(s.strategy, s.param))
+    raise UnsupportedStrictnessError(f"unknown strictness kind {s.kind!r}")
 
 
 def evaluate(ast: Predicate, t: Trajectory, env: EvalEnv, s: Strictness) -> bool:
     """Evaluate under the mode named by a Strictness value."""
-    if s.kind == "strict":
-        return eval_strict(ast, t, env)
-    if s.kind == "relaxed":
-        return eval_relaxed(ast, t, env)
-    if s.kind == "approximated":
-        strategy = resolve_strategy(s.strategy, s.param)
-        return eval_approximated(ast, t, env, strategy)
-    raise UnsupportedStrictnessError(f"unknown strictness kind {s.kind!r}")
+    return _decide(ast, t, env, _site_source(s))
 
 
 # --- region signatures --------------------------------------------------
@@ -414,36 +432,24 @@ def region_signature(t: Trajectory, r: Region, s: Strictness) -> RegionSignature
 
     Raises:
         PredicateTypeError: r is not a Region.
-        UnsupportedStrictnessError: an unknown strictness kind.
+        UnsupportedStrictnessError: s is not a Strictness, or of an unknown kind.
         CrossingOverflowError: relaxed, a coordinate difference overflows.
     """
     if not isinstance(r, Region):
         raise PredicateTypeError(f"area relations need a Region, got {type(r).__name__}")
     env = EvalEnv({"R": r})
+    truth, owned = _site_source(s)(t, env)((_HULL, _INTERIOR))
 
     def classes(within, inside) -> np.ndarray:  # rows I, B, E
         return np.array([inside, within & (inside ^ True), within ^ True])
 
-    if s.kind == "relaxed" and len(t) > 1:
-        truth, domain = _relaxed_sites(t, env, (("R", Op.WITHIN), ("R", Op.INSIDE)))
-        rows = classes(*truth.values())
-        domains = (domain(Domain.INNER_POINTS), domain(Domain.ALL_POINTS))
-    else:
-        if s.kind in ("strict", "relaxed"):
-            sites = (t.xs, t.ys, t.taus)
-        elif s.kind == "approximated":
-            sites = _augmented_arrays(t, resolve_strategy(s.strategy, s.param))
-        else:
-            raise UnsupportedStrictnessError(f"unknown strictness kind {s.kind!r}")
-        rows = classes(*(_atom_mask(a, *sites, env) for a in (_HULL, _INTERIOR)))
-        inner = np.zeros(rows.shape[1], dtype=bool)
-        inner[1:-1] = True
-        domains = (inner, True)
+    rows = classes(truth(_HULL), truth(_INTERIOR))
     ends = [
         classes(*(_atom_mask(a, x, y, tau, env) for a in (_HULL, _INTERIOR)))
         for x, y, tau in ((t.xs.item(i), t.ys.item(i), t.taus.item(i)) for i in (0, -1))
     ]
-    triples = (*ends, *((rows & d).reshape(3, -1).any(axis=1) for d in domains))
+    domains = (Domain.INNER_POINTS, Domain.ALL_POINTS)
+    triples = (*ends, *((rows & owned(d)).reshape(3, -1).any(axis=1) for d in domains))
     return RegionSignature(*("".join(c for c, hit in zip("IBE", m) if hit) for m in triples))
 
 
@@ -452,16 +458,10 @@ def holds_on_signature(ast: Predicate, sig: RegionSignature) -> bool:
     a ground atom holds when the class of pf (or pl) is one where it holds,
     and a quantifier ranges over the classes TFL (or T) meets."""
     ends = {PointRef.FIRST: sig.pf, PointRef.LAST: sig.pl}
-    for clause in ast.clauses:
-        if isinstance(clause, GroundClause):
-            ok = _body_mask(clause.body, lambda a: ends[a.subject] in _CLASSES[a.op])
-        else:
-            body = _body_mask(clause.body, lambda a: _CLASS_VECTORS[a.op])
-            seen = sig.tfl if clause.domain is Domain.INNER_POINTS else sig.t
-            ok = _quantify(clause.quantifier, body, np.array([c in seen for c in "IBE"]))
-        if not ok:
-            return False
-    return True
+    seen = {Domain.INNER_POINTS: sig.tfl, Domain.ALL_POINTS: sig.t}
+    domains = {d: np.array([c in cs for c in "IBE"]) for d, cs in seen.items()}
+    sites = (lambda atom: _CLASS_VECTORS[atom.op]), domains.__getitem__
+    return _holds(ast, lambda atom: ends[atom.subject] in _CLASSES[atom.op], lambda atoms: sites)
 
 
 def select_st(
@@ -473,8 +473,7 @@ def select_st(
     pure, so they could run concurrently; results do not depend on order of
     evaluation.
     """
+    _site_source(s)  # fail fast, before touching rows
     _require_valid(ast, env)
-    if s.kind == "approximated":
-        resolve_strategy(s.strategy, s.param)  # fail fast before touching rows
     kept = tuple(row for row in rel.rows if evaluate(ast, row[1], env, s))
     return TrajectoriesRelation(kept)

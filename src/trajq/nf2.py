@@ -61,6 +61,7 @@ from .errors import (
     UnsupportedLabelError,
     UnsupportedStrictnessError,
 )
+from .evaluate import Strictness
 from .geometry import Interval, Region, box_params
 from .model import TrajectoriesRelation
 from .relations import AllenLabel, De9imLabel
@@ -853,7 +854,7 @@ _SPATIAL_LABELS = (
 )
 
 
-def compile_spatial(label: De9imLabel, r: Region, s) -> AlgebraExpr:
+def compile_spatial(label: De9imLabel, r: Region, s: Strictness) -> AlgebraExpr:
     """Selection expression over TRAJECTORIES for one of the five border-free
     area relations, with the region bounds substituted as literals.
 
@@ -865,17 +866,16 @@ def compile_spatial(label: De9imLabel, r: Region, s) -> AlgebraExpr:
     """
     if not isinstance(r, Region):
         raise PredicateTypeError(f"area relations need a Region, got {type(r).__name__}")
-    kind = getattr(s, "kind", s)
-    if kind not in ("strict", "relaxed"):
+    if not isinstance(s, Strictness) or s.kind not in ("strict", "relaxed"):
         raise UnsupportedStrictnessError(
-            f"expressions exist for strict or relaxed only, got {kind!r}"
+            f"expressions exist for strict or relaxed only, got {s!r}"
         )
     if label not in _SPATIAL_LABELS:
         raise UnsupportedLabelError(
             f"no published expression for {label.value}; supported: "
             + ", ".join(l.value for l in _SPATIAL_LABELS)
         )
-    relaxed = kind == "relaxed"
+    relaxed = s.kind == "relaxed"
     if label is De9imLabel.R179:
         cond: AlgebraExpr = BoolAnd(
             (

@@ -270,6 +270,7 @@ def classify_de9im(
 
     Raises:
         PredicateTypeError: r is not a Region.
+        UnsupportedStrictnessError: s is not a Strictness, or of an unknown kind.
     """
     sig = de9im_signature(t, r, s)
     found = _signature_labels(sig)

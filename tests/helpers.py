@@ -185,29 +185,30 @@ def random_atom(rng: random.Random, subject) -> Atom:
     return Atom(subject, rng.choice(list(Op)), rng.choice(_NAMES))
 
 
-def random_body(rng: random.Random, subject, depth: int):
+def random_body(rng: random.Random, atom, depth: int):
+    """A random AND/OR/NOT tree whose leaves come from calling ``atom()``."""
     roll = rng.random()
     if depth <= 0 or roll < 0.45:
-        return random_atom(rng, subject)
+        return atom()
     if roll < 0.6:
-        return Not(random_body(rng, subject, depth - 1))
+        return Not(random_body(rng, atom, depth - 1))
     parts = tuple(
-        random_body(rng, subject, depth - 1) for _ in range(rng.randint(2, 3))
+        random_body(rng, atom, depth - 1) for _ in range(rng.randint(2, 3))
     )
     return And(parts) if roll < 0.8 else Or(parts)
 
 
 def random_clause(rng: random.Random, allow_ground: bool):
     if allow_ground and rng.random() < 0.4:
-        subject = lambda: rng.choice((PointRef.FIRST, PointRef.LAST))
-        body = random_body(rng, subject(), rng.randint(0, 2))
+        subject = rng.choice((PointRef.FIRST, PointRef.LAST))
+        body = random_body(rng, lambda: random_atom(rng, subject), rng.randint(0, 2))
         return GroundClause(body)
     var = rng.choice(_VARS)
     return QuantifiedClause(
         rng.choice(list(Quantifier)),
         var,
         rng.choice(list(Domain)),
-        random_body(rng, Var(var), rng.randint(0, 3)),
+        random_body(rng, lambda: random_atom(rng, Var(var)), rng.randint(0, 3)),
     )
 
 

@@ -10,25 +10,43 @@ on every input and in every mode.
 
 import importlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 
+from helpers import random_body
 from test_relaxed_sites import instances
 from trajq.errors import PredicateTypeError, TrajqError, UnsupportedStrictnessError
 from trajq.evaluate import (
     RELAXED,
     STRICT,
     ApproxStrategy,
+    EvalEnv,
     RegionSignature,
     Strictness,
     approximated,
+    evaluate,
     holds_on_signature,
     register_strategy,
+    select_st,
 )
 from trajq.geometry import Interval, Region
-from trajq.model import build_trajectory
+from trajq.model import TrajectoriesRelation, build_trajectory
 from trajq.nf2 import compile_spatial, compile_temporal
+from trajq.predicate import (
+    Atom,
+    Domain,
+    GroundClause,
+    Op,
+    PointRef,
+    Predicate,
+    QuantifiedClause,
+    Quantifier,
+    Var,
+    format_predicate,
+    parse_predicate,
+)
 from trajq.relations import (
     DIRECTION_SENSITIVE,
     AllenLabel,
@@ -114,6 +132,49 @@ def test_reversed_path_is_walked_for_an_asymmetric_strategy():
     assert classify_de9im(t, UNIT, s) == classify_de9im_oracle(t, UNIT, s) == {De9imLabel.R479}
 
 
+_REGION_OPS = (Op.WITHIN, Op.INSIDE, Op.OUTSIDE)
+# Vertices on a half-unit grid around UNIT: many lie on its border.
+_GRID = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+def _single_region_predicate(rng):
+    """Ground and quantified clauses whose atoms all test R."""
+
+    def atom(*subjects):
+        return lambda: Atom(rng.choice(subjects), rng.choice(_REGION_OPS), "R")
+
+    clauses = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.4:
+            body = random_body(rng, atom(PointRef.FIRST, PointRef.LAST), rng.randint(0, 2))
+            clauses.append(GroundClause(body))
+        else:
+            body = random_body(rng, atom(Var("p")), rng.randint(0, 3))
+            quantifier, domain = rng.choice(list(Quantifier)), rng.choice(list(Domain))
+            clauses.append(QuantifiedClause(quantifier, "p", domain, body))
+    return Predicate(tuple(clauses))
+
+
+def test_signature_lookup_equals_evaluation_for_single_region_predicates():
+    rng = random.Random(1990)
+    env = EvalEnv({"R": UNIT})
+    modes = (
+        STRICT,
+        RELAXED,
+        *(approximated("uniform", k) for k in (0, 1, 3)),
+        approximated("test-skewed"),
+    )
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        t = build_trajectory((rng.choice(_GRID), rng.choice(_GRID), float(i)) for i in range(n))
+        predicates = [_single_region_predicate(rng) for _ in range(10)]
+        for s in modes:
+            sig = de9im_signature(t, UNIT, s)
+            for q in predicates:
+                want = evaluate(q, t, env, s)
+                assert holds_on_signature(q, sig) == want, (t, s, format_predicate(q))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(instances())
 def test_signature_lookup_agrees_with_the_oracle(instance):
@@ -196,6 +257,26 @@ REGION, INTERVAL = Region(1.0, 1.0, 2.0, 2.0), Interval(0.2, 0.8)
 def test_region_and_interval_mix_ups_are_typed_errors(call):
     with pytest.raises(PredicateTypeError) as exc:
         call()
+    assert isinstance(exc.value, TrajqError)
+
+
+Q = parse_predicate("EXISTS p IN T: p INSIDE R")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: evaluate(Q, T2, EvalEnv({"R": REGION}), s),
+        lambda s: select_st(TrajectoriesRelation(()), Q, EvalEnv({"R": REGION}), s),
+        lambda s: classify_de9im(T2, REGION, s),
+        lambda s: de9im_signature(T2, REGION, s),
+        lambda s: compile_spatial(De9imLabel.R031, REGION, s),
+    ],
+    ids=["evaluate", "select_st", "classify_de9im", "de9im_signature", "compile_spatial"],
+)
+def test_a_strictness_that_is_not_a_strictness_value_is_a_typed_error(call):
+    with pytest.raises(UnsupportedStrictnessError) as exc:
+        call("strict")
     assert isinstance(exc.value, TrajqError)
 
 

@@ -276,6 +276,9 @@ def test_evaluate_dispatch_and_fail_fast():
     with pytest.raises(UnsupportedStrictnessError) as exc:
         evaluate(Q1, CROSSING, CROSS_ENV, Strictness("fuzzy"))
     assert isinstance(exc.value, ValueError)
+    # and so are unknown kinds
+    with pytest.raises(UnsupportedStrictnessError):
+        select_st(TrajectoriesRelation(()), Q1, CROSS_ENV, Strictness("fuzzy"))
 
 
 def test_misbehaving_strategy_rejected():
