@@ -207,11 +207,11 @@ def _ground_atom(atom: Atom, t: Trajectory, env: EvalEnv) -> bool:
     return _atom_mask(atom, t.xs.item(i), t.ys.item(i), t.taus.item(i), env)
 
 
-Sites = Callable[[Iterable[Atom]], tuple[Callable[[Atom], np.ndarray], Callable[[Domain], Any]]]
-SiteSource = Callable[[Trajectory, EvalEnv], Sites]
+_Sites = Callable[[Iterable[Atom]], tuple[Callable[[Atom], np.ndarray], Callable[[Domain], Any]]]
+_SiteSource = Callable[[Trajectory, EvalEnv], _Sites]
 
 
-def _holds(ast: Predicate, ground: Callable[[Atom], bool], sites: Sites) -> bool:
+def _holds(ast: Predicate, ground: Callable[[Atom], bool], sites: _Sites) -> bool:
     """The clause loop of every mode and of signature lookup; ``ground``
     judges the atoms of a ground clause, ``sites`` serve the others."""
     for clause in ast.clauses:
@@ -227,13 +227,13 @@ def _holds(ast: Predicate, ground: Callable[[Atom], bool], sites: Sites) -> bool
     return True
 
 
-def _decide(ast: Predicate, t: Trajectory, env: EvalEnv, source: SiteSource) -> bool:
+def _decide(ast: Predicate, t: Trajectory, env: EvalEnv, source: _SiteSource) -> bool:
     """Validate, then run the clause loop with pf and pl and source's sites."""
     _require_valid(ast, env)
     return _holds(ast, lambda atom: _ground_atom(atom, t, env), source(t, env))
 
 
-def _point_sites(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv) -> Sites:
+def _point_sites(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv) -> _Sites:
     """Sites at the points of coordinate arrays: T owns all, TFL all but the ends."""
 
     def owned(d: Domain):
@@ -246,7 +246,7 @@ def _point_sites(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv)
     return lambda atoms: ((lambda atom: _atom_mask(atom, xs, ys, taus, env)), owned)
 
 
-def _strict_sites(t: Trajectory, env: EvalEnv) -> Sites:
+def _strict_sites(t: Trajectory, env: EvalEnv) -> _Sites:
     return _point_sites(t.xs, t.ys, t.taus, env)
 
 
@@ -284,7 +284,7 @@ def _leaf_params(target: Region | Interval, op: Op, t: Trajectory) -> ParamInter
     return box_params(starts, ends, (target.tau_s,), (target.tau_e,), op is Op.INSIDE)
 
 
-def _relaxed_sites(t: Trajectory, env: EvalEnv) -> Sites:
+def _relaxed_sites(t: Trajectory, env: EvalEnv) -> _Sites:
     """The site pass over all segments of a trajectory: the truth of each
     interval-shaped leaf of the atoms at every site and on every cell, and
     the sites and cells each domain owns, in that layout."""
@@ -360,7 +360,7 @@ def _augmented_arrays(
     return densify(t.xs, t.ys, t.taus, seg[inner], lam[inner])
 
 
-def _approximated_sites(strategy: ApproxStrategy, t: Trajectory, env: EvalEnv) -> Sites:
+def _approximated_sites(strategy: ApproxStrategy, t: Trajectory, env: EvalEnv) -> _Sites:
     """The recorded points plus the strategy's, made once, on first use."""
     points = functools.cache(lambda: _point_sites(*_augmented_arrays(t, strategy), env))
     return lambda atoms: points()(atoms)
@@ -374,7 +374,7 @@ def eval_approximated(
     return _decide(ast, t, env, functools.partial(_approximated_sites, strategy))
 
 
-def _site_source(s: Strictness) -> SiteSource:
+def _site_source(s: Strictness) -> _SiteSource:
     """The sites of the mode s; the one place a Strictness is read.
 
     Raises:
