@@ -10,7 +10,7 @@ algebra engine. CSV ingestion and a command line front end live in
 ``trajq.dataset`` and ``trajq.cli``.
 """
 
-from .dataset import Dataset, export_csv, ingest_csv
+from .dataset import Dataset, export_csv, ingest_csv, load_trajectories
 from .errors import TrajqError
 from .evaluate import (
     DEFAULT_UNIFORM_K,
@@ -92,6 +92,7 @@ __all__ = [
     "export_csv",
     "format_predicate",
     "ingest_csv",
+    "load_trajectories",
     "parse_predicate",
     "register_strategy",
     "segment_property_view",

@@ -16,6 +16,11 @@ Subcommands:
 * ``exec-nf2 <data.csv> --relation NAME ...`` answers like query but
   through the compiled algebra expression.
 
+``validate`` builds the whole dataset; the other commands that read data
+load it with ``load_trajectories``, which checks the property files as
+``validate`` does but builds only the trajectories, so every command
+rejects the same files with the same error.
+
 Regions are given as ``--region NAME=x_min,y_min,x_max,y_max`` and
 intervals as ``--interval NAME=start,end``; both flags repeat. Strictness
 is ``strict``, ``relaxed``, or ``approx:<strategy>[:k]``. Exit codes:
@@ -30,8 +35,8 @@ import functools
 import sys
 from typing import Sequence, Union
 
-from .dataset import ingest_csv
-from .errors import TrajqError
+from .dataset import ingest_csv, load_trajectories
+from .errors import TrajqError, UnsupportedStrictnessError
 from .evaluate import STRICT, EvalEnv, RELAXED, Strictness, approximated, select_st
 from .geometry import Interval, Region
 from .nf2 import (
@@ -211,19 +216,18 @@ def _build_env(args: argparse.Namespace) -> dict[str, Union[Region, Interval]]:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    d = ingest_csv(args.data)
+    trajectories = load_trajectories(args.data)
     env = _build_env(args)
     ast = parse_predicate(args.predicate, env)
-    selected = select_st(d.trajectories, ast, EvalEnv(env), args.strictness)
+    selected = select_st(trajectories, ast, EvalEnv(env), args.strictness)
     for tid in selected.tids():
         print(tid)
     return 0
 
 
 def _cmd_classify_de9im(args: argparse.Namespace) -> int:
-    d = ingest_csv(args.data)
     _, region = args.region
-    for tid, t in d.trajectories:
+    for tid, t in load_trajectories(args.data):
         labels = classify_de9im(t, region, args.strictness)
         line = tid + "\t" + ",".join(sorted(label.value for label in labels))
         if args.why:
@@ -233,9 +237,8 @@ def _cmd_classify_de9im(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify_allen(args: argparse.Namespace) -> int:
-    d = ingest_csv(args.data)
     _, interval = args.interval
-    for tid, t in d.trajectories:
+    for tid, t in load_trajectories(args.data):
         print(tid + "\t" + classify_allen(t, interval).value)
     return 0
 
@@ -258,12 +261,13 @@ def _resolve_relation(args: argparse.Namespace):
 
 def _compile_relation(args: argparse.Namespace):
     label = _resolve_relation(args)
-    if args.strictness.kind == "approximated":
-        args._parser.error("algebra expressions exist for strict or relaxed only")
     if isinstance(label, De9imLabel):
         if args.region is None:
             args._parser.error(f"relation {label.value} needs --region")
-        return compile_spatial(label, args.region[1], args.strictness)
+        try:
+            return compile_spatial(label, args.region[1], args.strictness)
+        except UnsupportedStrictnessError as exc:  # a mode the flag accepts
+            args._parser.error(str(exc))
     if args.interval is None:
         args._parser.error(f"relation {args.relation!r} needs --interval")
     return compile_temporal(label, args.interval[1])
@@ -276,8 +280,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_exec_nf2(args: argparse.Namespace) -> int:
     expr = _compile_relation(args)
-    d = ingest_csv(args.data)
-    result = execute(expr, trajectories_to_nf2(d.trajectories))
+    result = execute(expr, trajectories_to_nf2(load_trajectories(args.data)))
     for tid in result.column("tid"):
         print(tid)
     return 0

@@ -11,7 +11,9 @@ A dataset lives in up to three sibling files sharing one stem:
 
 Property cells are typed by content: an integer literal, then a float,
 then ``true``/``false``, then plain text. Empty cells mean the property is
-absent for that row. Export renders floats in shortest round-trip decimal
+absent for that row. An integer literal, property or order, with more
+digits than ``int`` converts (``sys.get_int_max_str_digits()``) is a
+``CsvParseError``. Export renders floats in shortest round-trip decimal
 form (integral coordinates without a trailing ``.0``; a property float
 keeps it and reads back as a float), quotes every cell holding a CR or LF,
 and uses LF line endings, so exporting a freshly ingested file reproduces
@@ -20,7 +22,14 @@ it byte for byte.
 Ingest and export work a column at a time: each column is checked and
 converted in one pass, and the rows are sorted by key once. Only when a
 column check fails is the file read again row by row, in file order, to
-raise the first fault with its line and field.
+raise the first fault with its line and field. The trajectories are built
+in one batch from the sorted columns (``Trajectory.from_runs``).
+
+Each property sibling is read in two steps: a check, which raises every
+fault of the file, and a build, which types the cells and groups them per
+trajectory and cannot fail. ``ingest_csv`` runs both; ``load_trajectories``,
+for callers that read no properties, runs only the checks, so it rejects
+exactly the files ``ingest_csv`` rejects, with the same errors.
 """
 
 from __future__ import annotations
@@ -29,11 +38,12 @@ import csv
 import io
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Mapping, NoReturn, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence, Union
 
 import numpy as np
 
@@ -70,10 +80,49 @@ class Dataset:
     metadata: Mapping[str, str] = field(compare=False)
 
 
+def _too_many_digits(text: str, line: int, column: int) -> CsvParseError:
+    digits = len(text.lstrip("+-"))
+    limit = sys.get_int_max_str_digits()
+    message = f"integer of {digits} digits, more than the {limit} allowed"
+    return CsvParseError(line, column, message)
+
+
 def _parse_int(text: str, line: int, column: int) -> int:
     if not _INT_RE.match(text):
         raise CsvParseError(line, column, f"expected an integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise _too_many_digits(text, line, column) from None
+
+
+def _int_column(cells: Sequence[str]) -> np.ndarray | None:
+    """Integer literals as an int64 array, or None if one does not fit."""
+    try:
+        return np.array(cells, dtype=np.int64)
+    except (OverflowError, ValueError):  # ValueError: more digits than int() converts
+        return None
+
+
+def _long_int(cell: str) -> bool:
+    """Whether a property cell is an integer literal ``int`` refuses for its
+    number of digits (``sys.get_int_max_str_digits()``), so it has no type."""
+    if not _INT_RE.match(cell):
+        return False
+    try:
+        int(cell)
+    except ValueError:
+        return True
+    return False
+
+
+def _has_long_int(text: str, columns: Iterable[Sequence[str]]) -> bool:
+    """Whether a property cell of the columns, read from text, cannot be
+    typed; only a cell longer than the digit limit can be one."""
+    limit = sys.get_int_max_str_digits() or math.inf
+    return len(text) > limit and any(
+        max(map(len, column)) > limit and any(map(_long_int, column)) for column in columns
+    )
 
 
 def _parse_float(text: str, line: int, column: int) -> float:
@@ -119,7 +168,23 @@ def _read_text(path: Path) -> str:
 
 
 def _records(text: str) -> list[list[str]]:
-    return list(csv.reader(io.StringIO(text, newline="")))
+    """The rows of a CSV text as ``csv.reader`` reads them. A text with no
+    quote, CR, NUL or empty line and no line over the field size limit has
+    no cell csv would treat specially: it is split at LFs and commas."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    limit = csv.field_size_limit()
+    if (
+        '"' in text
+        or "\r" in text
+        or "\0" in text
+        or "\n\n" in text
+        or text.startswith("\n")
+        or (len(text) > limit and max(map(len, lines)) > limit)
+    ):
+        return list(csv.reader(io.StringIO(text, newline="")))
+    return list(map(str.split, lines, repeat(",")))
 
 
 def _numbered_body(text: str) -> Iterable[tuple[int, list[str]]]:
@@ -171,14 +236,18 @@ def _ingest_points(path: Path) -> TrajectoriesRelation:
         values = np.fromiter(map(float, chain.from_iterable(coords)), np.float64, 3 * n)
     except ValueError:
         _raise_points_fault(text)
-    ints = list(map(int, orders))
-    if not np.isfinite(values).all() or min(ints) < 0 or max(ints) >= n:
+    order_col = _int_column(orders)
+    if (
+        order_col is None
+        or not np.isfinite(values).all()
+        or order_col.min() < 0
+        or order_col.max() >= n
+    ):
         _raise_points_fault(text)
 
     names = sorted(set(tids))
     code = {tid: i for i, tid in enumerate(names)}
     codes = np.fromiter(map(code.__getitem__, tids), np.int64, n)
-    order_col = np.array(ints, dtype=np.int64)
     perm = np.argsort(codes * n + order_col, kind="stable")
     counts = np.bincount(codes, minlength=len(names))
     starts = np.cumsum(counts) - counts
@@ -187,17 +256,11 @@ def _ingest_points(path: Path) -> TrajectoriesRelation:
     contiguous = np.array_equal(order_col[perm], np.arange(n) - np.repeat(starts, counts))
     if not contiguous:
         _raise_points_fault(text)
-    xs, ys, taus = values.reshape(3, n)[:, perm]
-    bounds = zip(starts.tolist(), (starts + counts).tolist())
     try:  # the model checks that time increases
-        return TrajectoriesRelation(
-            tuple(
-                (tid, Trajectory(xs[s:e], ys[s:e], taus[s:e]))
-                for tid, (s, e) in zip(names, bounds)
-            )
-        )
+        built = Trajectory.from_runs(*values.reshape(3, n)[:, perm], starts)
     except NonMonotoneTimeError:
         _raise_points_fault(text)
+    return TrajectoriesRelation(tuple(zip(names, built)))
 
 
 def _raise_points_fault(text: str) -> NoReturn:
@@ -235,32 +298,45 @@ def _unknown_tid(tid: str, path: Path) -> InvariantViolationError:
     return InvariantViolationError(tid, f"{path.name} references an unknown trajectory id")
 
 
-def _parsed_cells(column: Sequence[str]) -> dict[str, PropertyValue]:
-    """Each distinct non-empty cell of a property column, typed once."""
-    return {cell: _parse_value(cell) for cell in set(column) if cell}
+def _check_cells(row: Sequence[str], first: int, line: int) -> None:
+    """Raise for the first property cell of a row that cannot be typed."""
+    for column, cell in enumerate(row[first - 1 :], first):
+        if _long_int(cell):
+            raise _too_many_digits(cell, line, column)
 
 
-def _ingest_props(
-    path: Path, tids: tuple[str, ...]
-) -> dict[str, dict[str, PropertyValue]]:
+class _Cells(NamedTuple):
+    """A checked property file whose cells are not yet typed: the property
+    names, the tid of each row and a column of cells per name; for point
+    properties also the code of each row's tid (its index among the
+    trajectories), each row's order and the rows sorted by (tid, order)."""
+
+    names: list[str]
+    tids: tuple[str, ...]
+    columns: list[tuple[str, ...]]
+    codes: np.ndarray | None = None
+    orders: np.ndarray | None = None
+    perm: np.ndarray | None = None
+
+
+def _check_props(path: Path, sizes: Mapping[str, int]) -> _Cells | None:
+    """Check a trajectory property file against the trajectories' tids."""
     text = _read_text(path)
     rows = _records(text)
     header = _check_header(rows, ("tid",), path)
     body = rows[1:]
-    out: dict[str, dict[str, PropertyValue]] = {tid: {} for tid in tids}
     if not body:
-        return out
+        return None
     if set(map(len, body)) != {len(header)}:
-        _raise_props_fault(text, path, header, out)
+        _raise_props_fault(text, path, header, sizes)
     tids, *columns = zip(*body)
-    if not out.keys() >= set(tids) or len(set(tids)) != len(tids):
-        _raise_props_fault(text, path, header, out)
-    for name, column in zip(header[1:], columns):
-        parsed = _parsed_cells(column)
-        for tid, cell in zip(tids, column):
-            if cell:
-                out[tid][name] = parsed[cell]
-    return out
+    if (
+        not sizes.keys() >= set(tids)
+        or len(set(tids)) != len(tids)
+        or _has_long_int(text, columns)
+    ):
+        _raise_props_fault(text, path, header, sizes)
+    return _Cells(header[1:], tids, columns)
 
 
 def _raise_props_fault(text: str, path: Path, header: list[str], known) -> NoReturn:
@@ -274,52 +350,38 @@ def _raise_props_fault(text: str, path: Path, header: list[str], known) -> NoRet
         if tid in seen:
             raise DuplicateKeyError(tid, None)
         seen.add(tid)
+        _check_cells(row, 2, line)
     raise AssertionError("the column checks found a fault the row-by-row read did not")
 
 
-def _ingest_pprops(
-    path: Path, trajectories: TrajectoriesRelation
-) -> dict[str, dict[str, tuple[tuple[int, PropertyValue], ...]]]:
+def _check_pprops(path: Path, sizes: Mapping[str, int]) -> _Cells | None:
+    """Check a point property file against the trajectories' tids and sizes."""
     text = _read_text(path)
     rows = _records(text)
     header = _check_header(rows, ("tid", "order"), path)
     body = rows[1:]
-    sizes = {tid: len(t) for tid, t in trajectories}
-    out: dict[str, dict[str, tuple[tuple[int, PropertyValue], ...]]] = {tid: {} for tid in sizes}
     if not body:
-        return out
+        return None
     if set(map(len, body)) != {len(header)}:
         _raise_pprops_fault(text, path, header, sizes)
     tids, orders, *columns = zip(*body)
-    if not sizes.keys() >= set(tids) or not _all_ints(orders):
-        _raise_pprops_fault(text, path, header, sizes)
-    ints = list(map(int, orders))
-    longest = max(sizes.values())
-    if min(ints) < 0 or max(ints) >= longest:
+    known = sizes.keys() >= set(tids) and _all_ints(orders)
+    order_col = _int_column(orders) if known else None
+    longest = max(sizes.values(), default=0)
+    if order_col is None or order_col.min() < 0 or order_col.max() >= longest:
         _raise_pprops_fault(text, path, header, sizes)
     code = {tid: i for i, tid in enumerate(sizes)}
     codes = np.fromiter(map(code.__getitem__, tids), np.int64, len(tids))
-    order_col = np.array(ints, dtype=np.int64)
     keys = codes * longest + order_col
     perm = np.argsort(keys, kind="stable")
     sorted_keys = keys[perm]
-    repeated = (sorted_keys[1:] == sorted_keys[:-1]).any()
-    if repeated or not (order_col < np.array(list(sizes.values()))[codes]).all():
+    if (
+        (sorted_keys[1:] == sorted_keys[:-1]).any()
+        or not (order_col < np.array(list(sizes.values()))[codes]).all()
+        or _has_long_int(text, columns)
+    ):
         _raise_pprops_fault(text, path, header, sizes)
-
-    starts = np.flatnonzero(np.r_[True, np.diff(codes[perm]) != 0])
-    bounds = list(zip(starts.tolist(), [*starts[1:].tolist(), len(tids)]))
-    perm = perm.tolist()
-    sorted_orders = list(map(ints.__getitem__, perm))
-    for name, column in zip(header[2:], columns):
-        parsed = _parsed_cells(column)
-        cells = list(map(column.__getitem__, perm))
-        for s, e in bounds:  # an empty cell is an absent value: compress drops it
-            values = zip(sorted_orders[s:e], map(parsed.get, cells[s:e]))
-            pairs = tuple(compress(values, cells[s:e]))
-            if pairs:
-                out[tids[perm[s]]][name] = pairs
-    return out
+    return _Cells(header[2:], tids, columns, codes, order_col, perm)
 
 
 def _raise_pprops_fault(text: str, path: Path, header: list[str], sizes) -> NoReturn:
@@ -338,7 +400,50 @@ def _raise_pprops_fault(text: str, path: Path, header: list[str], sizes) -> NoRe
         if (tid, order) in seen:
             raise DuplicateKeyError(tid, order)
         seen.add((tid, order))
+        _check_cells(row, 3, line)
     raise AssertionError("the column checks found a fault the row-by-row read did not")
+
+
+def _parsed_cells(column: Sequence[str]) -> dict[str, PropertyValue]:
+    """Each distinct non-empty cell of a property column, typed once."""
+    return {cell: _parse_value(cell) for cell in set(column) if cell}
+
+
+def _build_props(
+    cells: _Cells | None, tids: Iterable[str]
+) -> dict[str, dict[str, PropertyValue]]:
+    """The values of a checked trajectory property file, per tid and name."""
+    out: dict[str, dict[str, PropertyValue]] = {tid: {} for tid in tids}
+    for name, column in zip(cells.names, cells.columns) if cells else ():
+        parsed = _parsed_cells(column)
+        for tid, cell in zip(cells.tids, column):
+            if cell:
+                out[tid][name] = parsed[cell]
+    return out
+
+
+def _build_pprops(
+    cells: _Cells | None, tids: Iterable[str]
+) -> dict[str, dict[str, tuple[tuple[int, PropertyValue], ...]]]:
+    """The (order, value) pairs of a checked point property file, sorted by
+    order, per tid and name."""
+    out: dict[str, dict[str, tuple[tuple[int, PropertyValue], ...]]] = {tid: {} for tid in tids}
+    if not cells:
+        return out
+    perm = cells.perm
+    starts = np.flatnonzero(np.r_[True, np.diff(cells.codes[perm]) != 0])
+    bounds = list(zip(starts.tolist(), [*starts[1:].tolist(), perm.size]))
+    sorted_orders = cells.orders[perm].tolist()
+    perm = perm.tolist()
+    for name, column in zip(cells.names, cells.columns):
+        parsed = _parsed_cells(column)
+        column = list(map(column.__getitem__, perm))
+        for s, e in bounds:  # an empty cell is an absent value: compress drops it
+            values = zip(sorted_orders[s:e], map(parsed.get, column[s:e]))
+            pairs = tuple(compress(values, column[s:e]))
+            if pairs:
+                out[cells.tids[perm[s]]][name] = pairs
+    return out
 
 
 def _props_path(path: Path) -> Path:
@@ -349,33 +454,50 @@ def _pprops_path(path: Path) -> Path:
     return path.with_name(path.stem + ".pprops.csv")
 
 
+def _check_siblings(
+    path: Path, trajectories: TrajectoriesRelation
+) -> tuple[_Cells | None, _Cells | None]:
+    """Check the property files beside a points file, if they exist."""
+    sizes = {tid: len(t) for tid, t in trajectories}
+    props, pprops = _props_path(path), _pprops_path(path)
+    return (
+        _check_props(props, sizes) if props.exists() else None,
+        _check_pprops(pprops, sizes) if pprops.exists() else None,
+    )
+
+
+def load_trajectories(path: Union[str, Path]) -> TrajectoriesRelation:
+    """The trajectories of a dataset, for callers that read no properties.
+
+    The points file and its property siblings are checked as ``ingest_csv``
+    checks them, with the same errors, but property values are not built.
+
+    Raises:
+        as ``ingest_csv``.
+    """
+    path = Path(path)
+    trajectories = _ingest_points(path)
+    _check_siblings(path, trajectories)
+    return trajectories
+
+
 def ingest_csv(path: Union[str, Path]) -> Dataset:
     """Load a dataset from a points CSV and its optional property siblings.
 
     Raises:
-        CsvParseError: malformed header or cell.
+        CsvParseError: malformed header or cell, or an integer with more
+            digits than ``int`` converts (``sys.get_int_max_str_digits()``).
         DuplicateKeyError: repeated (tid, order) point or repeated row key.
         InvariantViolationError: orders not contiguous, time not strictly
             increasing, or a property row referencing an unknown id.
     """
     path = Path(path)
     trajectories = _ingest_points(path)
+    props, pprops = _check_siblings(path, trajectories)
     tids = trajectories.tids()
-    props_path = _props_path(path)
-    pprops_path = _pprops_path(path)
-    trajectory_props = (
-        _ingest_props(props_path, tids)
-        if props_path.exists()
-        else {tid: {} for tid in tids}
-    )
-    point_props = (
-        _ingest_pprops(pprops_path, trajectories)
-        if pprops_path.exists()
-        else {tid: {} for tid in tids}
-    )
     return Dataset(
         trajectories,
-        PropertyRelation(trajectory_props, point_props),
+        PropertyRelation(_build_props(props, tids), _build_pprops(pprops, tids)),
         {
             "name": path.stem,
             "source": str(path),

@@ -11,11 +11,11 @@ the sites a quantifier ranges over:
 
 A mode supplies only its site source (``_site_source``): for the atoms of a
 quantified clause, the truth of each atom at every site and, per domain (T,
-TFL), the mask of the sites it owns. ``_holds``, the one clause loop, holds
-the one quantifier rule: EXISTS holds iff the body holds at some owned
-site, FORALL iff it fails at none. One atom rule, ``_atom_mask``, tests
-point sites as arrays and the pf or pl of a ground clause as floats, so
-ground clauses agree in every mode.
+TFL), the mask of the sites it owns, or ``True`` where it owns them all.
+``_holds``, the one clause loop, holds the one quantifier rule: EXISTS
+holds iff the body holds at some owned site, FORALL iff it fails at none.
+One atom rule, ``_atom_mask``, tests point sites as arrays and the pf or
+pl of a ground clause as floats, so ground clauses agree in every mode.
 
 Relaxed sites come from one vectorised pass over all segments of a
 trajectory. On one segment every atom holds on one interval of the
@@ -221,7 +221,7 @@ def _holds(ast: Predicate, ground: Callable[[Atom], bool], sites: _Sites) -> boo
             truth, owned = sites(_walk_atoms(clause.body))
             body, domain = _body_mask(clause.body, truth), owned(clause.domain)
             exists = clause.quantifier is Quantifier.EXISTS
-            ok = (body & domain).any() if exists else not (~body & domain).any()
+            ok = _owned(body, domain).any() if exists else not _owned(~body, domain).any()
         if not ok:
             return False
     return True
@@ -231,6 +231,12 @@ def _decide(ast: Predicate, t: Trajectory, env: EvalEnv, source: _SiteSource) ->
     """Validate, then run the clause loop with pf and pl and source's sites."""
     _require_valid(ast, env)
     return _holds(ast, lambda atom: _ground_atom(atom, t, env), source(t, env))
+
+
+def _owned(mask: np.ndarray, domain) -> np.ndarray:
+    """The mask at the sites a domain owns, False elsewhere; a domain of
+    ``True`` owns every site, and the mask is returned as it is."""
+    return mask if domain is True else mask & domain
 
 
 def _point_sites(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv) -> _Sites:
@@ -449,7 +455,7 @@ def region_signature(t: Trajectory, r: Region, s: Strictness) -> RegionSignature
         for x, y, tau in ((t.xs.item(i), t.ys.item(i), t.taus.item(i)) for i in (0, -1))
     ]
     domains = (Domain.INNER_POINTS, Domain.ALL_POINTS)
-    triples = (*ends, *((rows & owned(d)).reshape(3, -1).any(axis=1) for d in domains))
+    triples = (*ends, *(_owned(rows, owned(d)).reshape(3, -1).any(axis=1) for d in domains))
     return RegionSignature(*("".join(c for c, hit in zip("IBE", m) if hit) for m in triples))
 
 

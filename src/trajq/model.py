@@ -11,7 +11,9 @@ A ``Trajectory(xs, ys, taus)`` stores the samples as three read-only
 float64 columns, which is what evaluation, export and the nested-relational
 engine read. ``t.points`` is a view of the same data as ``TrajectoryPoint``
 records, built on first use; ``build_trajectory`` turns (x, y, tau) samples
-into the columns.
+into the columns. ``Trajectory.from_runs`` builds many trajectories from
+concatenated columns, checked once by the constructor's rule, without
+copying them.
 
 Trajectories are grouped into a relation keyed by trajectory id, and
 descriptive attributes live in a separate property relation at two grains:
@@ -67,6 +69,50 @@ class Segment:
         return self.start.order
 
 
+def _float_columns(xs, ys, taus, copy: bool) -> list[np.ndarray]:
+    convert = np.array if copy else np.asarray
+    try:
+        cols = [convert(c, dtype=np.float64) for c in (xs, ys, taus)]
+        if not cols[0].shape == cols[1].shape == cols[2].shape == (cols[2].size,):
+            raise ValueError("shapes differ")
+    except (TypeError, ValueError):
+        raise PointOrderError("point columns must be 1-D numbers of one length") from None
+    return cols
+
+
+_ONE_RUN = np.zeros(1, dtype=np.int64)
+
+
+def _check_runs(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, starts: np.ndarray) -> None:
+    """The one validation rule of trajectories: the columns, cut into runs
+    at ``starts`` (0, then ascending indices inside the columns), hold at
+    least one point, all finite, and tau rises strictly within each run.
+    The fault raised is that of the first faulty run, a non-finite point
+    before a time fault, and names points by their order in the run."""
+    if not taus.size:
+        raise EmptyTrajectoryError("a trajectory needs at least one point")
+    finite = np.isfinite(xs) & np.isfinite(ys) & np.isfinite(taus)
+    # An ordered comparison, not np.diff: differences overflow near the float range.
+    later = taus[1:] > taus[:-1]
+    if starts.size > 1:
+        later[starts[1:] - 1] = True  # a run may start before the last one ended
+    if finite.all() and later.all():
+        return
+    ok = finite.copy()
+    ok[1:] &= later
+    run = int(np.searchsorted(starts, ok.argmin(), "right")) - 1
+    s, e = int(starts[run]), int(starts[run + 1]) if run + 1 < starts.size else taus.size
+    if not finite[s:e].all():
+        raise NonFiniteValueError(
+            f"point {int(finite[s:e].argmin())} has a non-finite coordinate or timestamp"
+        )
+    i = int(later[s : e - 1].argmin())
+    raise NonMonotoneTimeError(
+        f"tau must increase strictly: order {i} has tau={float(taus[s + i])}, "
+        f"order {i + 1} has tau={float(taus[s + i + 1])}"
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """An ordered, time-monotone sequence of at least one point, stored as
@@ -85,31 +131,44 @@ class Trajectory:
     taus: np.ndarray
 
     def __post_init__(self):
-        try:
-            cols = [np.array(c, dtype=np.float64) for c in (self.xs, self.ys, self.taus)]
-            xs, ys, taus = cols
-            if not xs.shape == ys.shape == taus.shape == (taus.size,):
-                raise ValueError("shapes differ")
-        except (TypeError, ValueError):
-            raise PointOrderError("point columns must be 1-D numbers of one length") from None
-        if not taus.size:
-            raise EmptyTrajectoryError("a trajectory needs at least one point")
-        finite = np.isfinite(xs) & np.isfinite(ys) & np.isfinite(taus)
-        if not finite.all():
-            raise NonFiniteValueError(
-                f"point {int(finite.argmin())} has a non-finite coordinate or timestamp"
-            )
-        # An ordered comparison, not np.diff: differences overflow near the float range.
-        rising = taus[1:] > taus[:-1]
-        if not rising.all():
-            i = int(rising.argmin())
-            raise NonMonotoneTimeError(
-                f"tau must increase strictly: order {i} has tau={float(taus[i])}, "
-                f"order {i + 1} has tau={float(taus[i + 1])}"
-            )
+        cols = _float_columns(self.xs, self.ys, self.taus, copy=True)
+        _check_runs(*cols, _ONE_RUN)
         for name, col in zip(("xs", "ys", "taus"), cols):
             col.flags.writeable = False
             object.__setattr__(self, name, col)
+
+    @classmethod
+    def from_runs(cls, xs, ys, taus, starts) -> tuple["Trajectory", ...]:
+        """One trajectory per run of the columns, the runs starting at the
+        strictly ascending indices ``starts`` (the first is 0). The columns are
+        checked once by the constructor's rule, which raises for the first
+        faulty run; float64 columns are not copied but made read-only, and
+        each trajectory holds views of them, so the caller must not keep
+        writable references to them.
+
+        Raises:
+            PointOrderError: as for the constructor, or ``starts`` do not
+                rise strictly from 0 within the columns.
+            EmptyTrajectoryError, NonFiniteValueError, NonMonotoneTimeError:
+                as for the constructor, for the first faulty run.
+        """
+        cols = _float_columns(xs, ys, taus, copy=False)
+        starts = np.asarray(starts, dtype=np.int64)
+        n = cols[2].size
+        if starts.ndim != 1 or starts[:1].tolist() != [0] or (
+            (np.diff(starts) <= 0).any() or starts[-1] >= max(n, 1)
+        ):
+            raise PointOrderError("run starts must rise strictly from 0 within the columns")
+        _check_runs(*cols, starts)
+        for col in cols:
+            col.flags.writeable = False
+        out = []
+        for s, e in zip(starts.tolist(), [*starts[1:].tolist(), n]):
+            t = object.__new__(cls)
+            for name, col in zip(("xs", "ys", "taus"), cols):
+                object.__setattr__(t, name, col[s:e])
+            out.append(t)
+        return tuple(out)
 
     def __eq__(self, other):
         return isinstance(other, Trajectory) and all(

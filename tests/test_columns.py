@@ -3,7 +3,10 @@
 ``Trajectory(xs, ys, taus)`` checks finiteness and time order with array
 operations. The reference below is the per-point loop that validated the
 earlier point-tuple storage; the constructor must reject exactly the same
-inputs, with the same error type naming the same point.
+inputs, with the same error type naming the same point. ``from_runs``
+applies the same rule once to concatenated runs: it must build what the
+constructor builds from each run, or raise what it raises for the first
+faulty run.
 """
 
 import math
@@ -11,10 +14,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trajq.errors import EmptyTrajectoryError, NonFiniteValueError, NonMonotoneTimeError
+from trajq.errors import (
+    EmptyTrajectoryError,
+    NonFiniteValueError,
+    NonMonotoneTimeError,
+    PointOrderError,
+)
 from trajq.model import (
     Trajectory,
     TrajectoryPoint,
@@ -124,3 +132,33 @@ def test_extreme_timestamps_validate_without_warnings():
         assert time_span(t) == (-1e308, 1e308)
         with pytest.raises(NonMonotoneTimeError, match="order 1 has tau=1e\\+308"):
             Trajectory([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [-1e308, 1e308, -1e308])
+
+
+@settings(derandomize=True, max_examples=400)
+@given(st.lists(columns(), min_size=1, max_size=4))
+def test_batch_validation_is_the_constructor_rule_per_run(runs):
+    runs = [cols for cols in runs if cols[2]]
+    assume(runs)
+    starts = np.cumsum([0] + [len(cols[2]) for cols in runs[:-1]])
+    xs, ys, taus = (np.concatenate([np.array(c, dtype=float) for c in cols]) for cols in zip(*runs))
+    want = next(filter(None, (_outcome(Trajectory, cols) for cols in runs)), None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(Trajectory.from_runs, (xs, ys, taus, starts)) == want
+    if want is None:
+        built = Trajectory.from_runs(xs, ys, taus, starts)
+        assert built == tuple(Trajectory(*cols) for cols in runs)
+        for t in built:
+            for col, whole in ((t.xs, xs), (t.ys, ys), (t.taus, taus)):
+                assert not col.flags.writeable and np.shares_memory(col, whole)
+
+
+@pytest.mark.parametrize("starts", [[], [1], [0, 0], [0, 2, 1], [0, 3], [[0]]])
+def test_batch_runs_must_rise_strictly_from_zero_within_the_columns(starts):
+    with pytest.raises(PointOrderError, match="run starts"):
+        Trajectory.from_runs([0, 1, 2], [0, 1, 2], [0, 1, 2], starts)
+
+
+def test_batch_of_no_points_is_an_empty_trajectory():
+    with pytest.raises(EmptyTrajectoryError):
+        Trajectory.from_runs([], [], [], [0])

@@ -395,6 +395,13 @@ def test_cli_explain_errors(capsys):
     )
     assert code == 2 and "strict or relaxed" in err
 
+    # Temporal plans carry no strictness, so every mode gives the same plan.
+    code, out, _ = run(
+        capsys, "explain", "--relation", "precedes", "--interval", "I=100,140",
+        "--strictness", "approx:uniform",
+    )
+    assert (code, out) == (0, "SELECT[max(PROJECT[tau](T)) < 100](INPUT)\n")
+
 
 def test_cli_exec_nf2(capsys):
     data = str(DATA / "crossing.csv")

@@ -7,10 +7,15 @@ replaced. On generated points, props and pprops files (shuffled rows, tids
 holding commas, quotes and line breaks, up to two injected faults) both must
 give equal datasets, with equally typed values, or the same exception with
 the same text, line and field; export must write the same bytes.
+``load_trajectories``, which checks the property files without building
+them, must give the same trajectories or the same exception, and every CLI
+command that loads data the same exit code and error line as ``validate``.
 """
 
+import contextlib
 import csv
 import io
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,14 +24,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajq._fmt import format_float
+from trajq.cli import main
 from trajq.dataset import (
     POINTS_HEADER,
     Dataset,
     _parse_float,
     _parse_int,
     _parse_value,
+    _records,
     export_csv,
     ingest_csv,
+    load_trajectories,
 )
 from trajq.errors import (
     CsvParseError,
@@ -87,6 +95,17 @@ def _reference_points(path: Path) -> TrajectoriesRelation:
     return TrajectoriesRelation.from_pairs(pairs)
 
 
+def _reference_value(cell: str, line: int, column: int):
+    try:
+        return _parse_value(cell)
+    except ValueError:  # an integer with more digits than int() converts
+        digits = len(cell.lstrip("+-"))
+        limit = sys.get_int_max_str_digits()
+        raise CsvParseError(
+            line, column, f"integer of {digits} digits, more than the {limit} allowed"
+        ) from None
+
+
 def _reference_props(path: Path, tids) -> dict:
     header, rows = _reference_rows(path, ("tid",))
     out = {tid: {} for tid in tids}
@@ -100,9 +119,9 @@ def _reference_props(path: Path, tids) -> dict:
         if tid in seen:
             raise DuplicateKeyError(tid, None)
         seen.add(tid)
-        for name, cell in zip(header[1:], row[1:]):
+        for column, (name, cell) in enumerate(zip(header[1:], row[1:]), 2):
             if cell != "":
-                out[tid][name] = _parse_value(cell)
+                out[tid][name] = _reference_value(cell, line, column)
     return out
 
 
@@ -125,9 +144,9 @@ def _reference_pprops(path: Path, trajectories) -> dict:
         if (tid, order) in seen:
             raise DuplicateKeyError(tid, order)
         seen.add((tid, order))
-        for name, cell in zip(header[2:], row[2:]):
+        for column, (name, cell) in enumerate(zip(header[2:], row[2:]), 3):
             if cell != "":
-                collected[tid].setdefault(name, {})[order] = _parse_value(cell)
+                collected[tid].setdefault(name, {})[order] = _reference_value(cell, line, column)
     return {
         tid: {name: tuple(sorted(by_order.items())) for name, by_order in per.items()}
         for tid, per in collected.items()
@@ -216,11 +235,12 @@ property_cell = st.one_of(
     st.sampled_from(
         ["", "", "7", "-3", "+4", "007", "3.5", "-0", "-0.0", "1e400", "nan", "inf",
          "true", "false", "True", "goose", "0x10", "1_0", " 1", "٣", "a,b",
-         'say "hi"', "line\nbreak"]
+         'say "hi"', "line\nbreak", "-" + "7" * 4301]
     ),
     finite.map(repr),
 )
-BAD_ORDERS = ["0,1", "0\n1", " 0", "0_0", "x", "1.0", "٠", ""]
+LONG = "1" * 5000  # more digits than int() converts
+BAD_ORDERS = ["0,1", "0\n1", " 0", "0_0", "x", "1.0", "٠", "", LONG]
 BAD_NUMBERS = ["abc", "0x10", "nan", "inf", "-inf", "1e400", ""]
 HUGE = "123456789012345678901234567890"
 
@@ -321,12 +341,26 @@ def _typed(d: Dataset):
     )
 
 
+def _error(exc: Exception):
+    return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
 def _outcome(ingest, path: Path):
     try:
         d = ingest(path)
     except Exception as exc:
-        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+        return _error(exc)
     return _typed(d), d
+
+
+def _loaded(path: Path):
+    """load_trajectories' outcome: the error as ``_outcome`` gives it, or the
+    trajectories in a dataset without properties, typed."""
+    try:
+        rel = load_trajectories(path)
+    except Exception as exc:
+        return _error(exc)
+    return _typed(Dataset(rel, PropertyRelation.empty(rel.tids()), {}))[0], rel
 
 
 POINTS = "tid,order,x,y,tau\nA,0,0,0,0\nA,1,1,1,1\nA,2,2,2,2\nB,0,5,5,5\n"
@@ -378,11 +412,14 @@ def test_column_ingest_matches_the_row_loop(files, terminator):
         _write_files(tmp, files, terminator)
         got, want = _outcome(ingest_csv, tmp / "d.csv"), _outcome(reference_ingest, tmp / "d.csv")
         assert got[0] == want[0]
+        loaded = _loaded(tmp / "d.csv")
         if isinstance(got[0], type):
             assert got == want
+            assert loaded == got
             return
         dataset = got[1]
         assert dataset == want[1]
+        assert loaded == (got[0][0], dataset.trajectories)
         (tmp / "new").mkdir()
         (tmp / "old").mkdir()
         export_csv(dataset, tmp / "new" / "d.csv")
@@ -398,3 +435,80 @@ def test_column_ingest_matches_the_row_loop(files, terminator):
         assert again == dataset
         assert _typed(again) == _typed(dataset)
 
+
+
+# --- what only the check-only path and the CLI add ----------------------
+
+
+@pytest.mark.parametrize(
+    "files,line,column",
+    [
+        ({".csv": f"tid,order,x,y,tau\nT0,{LONG},1,2,1\n"}, 2, 2),
+        ({".csv": POINTS, ".props.csv": f"tid,n\nB,1\nA,{LONG}\n"}, 3, 2),
+        ({".csv": POINTS, ".pprops.csv": f"tid,order,s,n\nA,2,x,+{LONG}\n"}, 2, 4),
+    ],
+    ids=["order", "trajectory property", "point property"],
+)
+def test_an_integer_with_too_many_digits_is_a_positioned_parse_error(
+    files, line, column, tmp_path
+):
+    path = _write_files(tmp_path, files)
+    want = (
+        CsvParseError,
+        f"line {line}, field {column}: integer of 5000 digits, "
+        f"more than the {sys.get_int_max_str_digits()} allowed",
+        line,
+        column,
+    )
+    assert _outcome(ingest_csv, path) == want
+    assert _loaded(path) == want
+    assert _outcome(reference_ingest, path) == want
+    for command in _commands(str(path)):
+        assert _cli(command) == (1, "", f"error: {want[1]}\n"), command[0]
+
+
+def _commands(data: str) -> list[list[str]]:
+    """Every CLI command that loads a data file, validate first."""
+    return [
+        ["validate", data],
+        ["query", data, "--predicate", "EXISTS p IN T: p INSIDE R", "--region", "R=0,0,1,1"],
+        ["classify", "de9im", data, "--region", "R=0,0,1,1"],
+        ["classify", "allen", data, "--interval", "I=0,10"],
+        ["exec-nf2", data, "--relation", "precedes", "--interval", "I=0,10"],
+    ]
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dataset_files())
+def test_every_loading_command_rejects_what_validate_rejects(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        validate, *others = map(_cli, _commands(str(_write_files(Path(tmp), files))))
+    assert validate[0] in (0, 1)
+    for code, out, err in others:
+        if validate[0]:
+            assert (code, out, err) == validate
+        else:  # accepted data may still fail a command: allen needs two points
+            assert code == 0 or err.startswith("error: span")
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.text(st.sampled_from(["a", "1", ",", "\n", "\r", '"', " ", "\0", "é"]), max_size=30))
+def test_records_reads_as_csv_reads(text):
+    assert _records(text) == list(csv.reader(io.StringIO(text, newline="")))
+
+
+def test_records_leaves_a_field_over_the_size_limit_to_csv():
+    saved = csv.field_size_limit(8)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            _records("tid,order\nabcdefghij,1\n")
+        assert _records("tid,order\nabcdefgh,1\n") == [["tid", "order"], ["abcdefgh", "1"]]
+    finally:
+        csv.field_size_limit(saved)

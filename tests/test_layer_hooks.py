@@ -4,11 +4,14 @@
 ``trajq.evaluate.evaluate`` with a wrapper, and classification per
 trajectory by replacing ``trajq.cli.classify_de9im``. Its ``evaluate.*``
 and ``relations.*`` metrics read 0 if ``select_st`` or the CLI stop looking
-those names up at call time, and it fails to start if a name it wraps in
-``trajq.relations`` is gone, so these tests pin the lookups and the names.
+those names up at call time, and it fails to start if a name it wraps is
+gone, so these tests pin the lookups and every name it wraps.
 """
 
 import importlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import trajq.cli
 import trajq.relations
@@ -73,3 +76,17 @@ def test_cli_looks_up_classify_de9im_once_per_row(monkeypatch, tmp_path):
         argv = ["classify", "de9im", str(data), "--region", "R=0.5,0.5,4,4", "--strictness", mode]
         assert trajq.cli.main(argv) == 0
         assert calls == [t for _, t in REL.rows]
+
+
+def test_every_name_tracing_wraps_exists(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module.__name__}.{name}"
+        for module, name, *_ in tracing.PATCHES
+        if not callable(getattr(module, name, None))
+    ]
+    assert not missing
