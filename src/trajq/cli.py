@@ -225,22 +225,30 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_classify_de9im(args: argparse.Namespace) -> int:
-    _, region = args.region
-    for tid, t in load_trajectories(args.data):
-        labels = classify_de9im(t, region, args.strictness)
-        line = tid + "\t" + ",".join(sorted(label.value for label in labels))
-        if args.why:
-            line += "\t" + str(de9im_signature(t, region, args.strictness))
+def _print_lines(lines: list[str]) -> int:
+    """Print lines built in full first, so a failing row prints nothing."""
+    for line in lines:
         print(line)
     return 0
 
 
+def _cmd_classify_de9im(args: argparse.Namespace) -> int:
+    _, region = args.region
+
+    def line(tid, t) -> str:
+        labels = classify_de9im(t, region, args.strictness)
+        text = tid + "\t" + ",".join(sorted(label.value for label in labels))
+        if args.why:
+            text += "\t" + str(de9im_signature(t, region, args.strictness))
+        return text
+
+    return _print_lines([line(tid, t) for tid, t in load_trajectories(args.data)])
+
+
 def _cmd_classify_allen(args: argparse.Namespace) -> int:
     _, interval = args.interval
-    for tid, t in load_trajectories(args.data):
-        print(tid + "\t" + classify_allen(t, interval).value)
-    return 0
+    rows = load_trajectories(args.data)
+    return _print_lines([tid + "\t" + classify_allen(t, interval).value for tid, t in rows])
 
 
 def _resolve_relation(args: argparse.Namespace):

@@ -13,11 +13,12 @@ Property cells are typed by content: an integer literal, then a float,
 then ``true``/``false``, then plain text. Empty cells mean the property is
 absent for that row. An integer literal, property or order, with more
 digits than ``int`` converts (``sys.get_int_max_str_digits()``) is a
-``CsvParseError``. Export renders floats in shortest round-trip decimal
-form (integral coordinates without a trailing ``.0``; a property float
-keeps it and reads back as a float), quotes every cell holding a CR or LF,
-and uses LF line endings, so exporting a freshly ingested file reproduces
-it byte for byte.
+``CsvParseError``; so is a cell longer than ``csv.field_size_limit()``, at
+the line where csv meets it, before any other check of its file. Export
+renders floats in shortest round-trip decimal form (integral coordinates
+without a trailing ``.0``; a property float keeps it and reads back as a
+float), quotes every cell holding a CR or LF, and uses LF line endings, so
+exporting a freshly ingested file reproduces it byte for byte.
 
 Ingest and export work a column at a time: each column is checked and
 converted in one pass, and the rows are sorted by key once. Only when a
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, Union
 
 import numpy as np
 
@@ -159,7 +160,7 @@ def _read_text(path: Path) -> str:
     except UnicodeDecodeError as exc:
         breaks = [m.end() for m in _LINE_BREAK_RE.finditer(raw, 0, exc.start)]
         line_start = breaks[-1] if breaks else 0
-        fields = next(csv.reader([raw[line_start : exc.start].decode("utf-8")]))
+        fields = _row_without_limit([raw[line_start : exc.start].decode("utf-8")])
         raise CsvParseError(
             len(breaks) + 1,
             max(len(fields), 1),
@@ -167,10 +168,43 @@ def _read_text(path: Path) -> str:
         ) from None
 
 
+def _numbered_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a CSV text as ``csv.reader`` reads them, each with the
+    line it ends on.
+
+    Raises:
+        CsvParseError: a cell longer than ``csv.field_size_limit()``.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    done = 0  # the lines of the rows read so far
+    try:
+        for row in reader:
+            yield reader.line_num, row
+            done = reader.line_num
+    except csv.Error as exc:
+        limit = csv.field_size_limit()
+        row = _row_without_limit(io.StringIO(text, newline="").readlines()[done:])
+        column = next((i for i, cell in enumerate(row, 1) if len(cell) > limit), 1)
+        raise CsvParseError(reader.line_num, column, str(exc)) from None
+
+
+def _row_without_limit(lines: list[str]) -> list[str]:
+    """The first row csv reads from lines, however long its cells."""
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        return next(csv.reader(lines))
+    finally:
+        csv.field_size_limit(limit)
+
+
 def _records(text: str) -> list[list[str]]:
     """The rows of a CSV text as ``csv.reader`` reads them. A text with no
     quote, CR, NUL or empty line and no line over the field size limit has
-    no cell csv would treat specially: it is split at LFs and commas."""
+    no cell csv would treat specially: it is split at LFs and commas.
+
+    Raises:
+        CsvParseError: a cell longer than ``csv.field_size_limit()``.
+    """
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -183,15 +217,15 @@ def _records(text: str) -> list[list[str]]:
         or text.startswith("\n")
         or (len(text) > limit and max(map(len, lines)) > limit)
     ):
-        return list(csv.reader(io.StringIO(text, newline="")))
+        return [row for _, row in _numbered_rows(text)]
     return list(map(str.split, lines, repeat(",")))
 
 
-def _numbered_body(text: str) -> Iterable[tuple[int, list[str]]]:
+def _numbered_body(text: str) -> Iterator[tuple[int, list[str]]]:
     """The data rows after the header, each with the line it ends on."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader)
-    return ((reader.line_num, row) for row in reader)
+    rows = _numbered_rows(text)
+    next(rows)
+    return rows
 
 
 def _check_header(rows: list[list[str]], required: tuple[str, ...], path: Path) -> list[str]:
@@ -485,8 +519,9 @@ def ingest_csv(path: Union[str, Path]) -> Dataset:
     """Load a dataset from a points CSV and its optional property siblings.
 
     Raises:
-        CsvParseError: malformed header or cell, or an integer with more
-            digits than ``int`` converts (``sys.get_int_max_str_digits()``).
+        CsvParseError: malformed header or cell, a cell longer than
+            ``csv.field_size_limit()``, or an integer with more digits than
+            ``int`` converts (``sys.get_int_max_str_digits()``).
         DuplicateKeyError: repeated (tid, order) point or repeated row key.
         InvariantViolationError: orders not contiguous, time not strictly
             increasing, or a property row referencing an unknown id.

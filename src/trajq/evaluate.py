@@ -18,15 +18,18 @@ One atom rule, ``_atom_mask``, tests point sites as arrays and the pf or
 pl of a ground clause as floats, so ground clauses agree in every mode.
 
 Relaxed sites come from one vectorised pass over all segments of a
-trajectory. On one segment every atom holds on one interval of the
-parameter range [0, 1] (region OUTSIDE is the complement of the closed
-hull, time OUTSIDE the union of BEFORE and AFTER). Its ends are threshold
-crossings (v - c0) / (c1 - c0). The sites of a segment are 0, 1 and every
-crossing, sorted, plus the open cell between each pair of neighbours that
-differ; no atom changes truth inside a cell. Whether an atom holds at a
-site or on a cell is decided only by ordinal comparisons of the site
-values with the interval ends and their open/closed flags: no midpoints
-and no epsilons, so a cell between two adjacent floats still counts. AND,
+trajectory. Every atom tests a box: a region's bounds, an interval, or for
+BEFORE and AFTER the half-line before or after it. On one segment the
+closed box holds on one interval of the parameter range [0, 1], from
+``enter`` to ``leave``, whose ends are threshold crossings (v - c0) / (c1 -
+c0), computed once per box whatever the operators. The sites of a segment
+are 0, 1 and every crossing, sorted, plus the open cell between each pair
+of neighbours that differ; no atom changes truth inside a cell. An atom is
+decided at a site or on a cell only by ordinal comparisons with ``enter``
+and ``leave``: WITHIN holds on the closed interval, INSIDE, BEFORE and
+AFTER on the open one (never on a segment that runs flat along a face of
+the box), OUTSIDE wherever WITHIN fails. No midpoints and no epsilons, so a
+cell between two adjacent floats still counts. AND,
 OR and NOT then act on boolean site masks. Segment domains are half-open
 so that a vertex shared by two segments is owned by exactly one of them;
 the final segment also owns the last point, and the TFL domain drops just
@@ -59,7 +62,7 @@ from .errors import (
     UnsupportedStrictnessError,
     ValidationFailedError,
 )
-from .geometry import Interval, ParamIntervals, Region, box_params, densify
+from .geometry import Interval, Region, box_crossings, densify
 from .model import Segment, TrajectoriesRelation, Trajectory, segments
 from .predicate import (
     And,
@@ -264,64 +267,65 @@ def eval_strict(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
 # --- relaxed machinery --------------------------------------------------
 
 
-def _leaf_keys(atom: Atom, env: EvalEnv) -> tuple[tuple[str, Op], ...]:
-    """The interval-shaped atoms that decide one atom on a segment."""
-    if atom.op is not Op.OUTSIDE:
-        return ((atom.rhs, atom.op),)
-    if isinstance(env.bindings[atom.rhs], Region):
-        return ((atom.rhs, Op.WITHIN),)  # exterior: not in the closed hull
-    return ((atom.rhs, Op.BEFORE), (atom.rhs, Op.AFTER))
+_Box = tuple[tuple[str, ...], tuple[float, ...], tuple[float, ...]]
 
 
-def _leaf_params(target: Region | Interval, op: Op, t: Trajectory) -> ParamIntervals:
+def _box(atom: Atom, env: EvalEnv) -> _Box:
+    """The box an atom tests: the coordinates it reads, their lower bounds
+    and their upper bounds. Time BEFORE and AFTER test half-lines."""
+    target = env.bindings[atom.rhs]
     if isinstance(target, Region):
-        return box_params(
-            (t.xs[:-1], t.ys[:-1]),
-            (t.xs[1:], t.ys[1:]),
-            (target.x_min, target.y_min),
-            (target.x_max, target.y_max),
-            op is Op.INSIDE,
-        )
-    starts, ends = (t.taus[:-1],), (t.taus[1:],)
-    if op is Op.BEFORE:
-        return box_params(starts, ends, (-math.inf,), (target.tau_s,), True)
-    if op is Op.AFTER:
-        return box_params(starts, ends, (target.tau_e,), (math.inf,), True)
-    return box_params(starts, ends, (target.tau_s,), (target.tau_e,), op is Op.INSIDE)
+        return ("xs", "ys"), (target.x_min, target.y_min), (target.x_max, target.y_max)
+    if atom.op is Op.BEFORE:
+        return ("taus",), (-math.inf,), (target.tau_s,)
+    if atom.op is Op.AFTER:
+        return ("taus",), (target.tau_e,), (math.inf,)
+    return ("taus",), (target.tau_s,), (target.tau_e,)
+
+
+def _crossings(t: Trajectory, names: tuple[str, ...], lo, hi):
+    """Where each segment of t crosses a box (:func:`box_crossings`)."""
+    columns = [getattr(t, name) for name in names]
+    return box_crossings([c[:-1] for c in columns], [c[1:] for c in columns], lo, hi)
+
+
+# The ops that hold on the closed box (OUTSIDE as its complement); the
+# others hold on its interior.
+_CLOSED_OPS = (Op.WITHIN, Op.OUTSIDE)
 
 
 def _relaxed_sites(t: Trajectory, env: EvalEnv) -> _Sites:
     """The site pass over all segments of a trajectory: the truth of each
-    interval-shaped leaf of the atoms at every site and on every cell, and
-    the sites and cells each domain owns, in that layout."""
+    atom at every site and on every cell, from one crossing computation per
+    box the atoms test, and the sites and cells each domain owns, in that
+    layout."""
     if len(t) == 1:  # one recorded point, no continuum
         return _strict_sites(t, env)
 
     def sites(atoms: Iterable[Atom]):
-        keys = dict.fromkeys(k for a in atoms for k in _leaf_keys(a, env))
-        leaves = {k: _leaf_params(env.bindings[k[0]], k[1], t) for k in keys}
+        keys = {a: (_box(a, env), a.op in _CLOSED_OPS) for a in atoms}
+        boxes = dict.fromkeys(box for box, _ in keys.values())
+        crossings = {box: _crossings(t, *box) for box in boxes}
         m = len(t) - 1
         bounds = [np.zeros(m), np.ones(m)]
-        for p in leaves.values():
-            bounds += [p.lo, p.hi]
+        for enter, leave, _ in crossings.values():
+            bounds += [enter, leave]
         # at[j, i] is the j-th smallest site of segment i
         at = np.sort(np.minimum(np.maximum(np.array(bounds), 0.0), 1.0), axis=0)
         left, right = at[:-1], at[1:]
 
-        def holds(p: ParamIntervals) -> np.ndarray:
-            at_site = np.where(p.lo_closed, p.lo <= at, p.lo < at) & np.where(
-                p.hi_closed, at <= p.hi, at < p.hi
-            )
-            on_cell = (p.lo <= left) & (right <= p.hi)
-            return np.concatenate((at_site, on_cell))
+        def holds(box: _Box, closed: bool) -> np.ndarray:
+            enter, leave, edge = crossings[box]
+            on_cell = (enter <= left) & (right <= leave)
+            if closed:
+                return np.concatenate(((enter <= at) & (at <= leave), on_cell))
+            return np.concatenate(((enter < at) & (at < leave), on_cell)) & ~edge
 
-        truth = {k: holds(p) for k, p in leaves.items()}
+        truth = {key: holds(*key) for key in dict.fromkeys(keys.values())}
 
         def atom_mask(atom: Atom) -> np.ndarray:
-            masks = [truth[k] for k in _leaf_keys(atom, env)]
-            if len(masks) == 2:
-                return masks[0] | masks[1]
-            return ~masks[0] if atom.op is Op.OUTSIDE else masks[0]
+            mask = truth[keys[atom]]
+            return ~mask if atom.op is Op.OUTSIDE else mask
 
         def owned(d: Domain) -> np.ndarray:
             mask = at < 1.0  # a vertex belongs to the segment starting there
@@ -432,9 +436,10 @@ def region_signature(t: Trajectory, r: Region, s: Strictness) -> RegionSignature
     """The signature of t against r under s, from one pass over the sites.
 
     pf and pl are judged as a ground clause judges them, the sites as a
-    quantified clause of mode s does (relaxed: one site pass with the leaves
-    (R, WITHIN) and (R, INSIDE)); T is kept apart from TFL, pf and pl
-    because relaxed mode judges the ends of the path by crossings there.
+    quantified clause of mode s does (relaxed: one site pass, which
+    computes the crossings of r once for WITHIN and INSIDE); T is kept
+    apart from TFL, pf and pl because relaxed mode judges the ends of the
+    path by crossings there.
 
     Raises:
         PredicateTypeError: r is not a Region.

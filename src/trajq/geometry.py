@@ -18,11 +18,15 @@ the same divisions, so the class sets of a segment partition [0, 1] exactly
 in float arithmetic, with no epsilon tolerances anywhere.
 
 The evaluator and the NF² executor need those sets for many segments at
-once: :func:`box_params` computes, as numpy arrays, the one interval per
-segment where a box (a region's hull or interior, or a time band) holds,
-from the same divisions. A coordinate difference that overflows the float
-range has no usable crossing and raises :class:`CrossingOverflowError`, one
-segment or many.
+once. Every atom tests an axis-aligned box (a region's bounds, a time
+interval, or the half-line before or after one), and where a segment
+crosses a box does not depend on the operator: :func:`box_crossings`
+computes, as numpy arrays and from the same divisions, the parameters at
+which each segment enters and leaves the closed box, and which segments run
+flat along a face. Hull, interior and exterior, or within, inside and
+outside, are then comparisons with those two parameters. A coordinate
+difference that overflows the float range has no usable crossing and
+raises :class:`CrossingOverflowError`, one segment or many.
 """
 
 from __future__ import annotations
@@ -273,30 +277,11 @@ def _band(c0: float, c1: float, lo: float, hi: float, strict: bool) -> ParamSet:
     return _axis_above(c0, c1, lo, strict).intersect(_axis_below(c0, c1, hi, strict))
 
 
-@dataclass(frozen=True)
-class ParamIntervals:
-    """One subinterval of [0, 1] per segment, as parallel arrays.
-
-    Row i is the vector form of a single-interval :class:`ParamSet` on
-    segment i. The set is empty where lo > hi, or where lo == hi and an end
-    is open. Bounds are clamped on one side only (lo >= 0, hi <= 1), so an
-    empty row may carry lo > 1 or hi < 0.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    lo_closed: np.ndarray
-    hi_closed: np.ndarray
-
-    def nonempty(self) -> np.ndarray:
-        """Per segment, whether its set holds any parameter."""
-        return (self.lo < self.hi) | ((self.lo == self.hi) & self.lo_closed & self.hi_closed)
-
-
 def _axis_band(
-    c0: np.ndarray, c1: np.ndarray, lo: float, hi: float, strict: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unclamped ends of the band lo < c(lam) < hi, per segment c0 -> c1.
+    c0: np.ndarray, c1: np.ndarray, lo: float, hi: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unclamped ends of the closed band lo <= c(lam) <= hi, per segment
+    c0 -> c1, and the rows that run flat along one of its faces.
 
     The crossings are (v - c0) / (c1 - c0), the division :func:`_axis_below`
     makes; negating all three operands, as :func:`_axis_above` does, leaves
@@ -311,18 +296,19 @@ def _axis_band(
             at_lo = (lo - c0) / d
             at_hi = (hi - c0) / d
     except FloatingPointError:
-        return _checked_axis_band(c0, c1, lo, hi, strict)
-    return np.minimum(at_lo, at_hi), np.maximum(at_lo, at_hi)
+        return _checked_axis_band(c0, c1, lo, hi)
+    return np.minimum(at_lo, at_hi), np.maximum(at_lo, at_hi), np.zeros(d.shape, bool)
 
 
 def _checked_axis_band(
-    c0: np.ndarray, c1: np.ndarray, lo: float, hi: float, strict: bool
-) -> tuple[np.ndarray, np.ndarray]:
+    c0: np.ndarray, c1: np.ndarray, lo: float, hi: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_axis_band` for rows that are flat or overflow somewhere.
 
     A flat coordinate never uses its quotient: its band is everything or
-    nothing. A quotient may overflow to an infinity, which orders correctly
-    against [0, 1]; a difference may not.
+    nothing, and it runs along a face where it equals lo or hi. A quotient
+    may overflow to an infinity, which orders correctly against [0, 1]; a
+    difference may not.
 
     Raises:
         CrossingOverflowError: a coordinate difference is not finite.
@@ -337,46 +323,44 @@ def _checked_axis_band(
     if overflow:
         raise CrossingOverflowError(_OVERFLOW)
     flat = d == 0.0
-    inside = ((lo < c0) & (c0 < hi)) if strict else ((lo <= c0) & (c0 <= hi))
-    full = np.where(inside, -np.inf, np.inf)
+    full = np.where((lo <= c0) & (c0 <= hi), -np.inf, np.inf)
     return (
         np.where(flat, full, np.minimum(at_lo, at_hi)),
         np.where(flat, -full, np.maximum(at_lo, at_hi)),
+        flat & ((c0 == lo) | (c0 == hi)),
     )
 
 
-def box_params(
+def box_crossings(
     starts: Iterable[np.ndarray],
     ends: Iterable[np.ndarray],
     lo: Iterable[float],
     hi: Iterable[float],
-    strict: bool,
-) -> ParamIntervals:
-    """Per segment, the parameters where every coordinate lies in its band:
-    lo < c(lam) < hi (strict) or lo <= c(lam) <= hi. Segment i runs from
-    entry i of the ``starts`` arrays (one per coordinate) to entry i of the
-    ``ends`` arrays; for a polyline, its arrays minus the last or first point.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per segment, where it crosses the closed box lo <= c <= hi: the
+    unclamped parameters ``enter`` and ``leave`` and the ``edge`` rows.
+    Segment i runs from entry i of the ``starts`` arrays (one per
+    coordinate) to entry i of the ``ends`` arrays; for a polyline, its
+    arrays minus the last or first point. A bound may be infinite, which
+    makes a band a half-line.
 
-    This is :func:`segment_region_params` (closed hull or interior) and
-    :func:`segment_interval_params` on all segments at once. A bound may be
-    infinite, which makes a band a half-line. All ends of one box share a
-    strictness, so intersecting the unclamped bands and clamping once to
-    [0, 1] gives the same endpoints and ownership as ParamSet.intersect.
+    A parameter lam of [0, 1] lies in the closed box iff enter <= lam <=
+    leave, and in its interior iff enter < lam < leave on a row that is not
+    an edge row: one that runs flat along a face, so it never reaches the
+    interior. These are the endpoints and the ownership
+    :func:`segment_region_params` (hull or interior) and
+    :func:`segment_interval_params` give, on all segments at once.
 
     Raises:
         CrossingOverflowError: a coordinate difference is not finite.
     """
-    bands = [_axis_band(*args, strict) for args in zip(starts, ends, lo, hi)]
-    start, end = bands[0]
-    for s, e in bands[1:]:
-        start = np.maximum(start, s)
-        end = np.minimum(end, e)
-    return ParamIntervals(
-        np.maximum(start, 0.0),
-        np.minimum(end, 1.0),
-        (start < 0.0) | (not strict),
-        (end > 1.0) | (not strict),
-    )
+    bands = [_axis_band(*args) for args in zip(starts, ends, lo, hi)]
+    enter, leave, edge = bands[0]
+    for s, e, on_face in bands[1:]:
+        enter = np.maximum(enter, s)
+        leave = np.minimum(leave, e)
+        edge = edge | on_face
+    return enter, leave, edge
 
 
 def segment_region_params(seg: Segment, r: Region, cls: PointClass) -> ParamSet:

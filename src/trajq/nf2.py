@@ -35,8 +35,9 @@ linear in points per trajectory:
   operator, i.e. once per outer row.
 * A segment test (``SegIntersects``) is only ever a selection's whole
   condition, decided for all its rows in one call of the evaluator's
-  crossing code (``geometry.box_params``): it raises
-  ``CrossingOverflowError`` wherever relaxed evaluation does.
+  crossing code (``geometry.box_crossings``), closed or open as the
+  condition asks: it raises ``CrossingOverflowError`` wherever relaxed
+  evaluation does.
 * Rows are checked where they enter: by the public ``Nf2Relation``
   constructor, and once on the result of ``execute``. Relations built
   inside a plan take their schemas from the compiler and skip the per-row
@@ -62,7 +63,7 @@ from .errors import (
     UnsupportedStrictnessError,
 )
 from .evaluate import Strictness
-from .geometry import Interval, Region, box_params
+from .geometry import Interval, Region, box_crossings
 from .model import TrajectoriesRelation
 from .relations import AllenLabel, De9imLabel
 
@@ -729,8 +730,10 @@ def _segments_hitting(rel: Nf2Relation, c: SegIntersects) -> tuple:
     the evaluator's crossing code (which may raise CrossingOverflowError)."""
     x1, y1, x2, y2 = (np.array(rel.column(n), float) for n in (c.x1, c.y1, c.x2, c.y2))
     r = c.region
-    hit = box_params((x1, y1), (x2, y2), (r.x_min, r.y_min), (r.x_max, r.y_max), not c.closed)
-    return tuple(compress(rel.rows, hit.nonempty().tolist()))
+    enter, leave, edge = box_crossings((x1, y1), (x2, y2), (r.x_min, r.y_min), (r.x_max, r.y_max))
+    lo, hi = np.maximum(enter, 0.0), np.minimum(leave, 1.0)
+    meets = (lo <= hi) if c.closed else (lo < hi) & ~edge
+    return tuple(compress(rel.rows, meets.tolist()))
 
 
 def execute(e: AlgebraExpr, input_rel: Nf2Relation) -> Nf2Relation:

@@ -198,6 +198,15 @@ def test_non_utf8_byte_is_a_positioned_parse_error(tmp_path):
     assert "0xff" in str(exc.value)
 
 
+def test_non_utf8_byte_after_a_cell_over_the_field_size_limit(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_bytes(b"tid,order,x,y,tau\nA,0,0,0,0\nA," + b"1" * 140000 + b"\xff,0,0,5\n")
+    with pytest.raises(CsvParseError) as exc:
+        ingest_csv(path)
+    assert (exc.value.line, exc.value.column) == (3, 2)
+    assert "0xff" in str(exc.value)
+
+
 def test_duplicate_point_key(tmp_path):
     path = write(
         tmp_path / "dup.csv", "tid,order,x,y,tau\nT,0,0,0,0\nT,0,1,1,1\n"
@@ -267,6 +276,51 @@ def test_cli_unreadable_data_file_is_one_error_line(name, capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(tmp_path / name))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+LONG = "a" * 140000  # longer than csv.field_size_limit() by default
+
+
+@pytest.mark.parametrize(
+    "suffix, text, where",
+    [
+        (".csv", f"tid,order,x,y,tau\nA,0,0,0,0\n{LONG},0,0,0,0\n", "line 3, field 1"),
+        (".props.csv", f"tid,name\nA,{LONG}\n", "line 2, field 2"),
+        (".pprops.csv", f"tid,order,name\nA,0,a\nA,1,{LONG}\n", "line 3, field 3"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command",
+    [("validate",), ("query", "--predicate", "pf WITHIN R", "--region", "R=0,0,1,1")],
+    ids=["ingest_csv", "load_trajectories"],
+)
+def test_cli_cell_over_the_field_size_limit_is_a_parse_error(
+    suffix, text, where, command, capsys, tmp_path
+):
+    data = write(tmp_path / "d.csv", "tid,order,x,y,tau\nA,0,0,0,0\nA,1,1,1,5\n")
+    write(tmp_path / f"d{suffix}", text)
+    code, out, err = run(capsys, command[0], str(data), *command[1:])
+    assert (code, out) == (1, "")  # an error line, no traceback
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "points, command",
+    [
+        # B has one point, and a time span of one point has no Allen relation
+        ("A,0,0,0,0\nA,1,1,1,5\nB,0,2,2,3\n", ("allen", "--interval", "I=0,5")),
+        # B's x difference overflows, so its relaxed crossings have no value
+        (
+            "A,0,0,0,0\nA,1,1,1,5\nB,0,-1e308,0.5,0\nB,1,1e308,0.5,1\n",
+            ("de9im", "--region", "R=-1,0,1,1", "--strictness", "relaxed"),
+        ),
+    ],
+)
+def test_cli_classify_prints_nothing_when_a_row_fails(points, command, capsys, tmp_path):
+    data = write(tmp_path / "d.csv", "tid,order,x,y,tau\n" + points)
+    code, out, err = run(capsys, "classify", command[0], str(data), *command[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
 
 
 def test_cli_runs_do_not_share_repeated_flag_values(capsys):

@@ -210,27 +210,27 @@ def test_t_is_not_tfl_plus_the_ends():
         assert De9imLabel.R031 not in got
 
 
-def _count_box_params(monkeypatch):
+def _count_box_crossings(monkeypatch):
     calls = []
-    real = evaluation.box_params
+    real = evaluation.box_crossings
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(evaluation, "box_params", counted)
+    monkeypatch.setattr(evaluation, "box_crossings", counted)
     return calls
 
 
 @pytest.mark.parametrize(
     "samples,limit",
     [
-        ([(-1.0, 0.5, 0.0), (0.5, 0.5, 1.0), (2.0, 0.5, 2.0)], 2),  # E to E
-        ([(-1.0, 0.5, 0.0), (0.5, 0.5, 1.0), (1.0, 0.5, 2.0)], 4),  # E to B: reversed too
+        ([(-1.0, 0.5, 0.0), (0.5, 0.5, 1.0), (2.0, 0.5, 2.0)], 1),  # E to E
+        ([(-1.0, 0.5, 0.0), (0.5, 0.5, 1.0), (1.0, 0.5, 2.0)], 2),  # E to B: reversed too
     ],
 )
 def test_relaxed_classification_makes_one_site_pass_per_direction(monkeypatch, samples, limit):
-    calls = _count_box_params(monkeypatch)
+    calls = _count_box_crossings(monkeypatch)
     t = build_trajectory(samples)
     for labels in (None, (), *((label,) for label in De9imLabel)):
         calls.clear()

@@ -504,11 +504,18 @@ def test_records_reads_as_csv_reads(text):
     assert _records(text) == list(csv.reader(io.StringIO(text, newline="")))
 
 
-def test_records_leaves_a_field_over_the_size_limit_to_csv():
+def test_records_positions_a_field_over_the_size_limit():
     saved = csv.field_size_limit(8)
     try:
-        with pytest.raises(csv.Error, match="field larger than field limit"):
-            _records("tid,order\nabcdefghij,1\n")
+        for text, line, column in (
+            ("tid,order\nabcdefghij,1\n", 2, 1),
+            ('tid,order\nA,1\nB,"1\n2345678\n9"\n', 4, 2),  # where it overflows
+        ):
+            with pytest.raises(CsvParseError) as exc:
+                _records(text)
+            assert (exc.value.line, exc.value.column) == (line, column)
+            assert "field larger than field limit" in str(exc.value)
+            assert csv.field_size_limit() == 8
         assert _records("tid,order\nabcdefgh,1\n") == [["tid", "order"], ["abcdefgh", "1"]]
     finally:
         csv.field_size_limit(saved)

@@ -101,11 +101,17 @@ def test_site_masks_agree_with_paramset_oracle(instance):
     [
         ([(-1e308, 0.5, 0.0), (1e308, 0.5, 1.0)], "EXISTS p IN T: p INSIDE R"),
         ([(0.5, 0.5, -1e308), (0.5, 0.5, 1e308)], "EXISTS p IN T: p INSIDE I"),
+        # tau_e - tau_0 overflows, tau_s - tau_0 does not: every atom that
+        # reads tau_e is an error
+        *(
+            ([(0.5, 0.5, -1e308), (0.5, 0.5, -0.9e308)], f"EXISTS p IN T: p {op} I")
+            for op in ("INSIDE", "AFTER", "OUTSIDE")
+        ),
     ],
 )
 def test_overflowing_difference_is_an_error_not_an_answer(samples, text):
     t = build_trajectory(samples)
-    env = EvalEnv({"R": Region(-1.0, 0.0, 1e308, 1.0), "I": Interval(0.0, 1.0)})
+    env = EvalEnv({"R": Region(-1.0, 0.0, 1e308, 1.0), "I": Interval(0.0, 1e308)})
     ast = parse_predicate(text)
     for evaluator in (eval_relaxed, relaxed_paramset_oracle):
         with pytest.raises(CrossingOverflowError) as exc:
@@ -117,6 +123,14 @@ def test_flat_coordinate_far_from_threshold_is_not_an_overflow():
     t = build_trajectory([(-1e308, 0.5, 0.0), (-1e308, 0.75, 1.0)])
     env = EvalEnv({"R": Region(-1.0, 0.0, 1e308, 1.0)})
     ast = parse_predicate("FORALL p IN T: p OUTSIDE R")
+    assert eval_relaxed(ast, t, env) is relaxed_paramset_oracle(ast, t, env) is True
+
+
+def test_before_reads_only_the_start_of_the_interval():
+    # tau_e - tau_0 overflows, but BEFORE reads only tau_s - tau_0
+    t = build_trajectory([(0.5, 0.5, -1e308), (0.5, 0.5, -0.9e308)])
+    env = EvalEnv({"I": Interval(0.0, 1e308)})
+    ast = parse_predicate("EXISTS p IN T: p BEFORE I")
     assert eval_relaxed(ast, t, env) is relaxed_paramset_oracle(ast, t, env) is True
 
 
