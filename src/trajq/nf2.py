@@ -20,6 +20,14 @@ the same pass, so one node object may appear anywhere in a plan. It has a
 stable text rendering (PROJECT[...], SELECT[...], UNNEST[...], JOIN[...])
 used by the command line explain output.
 
+``execute`` compiles a plan once per plan object and input schema and keeps
+the compiled plan while the plan object lives, so a plan built once and run
+over many relations is checked and compiled once. The plan is found by its
+identity, never by hashing its tree, and a plan that fails to compile is
+checked again on the next call. Nodes are immutable, and a compiled plan
+keeps no state between runs: what one run builds (the memo of an operator
+evaluation, a hash-join index) lives only in that run.
+
 Execution is linear in the rows of each operator, so compiled plans are
 linear in points per trajectory:
 
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 import json
 import operator
+import weakref
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Union
@@ -736,13 +745,50 @@ def _segments_hitting(rel: Nf2Relation, c: SegIntersects) -> tuple:
     return tuple(compress(rel.rows, meets.tolist()))
 
 
+# id of a plan object -> (a weak reference to it, [(input schema, runner)]);
+# the reference's callback drops the entry when the plan dies.
+_RUNNERS: dict[int, tuple[weakref.ref, list]] = {}
+
+
+def _runner(e: AlgebraExpr, schema: Nf2Schema):
+    """The runner of plan e over relations of ``schema``: compiled on the
+    first call for this plan object and schema, and kept while e lives."""
+    key = id(e)
+    entry = _RUNNERS.get(key)
+    runners = entry[1] if entry is not None and entry[0]() is e else None
+    for known, run in runners or ():
+        if known is schema or known == schema:
+            return run
+    run = _Compiler(schema).plan(e)[1]  # an error leaves nothing kept
+    if runners is None:
+        runners = []
+        drop = _RUNNERS.pop
+        _RUNNERS[key] = (weakref.ref(e, lambda _, key=key: drop(key, None)), runners)
+    runners.append((schema, run))
+    return run
+
+
 def execute(e: AlgebraExpr, input_rel: Nf2Relation) -> Nf2Relation:
     """Type-check and evaluate an algebra expression over a relation.
 
-    The result's rows are checked against its schema here, once.
+    The plan is compiled on the first call for this plan object and input
+    schema and kept while the plan object lives; later calls run it
+    again. The result's rows are checked against its schema here, once.
+
+    Raises:
+        TypeMismatchError: input_rel is not an Nf2Relation, or the plan is
+            ill-typed over its schema.
+        UnknownAttributeError: the plan names an attribute no row provides.
     """
-    _, run = _Compiler(input_rel.schema).plan(e)
-    result = run(_Scope({}, (input_rel,), None))
+    if not isinstance(input_rel, Nf2Relation):
+        hint = (
+            "; convert it with trajectories_to_nf2"
+            if isinstance(input_rel, TrajectoriesRelation) else ""
+        )
+        raise TypeMismatchError(
+            f"execute runs over an Nf2Relation, got {type(input_rel).__name__}{hint}"
+        )
+    result = _runner(e, input_rel.schema)(_Scope({}, (input_rel,), None))
     return Nf2Relation(result.schema, result.rows)
 
 
@@ -768,7 +814,14 @@ def trajectories_to_nf2(rel: TrajectoriesRelation) -> Nf2Relation:
     The points relations hold ints from ``range`` and floats from float64
     columns, so they conform by construction and skip the row checks; the
     outer rows are checked, as nothing types a relation's tids.
+
+    Raises:
+        TypeMismatchError: rel is not a TrajectoriesRelation.
     """
+    if not isinstance(rel, TrajectoriesRelation):
+        raise TypeMismatchError(
+            f"trajectories_to_nf2 converts a TrajectoriesRelation, got {type(rel).__name__}"
+        )
     rows = []
     for tid, t in rel.rows:
         nested = _built(
@@ -805,16 +858,17 @@ def _segments_expr() -> Project:
     return Project(joined, (Col("order"), Col("x"), Col("y"), Col("x2"), Col("y2")))
 
 
+# One plan object, so that execute compiles it once per input schema.
+_SEGMENT_JOIN = Project(Input(), (Col("tid"), Computed("T_sgmt", _segments_expr())))
+
+
 def segment_join(trajectories: Nf2Relation) -> Nf2Relation:
     """Per trajectory, the self-join pairing consecutive points into segments.
 
     Output schema: (tid, T_sgmt(order, x, y, x2, y2)); a trajectory with n
     points yields n-1 segment rows, zero for a single point.
     """
-    expr = Project(
-        Input(), (Col("tid"), Computed("T_sgmt", _segments_expr()))
-    )
-    return execute(expr, trajectories)
+    return execute(_SEGMENT_JOIN, trajectories)
 
 
 def _inside_point_cond(r: Region) -> BoolAnd:
@@ -848,6 +902,16 @@ def _endpoint_outside(point: AlgebraExpr, r: Region) -> BoolOr:
     )
 
 
+def _unsupported(label, supported: tuple) -> UnsupportedLabelError:
+    """The error for a label with no expression: another relation label, or
+    a value that is no label at all (a label's text, say)."""
+    name = label.value if isinstance(label, (De9imLabel, AllenLabel)) else repr(label)
+    return UnsupportedLabelError(
+        f"no published expression for {name}; supported: "
+        + ", ".join(l.value for l in supported)
+    )
+
+
 _SPATIAL_LABELS = (
     De9imLabel.R031,
     De9imLabel.R179,
@@ -874,10 +938,7 @@ def compile_spatial(label: De9imLabel, r: Region, s: Strictness) -> AlgebraExpr:
             f"expressions exist for strict or relaxed only, got {s!r}"
         )
     if label not in _SPATIAL_LABELS:
-        raise UnsupportedLabelError(
-            f"no published expression for {label.value}; supported: "
-            + ", ".join(l.value for l in _SPATIAL_LABELS)
-        )
+        raise _unsupported(label, _SPATIAL_LABELS)
     relaxed = s.kind == "relaxed"
     if label is De9imLabel.R179:
         cond: AlgebraExpr = BoolAnd(
@@ -991,10 +1052,7 @@ def compile_temporal(label: AllenLabel, i: Interval) -> AlgebraExpr:
     elif label is AllenLabel.CONTAINS:
         cond = BoolAnd((Cmp("<", tmin, ts), Cmp(">", tmax, te)))
     else:
-        raise UnsupportedLabelError(
-            f"no published expression for {label.value}; supported: "
-            + ", ".join(l.value for l in _TEMPORAL_LABELS)
-        )
+        raise _unsupported(label, _TEMPORAL_LABELS)
     return Select(Input(), cond)
 
 

@@ -320,8 +320,11 @@ def parse_predicate(
     Raises:
         PredicateSyntaxError: malformed input, with character position.
         UnknownNameError: env given and an atom references an unknown name.
-        PredicateTypeError: env given and an atom misuses kinds or binding.
+        PredicateTypeError: text is not a str, or env given and an atom
+            misuses kinds or binding.
     """
+    if not isinstance(text, str):
+        raise PredicateTypeError(f"predicate text is a str, got {type(text).__name__}")
     parser = _Parser(_tokenize(text))
     ast = parser.predicate()
     if parser.peek().kind != "eof":

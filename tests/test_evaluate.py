@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import ORACLE_PREDICATES, generic_instance, random_interval, random_region, random_trajectory
 from trajq.errors import (
+    PredicateTypeError,
     StrategyOutputError,
     StrategyParameterError,
     UnknownStrategyError,
@@ -303,6 +304,18 @@ def test_unvalidated_predicate_rejected():
 
     with pytest.raises(ValidationFailedError):
         eval_approximated(ast, CROSSING, CROSS_ENV, ApproxStrategy("never", never))
+
+
+def test_predicate_text_is_a_type_error():
+    with pytest.raises(PredicateTypeError, match="got str"):
+        evaluate("EXISTS p IN T: p INSIDE R", CROSSING, CROSS_ENV, STRICT)
+
+
+def test_environment_without_bindings_is_a_type_error():
+    ast = parse_predicate("EXISTS p IN T: p INSIDE R")
+    for rel in (SELECTION, TrajectoriesRelation(())):  # checked before the rows
+        with pytest.raises(PredicateTypeError, match="EvalEnv"):
+            select_st(rel, ast, EvalEnv(None), STRICT)
 
 
 EXISTENTIAL = tuple(

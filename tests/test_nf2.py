@@ -584,6 +584,29 @@ def test_compile_rejections():
         compile_temporal(AllenLabel.MEETS, Interval(0, 1))
 
 
+@pytest.mark.parametrize(
+    "rel",
+    [TrajectoriesRelation.from_pairs([("a", build_trajectory([(0, 0, 0)]))]), None],
+    ids=["trajectories-relation", "none"],
+)
+def test_execute_over_a_value_that_is_no_nf2_relation_is_a_type_mismatch(rel):
+    plan = compile_temporal(AllenLabel.PRECEDES, Interval(0, 1))
+    with pytest.raises(TypeMismatchError, match="Nf2Relation"):
+        execute(plan, rel)
+
+
+def test_converting_a_value_that_is_no_trajectories_relation_is_a_type_mismatch():
+    with pytest.raises(TypeMismatchError, match="NoneType"):
+        trajectories_to_nf2(None)
+
+
+def test_label_text_is_an_unsupported_label():
+    with pytest.raises(UnsupportedLabelError, match="'R223'"):
+        compile_spatial("R223", Region(0, 0, 1, 1), STRICT)
+    with pytest.raises(UnsupportedLabelError, match="'Precedes'"):
+        compile_temporal("Precedes", Interval(0, 1))
+
+
 def test_render_goldens():
     r = Region(2.65, 0.6, 4.5, 1.75)
     assert render(compile_spatial(De9imLabel.R179, r, STRICT)) == (

@@ -1,5 +1,6 @@
 """How the NF² executor runs plans: hash joins, invariant subexpressions
-kept per operator evaluation, and cost linear in points per trajectory.
+kept per operator evaluation, cost linear in points per trajectory, and one
+compiled plan per plan object and input schema, reused by later runs.
 
 Each property is checked against a plan the executor cannot shortcut
 (the same join under a condition that is not a bare ``=``) or against
@@ -8,17 +9,23 @@ counts: the row scopes (``_Scope`` objects) a plan builds, and the rows
 of the relations its operators build (``_built``).
 """
 
+import gc
 import math
 import random
+import sys
+import threading
+import weakref
+from copy import deepcopy
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_trajectory
 from trajq import nf2
-from trajq.errors import TypeMismatchError
+from trajq.errors import CrossingOverflowError, TypeMismatchError, UnknownAttributeError
 from trajq.evaluate import RELAXED, STRICT
-from trajq.geometry import Region
+from trajq.geometry import Interval, Region
 from trajq.model import TrajectoriesRelation, build_trajectory
 from trajq.nf2 import (
     POINTS_SCHEMA,
@@ -41,7 +48,9 @@ from trajq.nf2 import (
     Project,
     Select,
     compile_spatial,
+    compile_temporal,
     execute,
+    render,
     trajectories_to_nf2,
 )
 from trajq.relations import De9imLabel
@@ -273,14 +282,17 @@ def test_result_rows_are_checked_at_the_boundary():
         execute(ConstRel(bad), bad)
 
 
+INTS = Nf2Schema((Attribute("x", "int"),))
+# One row whose T holds one point with an int x; the points of
+# _outer_rel() have a float x.
+INT_T = Nf2Relation(Nf2Schema((Attribute("T", INTS),)), ((Nf2Relation(INTS, ((1,),)),),))
+
+
 def test_node_reused_with_two_schemas_runs_like_its_copy():
     # One node object standing for two schemas: PROJECT[x](T) over the
     # points (x a float) and over a relation whose T has an int x.
     xs = Project(Attr("T"), (Col("x"),))
-    ints = Nf2Schema((Attribute("x", "int"),))
-    other = ConstRel(
-        Nf2Relation(Nf2Schema((Attribute("T", ints),)), ((Nf2Relation(ints, ((1,),)),),))
-    )
+    other = ConstRel(INT_T)
     copy = Project(Attr("T"), (Col("x"),))  # an equal node of its own
     for node in (xs, copy):
         inner = Project(other, (Computed("c", Agg("count", node)),))
@@ -323,3 +335,153 @@ def test_plan_cost_is_linear_in_points(label, mode):
     for kind in seen[0]:
         assert seen[1][kind] <= 5 * seen[0][kind], seen
 
+
+
+# --- one compiled plan per plan object and input schema ----------------------
+
+REUSE_R = Region(-1.0, -1.0, 1.0, 1.0)
+REUSE_I = Interval(20.0, 40.0)
+
+
+def _every_compiled_plan() -> list:
+    return [
+        compile_spatial(label, REUSE_R, mode)
+        for label in nf2._SPATIAL_LABELS
+        for mode in (STRICT, RELAXED)
+    ] + [compile_temporal(label, REUSE_I) for label in nf2._TEMPORAL_LABELS]
+
+
+def _generated(seed: int) -> Nf2Relation:
+    rng = random.Random(seed)
+    rows = [(f"t{k}", random_trajectory(rng, max_points=12)) for k in range(12)]
+    # and one walk that passes through REUSE_R with both ends outside it
+    rows.append(("cross", build_trajectory([(-2.0, 0.5, 0.0), (2.0, 0.5, 30.0)])))
+    return trajectories_to_nf2(TrajectoriesRelation.from_pairs(rows))
+
+
+RELATIONS = tuple(_generated(seed) for seed in (1301, 1302, 1303))
+
+
+def _compiles(monkeypatch) -> list:
+    """The input schema of every ``_Compiler.plan`` call from now on."""
+    calls = []
+    plan = nf2._Compiler.plan
+
+    def counted(self, e):
+        calls.append(self.input_schema)
+        return plan(self, e)
+
+    monkeypatch.setattr(nf2._Compiler, "plan", counted)
+    return calls
+
+
+def test_kept_runners_run_like_fresh_copies():
+    plans = _every_compiled_plan()
+    answers = set()
+    for _ in range(3):
+        for rel in RELATIONS:
+            for plan in plans:
+                got = execute(plan, rel)
+                assert got == execute(deepcopy(plan), rel), render(plan)
+                answers.add(got.column("tid"))
+    assert len(answers) > 3  # the plans tell the relations apart
+
+
+def test_plan_is_compiled_once_per_input_schema(monkeypatch):
+    calls = _compiles(monkeypatch)
+    plan = compile_spatial(De9imLabel.R223, REUSE_R, RELAXED)
+    rel = RELATIONS[0]
+    results = {execute(plan, rel) for _ in range(10)}
+    assert len(calls) == 1 and len(results) == 1
+    # An equal schema of another object finds the same runner.
+    same = Nf2Relation(Nf2Schema(tuple(rel.schema.attributes)), rel.rows)
+    assert same.schema is not rel.schema
+    assert execute(plan, same) == execute(plan, rel) and len(calls) == 1
+    # check type-checks every time.
+    nf2.check(plan, rel.schema)
+    nf2.check(plan, rel.schema)
+    assert len(calls) == 3
+
+    # The two relations of test_node_reused_with_two_schemas_runs_like_its_copy:
+    # T's x is a float in one and an int in the other.
+    xs = Project(Attr("T"), (Col("x"),))
+    both = Project(Input(), (Computed("n", Agg("count", xs)), Computed("m", Agg("max", xs))))
+    pairs = ((_outer_rel(), ((4, 3.5),)), (INT_T, ((1, 1),)))
+    calls.clear()
+    results = [execute(both, rel) for _ in range(10) for rel, _ in pairs]
+    assert calls == [OUTER, INT_T.schema]
+    for got, (rel, want) in zip(results, pairs * 10):
+        assert got.rows == want and got == execute(deepcopy(both), rel)
+
+
+def test_ill_typed_plan_raises_on_every_call(monkeypatch):
+    calls = _compiles(monkeypatch)
+    bad = Select(Input(), Cmp("<", Attr("tid"), Lit(1)))  # a str against an int
+    for _ in range(3):
+        with pytest.raises(TypeMismatchError):
+            execute(bad, RELATIONS[0])
+    assert len(calls) == 3 and id(bad) not in nf2._RUNNERS
+    # A plan that compiles over one schema and not over another keeps the
+    # runner it has, and fails again over the other.
+    last = Project(Input(), (Computed("m", Agg("max", Project(Attr("T"), (Col("order"),)))),))
+    want = execute(last, RELATIONS[0])
+    for _ in range(2):
+        with pytest.raises(UnknownAttributeError):
+            execute(last, INT_T)  # its points have no order
+    assert execute(last, RELATIONS[0]) == want and len(calls) == 3 + 3
+
+
+def test_run_that_raises_leaves_the_runner_correct():
+    plan = compile_spatial(De9imLabel.R223, REUSE_R, RELAXED)
+    walk = build_trajectory([(-1e308, 0.5, 0.0), (1e308, 0.5, 1.0)])
+    overflowing = trajectories_to_nf2(TrajectoriesRelation.from_pairs([("o", walk)]))
+    for rel in RELATIONS:
+        with pytest.raises(CrossingOverflowError):
+            execute(plan, overflowing)
+        got = execute(plan, rel)
+        assert got == execute(deepcopy(plan), rel)
+        assert "cross" in got.column("tid")
+
+
+def test_kept_runner_dies_with_its_plan():
+    gc.collect()  # so that only this plan can leave the cache from here on
+    before = len(nf2._RUNNERS)
+    plan = compile_spatial(De9imLabel.R031, REUSE_R, RELAXED)
+    key, ref = id(plan), weakref.ref(plan)
+    for rel in RELATIONS:
+        execute(plan, rel)
+    assert key in nf2._RUNNERS and len(nf2._RUNNERS) == before + 1
+    del plan
+    gc.collect()
+    assert ref() is None
+    assert key not in nf2._RUNNERS and len(nf2._RUNNERS) == before
+
+
+def test_threads_sharing_plans_get_the_answers_of_fresh_copies():
+    # Threads that run the same new plan objects at once may each compile
+    # them; every answer is still a fresh copy's.
+    want = {
+        (p, r): execute(deepcopy(plan), rel)
+        for p, plan in enumerate(_every_compiled_plan())
+        for r, rel in enumerate(RELATIONS)
+    }
+    plans = _every_compiled_plan()
+    wrong = []
+
+    def work(offset):
+        for k in range(len(want)):
+            p, r = divmod((k + offset) % len(want), len(RELATIONS))
+            if execute(plans[p], RELATIONS[r]) != want[p, r]:
+                wrong.append((p, r))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(7 * i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and wrong == []

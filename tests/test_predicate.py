@@ -37,6 +37,12 @@ def test_combined_quantified_clause():
     assert [a.subject for a in clause.body.parts] == [Var("p"), Var("p")]
 
 
+@pytest.mark.parametrize("text", [None, 42, b"EXISTS p IN T: p INSIDE R"])
+def test_text_that_is_no_str_is_a_type_error(text):
+    with pytest.raises(PredicateTypeError, match="predicate text is a str"):
+        parse_predicate(text)
+
+
 def test_ground_clause():
     ast = parse_predicate("pf INSIDE R AND pl OUTSIDE R")
     (clause,) = ast.clauses

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 from helpers import random_predicate
 from trajq.errors import CrossingOverflowError, TrajqError
-from trajq.evaluate import EvalEnv, _augmented_arrays, eval_relaxed, uniform_strategy
+from trajq.evaluate import RELAXED, EvalEnv, _augmented_arrays, eval_relaxed, uniform_strategy
 from trajq.geometry import Interval, Region, lerp
 from trajq.model import build_trajectory, segments
 from trajq.predicate import parse_predicate, validate
-from trajq.relations import allen_catalog, de9im_catalog
+from trajq.relations import De9imLabel, allen_catalog, classify_de9im, de9im_catalog
 from trajq.testing import ResampleSpec, relaxed_paramset_oracle, resample
 
 BOUNDARY_PREDICATES = (
@@ -132,6 +132,40 @@ def test_before_reads_only_the_start_of_the_interval():
     env = EvalEnv({"I": Interval(0.0, 1e308)})
     ast = parse_predicate("EXISTS p IN T: p BEFORE I")
     assert eval_relaxed(ast, t, env) is relaxed_paramset_oracle(ast, t, env) is True
+
+
+# ROADMAP item 1's witnesses. Crossings are divisions (v - c0) / (c1 - c0)
+# in parameter space, so at extreme magnitudes distinct crossings collapse
+# onto each other or onto a vertex, and differences overflow. Each test
+# asserts the right answer, so ordering the crossings in coordinate space
+# makes it pass, and its strict xfail mark then fails until removed.
+SQUARE = Region(-1.0, -1.0, 1.0, 1.0)
+ENTERS = {De9imLabel.R095, De9imLabel.R223}  # as (-2, 0.5) -> (2, 0.5) gets
+
+
+def _relaxed_labels(*xs):
+    """The relaxed labels of the walk along y = 0.5 through the given xs."""
+    t = build_trajectory([(x, 0.5, float(i)) for i, x in enumerate(xs)])
+    return classify_de9im(t, SQUARE, RELAXED)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the crossings collapse: {R095}")
+def test_huge_straight_path_enters_the_square():
+    assert _relaxed_labels(-2.0, 2.0) == ENTERS
+    assert _relaxed_labels(-1e300, 1e300) == ENTERS
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="crossings round onto pl: set()")
+def test_labels_do_not_depend_on_the_direction_of_travel():
+    assert _relaxed_labels(-2.0, 1e248) == ENTERS
+    assert _relaxed_labels(1e248, -2.0) == ENTERS
+
+
+@pytest.mark.xfail(strict=True, raises=CrossingOverflowError, reason="tau_1 - tau_0 overflows")
+def test_time_span_over_the_whole_float_range_meets_the_interval():
+    t = build_trajectory([(0.5, 0.5, -1e308), (0.5, 0.5, 1e308)])
+    ast = parse_predicate("EXISTS p IN T: p INSIDE I")
+    assert eval_relaxed(ast, t, EvalEnv({"I": Interval(-1.0, 1.0)})) is True
 
 
 def _scalar_augmented(t, lams):
