@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -120,6 +121,10 @@ class ApproxStrategy:
 
 def uniform_strategy(k: int) -> ApproxStrategy:
     """k evenly spaced interior points per segment: lam = j/(k+1), j=1..k."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise StrategyParameterError(f"k must be an integer, got {k!r}") from None
     if k < 0:
         raise StrategyParameterError(f"k must be non-negative, got {k}")
     grid = tuple((j + 1) / (k + 1) for j in range(k))

@@ -59,6 +59,14 @@ class TimeClass(Enum):
     AFTER = "after"
 
 
+def _finite(vals: tuple) -> bool:
+    """Whether every value is a finite real number (None or a str is not)."""
+    try:
+        return all(math.isfinite(v) for v in vals)
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class Region:
     """Axis-aligned rectangle; degenerate (zero width or height) is rejected."""
@@ -70,7 +78,7 @@ class Region:
 
     def __post_init__(self):
         vals = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(math.isfinite(v) for v in vals):
+        if not _finite(vals):
             raise InvalidGeometryError(f"non-finite region bounds {vals}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidGeometryError(
@@ -86,7 +94,7 @@ class Interval:
     tau_e: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau_s) and math.isfinite(self.tau_e)):
+        if not _finite((self.tau_s, self.tau_e)):
             raise InvalidGeometryError(
                 f"non-finite interval bounds ({self.tau_s}, {self.tau_e})"
             )

@@ -882,24 +882,20 @@ def _inside_point_cond(r: Region) -> BoolAnd:
     )
 
 
-def _endpoint_inside(point: AlgebraExpr, r: Region) -> tuple[Cmp, ...]:
-    return (
-        Cmp(">", _coord(point, "x"), Lit(r.x_min)),
-        Cmp("<", _coord(point, "x"), Lit(r.x_max)),
-        Cmp(">", _coord(point, "y"), Lit(r.y_min)),
-        Cmp("<", _coord(point, "y"), Lit(r.y_max)),
-    )
-
-
-def _endpoint_outside(point: AlgebraExpr, r: Region) -> BoolOr:
+def _outside_point_cond(r: Region) -> BoolOr:
     return BoolOr(
         (
-            Cmp("<", _coord(point, "x"), Lit(r.x_min)),
-            Cmp("<", _coord(point, "y"), Lit(r.y_min)),
-            Cmp(">", _coord(point, "x"), Lit(r.x_max)),
-            Cmp(">", _coord(point, "y"), Lit(r.y_max)),
+            Cmp("<", Attr("x"), Lit(r.x_min)),
+            Cmp("<", Attr("y"), Lit(r.y_min)),
+            Cmp(">", Attr("x"), Lit(r.x_max)),
+            Cmp(">", Attr("y"), Lit(r.y_max)),
         )
     )
+
+
+def _some(rel: AlgebraExpr, cond: AlgebraExpr) -> Cmp:
+    """count(SELECT[cond](rel)) > 0: some row of rel meets cond."""
+    return Cmp(">", Agg("count", Select(rel, cond)), Lit(0))
 
 
 def _unsupported(label, supported: tuple) -> UnsupportedLabelError:
@@ -925,6 +921,17 @@ def compile_spatial(label: De9imLabel, r: Region, s: Strictness) -> AlgebraExpr:
     """Selection expression over TRAJECTORIES for one of the five border-free
     area relations, with the region bounds substituted as literals.
 
+    Each catalog clause is one test. A clause on pf or pl is one selection
+    of that endpoint, ``count(SELECT[cond](pf)) > 0``, with cond the strict
+    interior or strict exterior condition on x and y, the same one a clause
+    over T applies to every point. So each endpoint is selected once per
+    clause, and a trajectory with no points meets no clause on pf or pl.
+    R223 is pf outside, pl outside, some point inside; R247 is pf inside,
+    pl inside, some point outside the closed rectangle; R255 is pf inside,
+    pl outside. The whole-path tests of R179 and of R247's escape
+    stay min/max aggregates over the columns of T: they project without a
+    row scope per point, where a selection builds one.
+
     Strict and relaxed produce the same expression for R179, R247, and R255;
     for R031 and R223 the relaxed expression additionally tests the segments
     of each trajectory against the rectangle (closed for R031, since even
@@ -940,6 +947,7 @@ def compile_spatial(label: De9imLabel, r: Region, s: Strictness) -> AlgebraExpr:
     if label not in _SPATIAL_LABELS:
         raise _unsupported(label, _SPATIAL_LABELS)
     relaxed = s.kind == "relaxed"
+    inside, outside = _inside_point_cond(r), _outside_point_cond(r)
     if label is De9imLabel.R179:
         cond: AlgebraExpr = BoolAnd(
             (
@@ -950,38 +958,19 @@ def compile_spatial(label: De9imLabel, r: Region, s: Strictness) -> AlgebraExpr:
             )
         )
     elif label is De9imLabel.R247:
-        cond = BoolAnd(
-            _endpoint_inside(_p_first(), r)
-            + _endpoint_inside(_p_last(), r)
-            + (
-                BoolOr(
-                    (
-                        Cmp("<", Agg("min", _coord(Attr("T"), "x")), Lit(r.x_min)),
-                        Cmp(">", Agg("max", _coord(Attr("T"), "x")), Lit(r.x_max)),
-                        Cmp("<", Agg("min", _coord(Attr("T"), "y")), Lit(r.y_min)),
-                        Cmp(">", Agg("max", _coord(Attr("T"), "y")), Lit(r.y_max)),
-                    )
-                ),
+        escapes = BoolOr(
+            (
+                Cmp("<", Agg("min", _coord(Attr("T"), "x")), Lit(r.x_min)),
+                Cmp(">", Agg("max", _coord(Attr("T"), "x")), Lit(r.x_max)),
+                Cmp("<", Agg("min", _coord(Attr("T"), "y")), Lit(r.y_min)),
+                Cmp(">", Agg("max", _coord(Attr("T"), "y")), Lit(r.y_max)),
             )
         )
+        cond = BoolAnd((_some(_p_first(), inside), _some(_p_last(), inside), escapes))
     elif label is De9imLabel.R255:
-        cond = BoolAnd(
-            _endpoint_inside(_p_first(), r)
-            + (
-                BoolOr(
-                    (
-                        Cmp("<", Agg("min", _coord(_p_last(), "x")), Lit(r.x_min)),
-                        Cmp(">", Agg("max", _coord(_p_last(), "x")), Lit(r.x_max)),
-                        Cmp("<", Agg("min", _coord(_p_last(), "y")), Lit(r.y_min)),
-                        Cmp(">", Agg("max", _coord(_p_last(), "y")), Lit(r.y_max)),
-                    )
-                ),
-            )
-        )
+        cond = BoolAnd((_some(_p_first(), inside), _some(_p_last(), outside)))
     elif label is De9imLabel.R031:
-        inside_count_zero = Cmp(
-            "=", Agg("count", Select(Attr("T"), _inside_point_cond(r))), Lit(0)
-        )
+        inside_count_zero = Cmp("=", Agg("count", Select(Attr("T"), inside)), Lit(0))
         if relaxed:
             touching = Select(
                 _segments_expr(), SegIntersects(r, True, "x", "y", "x2", "y2")
@@ -992,28 +981,11 @@ def compile_spatial(label: De9imLabel, r: Region, s: Strictness) -> AlgebraExpr:
         else:
             cond = inside_count_zero
     else:  # R223
-        inside_count = Agg("count", Select(Attr("T"), _inside_point_cond(r)))
-        endpoints = (
-            _endpoint_outside(_p_first(), r),
-            _endpoint_outside(_p_last(), r),
-        )
+        enters: AlgebraExpr = _some(Attr("T"), inside)
         if relaxed:
-            crossing = Select(
-                _segments_expr(), SegIntersects(r, False, "x", "y", "x2", "y2")
-            )
-            cond = BoolAnd(
-                endpoints
-                + (
-                    BoolOr(
-                        (
-                            Cmp(">", inside_count, Lit(0)),
-                            Cmp(">", Agg("count", crossing), Lit(0)),
-                        )
-                    ),
-                )
-            )
-        else:
-            cond = BoolAnd(endpoints + (Cmp(">", inside_count, Lit(0)),))
+            crossing = SegIntersects(r, False, "x", "y", "x2", "y2")
+            enters = BoolOr((enters, _some(_segments_expr(), crossing)))
+        cond = BoolAnd((_some(_p_first(), outside), _some(_p_last(), outside), enters))
     return Select(Input(), cond)
 
 

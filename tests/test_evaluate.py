@@ -10,6 +10,7 @@ convergence of dense uniform sampling to the exact relaxed result.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -251,6 +252,17 @@ def test_uniform_strategy_grid():
     with pytest.raises(StrategyParameterError) as exc:
         uniform_strategy(-1)
     assert isinstance(exc.value, ValueError)
+
+
+def test_uniform_count_that_is_not_an_integer_is_a_parameter_error():
+    for k in (1.5, "x", None):
+        with pytest.raises(StrategyParameterError):
+            uniform_strategy(k)
+    for k in (1.5, "x"):
+        with pytest.raises(StrategyParameterError) as exc:
+            evaluate(Q1, CROSSING, CROSS_ENV, approximated("uniform", k))
+        assert isinstance(exc.value, ValueError)
+    assert evaluate(Q1, CROSSING, CROSS_ENV, approximated("uniform", np.int64(50))) is True
 
 
 def test_strategy_registry():

@@ -43,6 +43,18 @@ def test_region_validation():
         Region(0, 0, math.inf, 1)
 
 
+def test_bounds_that_are_not_numbers_are_invalid_geometry():
+    for make in (
+        lambda: Region("a", 0, 1, 1),
+        lambda: Region(0, 0, 1, None),
+        lambda: Interval(None, 1),
+        lambda: Interval(0, "1"),
+    ):
+        with pytest.raises(InvalidGeometryError) as exc:
+            make()
+        assert isinstance(exc.value, ValueError)
+
+
 def test_point_classification():
     assert classify_point_region(0.5, 0.5, UNIT) is PointClass.INTERIOR
     assert classify_point_region(0, 0, UNIT) is PointClass.BOUNDARY

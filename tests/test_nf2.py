@@ -23,7 +23,7 @@ from trajq.errors import (
 )
 from trajq.evaluate import RELAXED, STRICT, EvalEnv, approximated, evaluate, select_st
 from trajq.geometry import Interval, Region
-from trajq.model import TrajectoriesRelation, build_trajectory
+from trajq.model import TrajectoriesRelation, Trajectory, build_trajectory
 from trajq.nf2 import (
     POINTS_SCHEMA,
     TRAJECTORIES_SCHEMA,
@@ -169,6 +169,36 @@ def test_undefined_aggregate_comparisons_are_false():
         Select(Input(), Cmp("=", Agg("count", Attr("T")), Lit(0))), empty_t
     )
     assert len(counted.rows) == 1
+
+
+def test_endpoint_clauses_on_hand_built_relations():
+    # An empty T has no endpoints. "twice" has two points of order 0, one
+    # in R and one right of it, and its last point right of R: a clause on
+    # pf holds when some point of order 0 meets it.
+    rel = Nf2Relation(
+        TRAJECTORIES_SCHEMA,
+        (
+            ("empty", Nf2Relation(POINTS_SCHEMA, ())),
+            (
+                "twice",
+                Nf2Relation(
+                    POINTS_SCHEMA,
+                    ((0, 5.0, 5.0, 0.0), (0, 9.0, 5.0, 1.0), (1, 9.0, 5.0, 2.0)),
+                ),
+            ),
+        ),
+    )
+    r = Region(3.0, 3.0, 7.0, 7.0)
+    for mode in (STRICT, RELAXED):
+        answers = {
+            label: _tids(execute(compile_spatial(label, r, mode), rel))
+            for label in (De9imLabel.R223, De9imLabel.R247, De9imLabel.R255)
+        }
+        assert answers == {
+            De9imLabel.R223: {"twice"},
+            De9imLabel.R247: set(),
+            De9imLabel.R255: {"twice"},
+        }, mode
 
 
 def test_single_cell_relation_acts_as_scalar():
@@ -409,10 +439,35 @@ def _tids(nrel: Nf2Relation) -> set:
     return {row[0] for row in nrel.rows}
 
 
+def _leaving_walk(rng: random.Random, r: Region) -> Trajectory:
+    """A walk that starts or ends strictly inside r, or both, and leaves r
+    in between; no vertex lies within 0.01 of a border line of r."""
+
+    def inside():
+        x = rng.uniform(r.x_min + 0.01, r.x_max - 0.01)
+        return x, rng.uniform(r.y_min + 0.01, r.y_max - 0.01)
+
+    def outside():
+        x, y = inside()
+        beyond = rng.uniform(0.01, 1.5)
+        if rng.random() < 0.5:
+            x = r.x_min - beyond if rng.random() < 0.5 else r.x_max + beyond
+        else:
+            y = r.y_min - beyond if rng.random() < 0.5 else r.y_max + beyond
+        return x, y
+
+    first, last = rng.choice(((inside, inside), (inside, outside), (outside, inside)))
+    middle = [rng.choice((inside, outside)) for _ in range(rng.randint(0, 4))]
+    middle.insert(rng.randint(0, len(middle)), outside)
+    return build_trajectory(
+        [(*place(), float(k)) for k, place in enumerate([first, *middle, last])]
+    )
+
+
 @pytest.mark.parametrize("label", SPATIAL_LABELS, ids=lambda lab: lab.value)
 @pytest.mark.parametrize("mode", (STRICT, RELAXED), ids=("strict", "relaxed"))
 def test_spatial_compile_matches_selection(label, mode):
-    rng = random.Random(hash((label.value, mode.kind)) & 0xFFFF)
+    rng = random.Random(f"{label.value}/{mode.kind}")
     ast = de9im_predicate(label)
     for _ in range(60):
         r = random_region(rng)
@@ -421,6 +476,7 @@ def test_spatial_compile_matches_selection(label, mode):
                 (f"t{i}", off_boundary_trajectory(rng, r, 1, 12))
                 for i in range(rng.randint(1, 8))
             ]
+            + [("leaving", _leaving_walk(rng, r))]
         )
         env = EvalEnv({"R": r})
         direct = set(select_st(rel, ast, env, mode).tids())
@@ -447,7 +503,7 @@ TEMPORAL_CASES = [
     ids=[f"{lab.value}-{mode.kind}" for lab, mode in TEMPORAL_CASES],
 )
 def test_temporal_compile_matches_selection(label, mode):
-    rng = random.Random(hash((label.value, mode.kind)) & 0xFFFF)
+    rng = random.Random(f"{label.value}/{mode.kind}")
     ast = allen_predicate(label)
     for _ in range(60):
         i = random_interval(rng)

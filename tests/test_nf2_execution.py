@@ -336,6 +336,33 @@ def test_plan_cost_is_linear_in_points(label, mode):
         assert seen[1][kind] <= 5 * seen[0][kind], seen
 
 
+def _walk(xs) -> Nf2Relation:
+    """A walk along y = 5 + i/100 through the given x positions."""
+    samples = [(x, 5.0 + i / 100, float(i)) for i, x in enumerate(xs)]
+    return trajectories_to_nf2(TrajectoriesRelation.from_pairs([("w", build_trajectory(samples))]))
+
+
+@pytest.mark.parametrize("mode", (STRICT, RELAXED), ids=("strict", "relaxed"))
+def test_endpoint_clauses_select_each_endpoint_once(mode):
+    # in_out_in is in R at points 0-9 and 30-39 and right of it between;
+    # in_out is in R up to point 19 and right of it after.
+    n = 40
+    in_out_in = _walk([4.0 + i % 10 / 5 if i < 10 or i >= 30 else 9.0 for i in range(n)])
+    in_out = _walk([4.0 + i / 10 if i < 20 else 9.0 for i in range(n)])
+    for label, holds_on in (
+        (De9imLabel.R223, ()),
+        (De9imLabel.R247, ("in-out-in",)),
+        (De9imLabel.R255, ("in-out",)),
+    ):
+        plan = compile_spatial(label, R, mode)
+        for name, rel in (("in-out-in", in_out_in), ("in-out", in_out)):
+            result, cost = _run_cost(plan, rel)
+            assert (result.column("tid") == ("w",)) == (name in holds_on), (label, name)
+            # A pass over the points per endpoint selected, not one per
+            # coordinate compared.
+            assert cost["scopes"] <= 2 * n + 8, (label, name, cost)
+
+
 
 # --- one compiled plan per plan object and input schema ----------------------
 
