@@ -36,7 +36,7 @@ import sys
 from typing import Sequence, Union
 
 from .dataset import ingest_csv, load_trajectories
-from .errors import TrajqError, UnsupportedStrictnessError
+from .errors import InvalidGeometryError, TrajqError, UnsupportedStrictnessError
 from .evaluate import STRICT, EvalEnv, RELAXED, Strictness, approximated, select_st
 from .geometry import Interval, Region
 from .nf2 import (
@@ -47,7 +47,14 @@ from .nf2 import (
     trajectories_to_nf2,
 )
 from .predicate import parse_predicate
-from .relations import AllenLabel, De9imLabel, classify_allen, classify_de9im, de9im_signature
+from .relations import (
+    AllenLabel,
+    De9imLabel,
+    classify_allen,
+    classify_de9im,
+    de9im_labels,
+    de9im_signature,
+)
 
 _TEMPORAL_ALIASES = {
     "precedes": AllenLabel.PRECEDES,
@@ -77,14 +84,22 @@ def _split_named(text: str, flag: str, arity: int) -> tuple[str, list[float]]:
     return name, values
 
 
+def _bounded(kind: type, values: list[float]):
+    """kind(*values), with a bounds error as an argparse error of its message."""
+    try:
+        return kind(*values)
+    except InvalidGeometryError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _region_arg(text: str) -> tuple[str, Region]:
     name, v = _split_named(text, "--region", 4)
-    return name, Region(v[0], v[1], v[2], v[3])
+    return name, _bounded(Region, v)
 
 
 def _interval_arg(text: str) -> tuple[str, Interval]:
     name, v = _split_named(text, "--interval", 2)
-    return name, Interval(v[0], v[1])
+    return name, _bounded(Interval, v)
 
 
 def _strictness_arg(text: str) -> Strictness:
@@ -235,12 +250,15 @@ def _print_lines(lines: list[str]) -> int:
 def _cmd_classify_de9im(args: argparse.Namespace) -> int:
     _, region = args.region
 
+    def labels_text(labels) -> str:
+        return ",".join(sorted(label.value for label in labels))
+
     def line(tid, t) -> str:
-        labels = classify_de9im(t, region, args.strictness)
-        text = tid + "\t" + ",".join(sorted(label.value for label in labels))
-        if args.why:
-            text += "\t" + str(de9im_signature(t, region, args.strictness))
-        return text
+        if not args.why:
+            return tid + "\t" + labels_text(classify_de9im(t, region, args.strictness))
+        # The labels are looked up by the signature printed, computed once.
+        sig = de9im_signature(t, region, args.strictness)
+        return f"{tid}\t{labels_text(de9im_labels(t, region, args.strictness, sig))}\t{sig}"
 
     return _print_lines([line(tid, t) for tid, t in load_trajectories(args.data)])
 

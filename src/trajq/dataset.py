@@ -26,11 +26,16 @@ column check fails is the file read again row by row, in file order, to
 raise the first fault with its line and field. The trajectories are built
 in one batch from the sorted columns (``Trajectory.from_runs``).
 
-Each property sibling is read in two steps: a check, which raises every
-fault of the file, and a build, which types the cells and groups them per
-trajectory and cannot fail. ``ingest_csv`` runs both; ``load_trajectories``,
-for callers that read no properties, runs only the checks, so it rejects
-exactly the files ``ingest_csv`` rejects, with the same errors.
+Both property siblings are read and written by one keyed reader and one
+writer, parameterised by the key columns: ``tid,order`` for point
+properties, ``tid`` alone for trajectory properties, whose rows are read
+as order 0 of a trajectory with one order. A sibling is read in two steps:
+a check, which raises every fault of the file, and a build, which types
+the cells and groups them per trajectory as (order, value) pairs and
+cannot fail; a trajectory property's value is its one pair's value.
+``ingest_csv`` runs both; ``load_trajectories``, for callers that read no
+properties, runs only the checks, so it rejects exactly the files
+``ingest_csv`` rejects, with the same errors.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, Union
@@ -328,176 +333,123 @@ def _raise_points_fault(text: str) -> NoReturn:
     raise AssertionError("the column checks found a fault the row-by-row read did not")
 
 
-def _unknown_tid(tid: str, path: Path) -> InvariantViolationError:
-    return InvariantViolationError(tid, f"{path.name} references an unknown trajectory id")
-
-
-def _check_cells(row: Sequence[str], first: int, line: int) -> None:
-    """Raise for the first property cell of a row that cannot be typed."""
-    for column, cell in enumerate(row[first - 1 :], first):
-        if _long_int(cell):
-            raise _too_many_digits(cell, line, column)
+# Each property sibling by file suffix and key columns. A trajectory
+# property is read and written as the point property at order 0 of a
+# trajectory with one order.
+_SIBLINGS = ((".props.csv", ("tid",)), (".pprops.csv", ("tid", "order")))
 
 
 class _Cells(NamedTuple):
     """A checked property file whose cells are not yet typed: the property
-    names, the tid of each row and a column of cells per name; for point
-    properties also the code of each row's tid (its index among the
-    trajectories), each row's order and the rows sorted by (tid, order)."""
+    names, the tid of each row, a column of cells per name, the code of each
+    row's tid (its index among the trajectories), each row's order and the
+    rows sorted by (tid, order)."""
 
     names: list[str]
     tids: tuple[str, ...]
     columns: list[tuple[str, ...]]
-    codes: np.ndarray | None = None
-    orders: np.ndarray | None = None
-    perm: np.ndarray | None = None
+    codes: np.ndarray
+    orders: np.ndarray
+    perm: np.ndarray
 
 
-def _check_props(path: Path, sizes: Mapping[str, int]) -> _Cells | None:
-    """Check a trajectory property file against the trajectories' tids."""
+def _check_keyed(path: Path, keys: tuple[str, ...], sizes: Mapping[str, int]) -> _Cells | None:
+    """Check a property file keyed by ``keys`` against the trajectories' tids
+    and sizes; a file keyed by tid alone holds order 0 of each trajectory."""
     text = _read_text(path)
     rows = _records(text)
-    header = _check_header(rows, ("tid",), path)
+    header = _check_header(rows, keys, path)
     body = rows[1:]
     if not body:
         return None
+    if len(keys) == 1:
+        sizes = dict.fromkeys(sizes, 1)
     if set(map(len, body)) != {len(header)}:
-        _raise_props_fault(text, path, header, sizes)
+        _raise_keyed_fault(text, path, header, keys, sizes)
     tids, *columns = zip(*body)
-    if (
-        not sizes.keys() >= set(tids)
-        or len(set(tids)) != len(tids)
-        or _has_long_int(text, columns)
-    ):
-        _raise_props_fault(text, path, header, sizes)
-    return _Cells(header[1:], tids, columns)
-
-
-def _raise_props_fault(text: str, path: Path, header: list[str], known) -> NoReturn:
-    seen: set[str] = set()
-    for line, row in _numbered_body(text):
-        if len(row) != len(header):
-            raise CsvParseError(line, 1, f"expected {len(header)} fields, got {len(row)}")
-        tid = row[0]
-        if tid not in known:
-            raise _unknown_tid(tid, path)
-        if tid in seen:
-            raise DuplicateKeyError(tid, None)
-        seen.add(tid)
-        _check_cells(row, 2, line)
-    raise AssertionError("the column checks found a fault the row-by-row read did not")
-
-
-def _check_pprops(path: Path, sizes: Mapping[str, int]) -> _Cells | None:
-    """Check a point property file against the trajectories' tids and sizes."""
-    text = _read_text(path)
-    rows = _records(text)
-    header = _check_header(rows, ("tid", "order"), path)
-    body = rows[1:]
-    if not body:
-        return None
-    if set(map(len, body)) != {len(header)}:
-        _raise_pprops_fault(text, path, header, sizes)
-    tids, orders, *columns = zip(*body)
+    orders = columns.pop(0) if len(keys) > 1 else ("0",) * len(tids)
     known = sizes.keys() >= set(tids) and _all_ints(orders)
     order_col = _int_column(orders) if known else None
-    longest = max(sizes.values(), default=0)
-    if order_col is None or order_col.min() < 0 or order_col.max() >= longest:
-        _raise_pprops_fault(text, path, header, sizes)
+    if order_col is None:
+        _raise_keyed_fault(text, path, header, keys, sizes)
     code = {tid: i for i, tid in enumerate(sizes)}
     codes = np.fromiter(map(code.__getitem__, tids), np.int64, len(tids))
-    keys = codes * longest + order_col
-    perm = np.argsort(keys, kind="stable")
-    sorted_keys = keys[perm]
-    if (
-        (sorted_keys[1:] == sorted_keys[:-1]).any()
-        or not (order_col < np.array(list(sizes.values()))[codes]).all()
-        or _has_long_int(text, columns)
-    ):
-        _raise_pprops_fault(text, path, header, sizes)
-    return _Cells(header[2:], tids, columns, codes, order_col, perm)
+    if not ((order_col >= 0) & (order_col < np.array(list(sizes.values()))[codes])).all():
+        _raise_keyed_fault(text, path, header, keys, sizes)
+    key_col = codes * max(sizes.values()) + order_col
+    perm = np.argsort(key_col, kind="stable")
+    sorted_keys = key_col[perm]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any() or _has_long_int(text, columns):
+        _raise_keyed_fault(text, path, header, keys, sizes)
+    return _Cells(header[len(keys) :], tids, columns, codes, order_col, perm)
 
 
-def _raise_pprops_fault(text: str, path: Path, header: list[str], sizes) -> NoReturn:
+def _raise_keyed_fault(
+    text: str, path: Path, header: list[str], keys: tuple[str, ...], sizes: Mapping[str, int]
+) -> NoReturn:
+    """Raise the first fault of a property file in file order: per row, its
+    field count, an unknown tid, a bad or out-of-range order, a repeated key
+    (``DuplicateKeyError(tid, None)`` for a file keyed by tid alone), then
+    the first cell that cannot be typed."""
     seen: set[tuple[str, int]] = set()
     for line, row in _numbered_body(text):
         if len(row) != len(header):
             raise CsvParseError(line, 1, f"expected {len(header)} fields, got {len(row)}")
         tid = row[0]
         if tid not in sizes:
-            raise _unknown_tid(tid, path)
-        order = _parse_int(row[1], line, 2)
+            raise InvariantViolationError(tid, f"{path.name} references an unknown trajectory id")
+        order = _parse_int(row[1], line, 2) if len(keys) > 1 else 0
         if not 0 <= order < sizes[tid]:
             raise InvariantViolationError(
                 tid, f"point property at order {order} has no matching point"
             )
         if (tid, order) in seen:
-            raise DuplicateKeyError(tid, order)
+            raise DuplicateKeyError(tid, order if len(keys) > 1 else None)
         seen.add((tid, order))
-        _check_cells(row, 3, line)
+        for column, cell in enumerate(row[len(keys) :], len(keys) + 1):
+            if _long_int(cell):
+                raise _too_many_digits(cell, line, column)
     raise AssertionError("the column checks found a fault the row-by-row read did not")
 
 
-def _parsed_cells(column: Sequence[str]) -> dict[str, PropertyValue]:
-    """Each distinct non-empty cell of a property column, typed once."""
-    return {cell: _parse_value(cell) for cell in set(column) if cell}
-
-
-def _build_props(
-    cells: _Cells | None, tids: Iterable[str]
-) -> dict[str, dict[str, PropertyValue]]:
-    """The values of a checked trajectory property file, per tid and name."""
-    out: dict[str, dict[str, PropertyValue]] = {tid: {} for tid in tids}
-    for name, column in zip(cells.names, cells.columns) if cells else ():
-        parsed = _parsed_cells(column)
-        for tid, cell in zip(cells.tids, column):
-            if cell:
-                out[tid][name] = parsed[cell]
-    return out
-
-
-def _build_pprops(
+def _build_keyed(
     cells: _Cells | None, tids: Iterable[str]
 ) -> dict[str, dict[str, tuple[tuple[int, PropertyValue], ...]]]:
-    """The (order, value) pairs of a checked point property file, sorted by
-    order, per tid and name."""
+    """The (order, value) pairs of a checked property file, sorted by order,
+    per tid and name."""
     out: dict[str, dict[str, tuple[tuple[int, PropertyValue], ...]]] = {tid: {} for tid in tids}
     if not cells:
         return out
-    perm = cells.perm
-    starts = np.flatnonzero(np.r_[True, np.diff(cells.codes[perm]) != 0])
-    bounds = list(zip(starts.tolist(), [*starts[1:].tolist(), perm.size]))
-    sorted_orders = cells.orders[perm].tolist()
-    perm = perm.tolist()
+    perm = cells.perm.tolist()
+    sorted_orders = cells.orders[cells.perm].tolist()
+    # The last row of each tid in (tid, order) order.
+    last = [*np.flatnonzero(np.diff(cells.codes[cells.perm])).tolist(), len(perm) - 1]
+    last_tids = [cells.tids[perm[i]] for i in last]
     for name, column in zip(cells.names, cells.columns):
-        parsed = _parsed_cells(column)
+        parsed = {cell: _parse_value(cell) for cell in set(column) if cell}  # typed once
         column = list(map(column.__getitem__, perm))
-        for s, e in bounds:  # an empty cell is an absent value: compress drops it
-            values = zip(sorted_orders[s:e], map(parsed.get, column[s:e]))
-            pairs = tuple(compress(values, column[s:e]))
-            if pairs:
-                out[cells.tids[perm[s]]][name] = pairs
+        # The pairs of the non-empty cells, in (tid, order) order; the pairs
+        # of a tid end at the count of non-empty cells up to its last row.
+        pairs = list(compress(zip(sorted_orders, map(parsed.get, column)), column))
+        ends = list(map(list(accumulate(map(bool, column))).__getitem__, last))
+        for tid, start, end in zip(last_tids, [0, *ends], ends):
+            if start < end:
+                out[tid][name] = tuple(pairs[start:end])
     return out
 
 
-def _props_path(path: Path) -> Path:
-    return path.with_name(path.stem + ".props.csv")
+def _siblings(path: Path) -> list[tuple[Path, tuple[str, ...]]]:
+    """The property files beside a points file, each with its key columns."""
+    return [(path.with_name(path.stem + suffix), keys) for suffix, keys in _SIBLINGS]
 
 
-def _pprops_path(path: Path) -> Path:
-    return path.with_name(path.stem + ".pprops.csv")
-
-
-def _check_siblings(
-    path: Path, trajectories: TrajectoriesRelation
-) -> tuple[_Cells | None, _Cells | None]:
+def _check_siblings(path: Path, trajectories: TrajectoriesRelation) -> list[_Cells | None]:
     """Check the property files beside a points file, if they exist."""
     sizes = {tid: len(t) for tid, t in trajectories}
-    props, pprops = _props_path(path), _pprops_path(path)
-    return (
-        _check_props(props, sizes) if props.exists() else None,
-        _check_pprops(pprops, sizes) if pprops.exists() else None,
-    )
+    return [
+        _check_keyed(sibling, keys, sizes) if sibling.exists() else None
+        for sibling, keys in _siblings(path)
+    ]
 
 
 def load_trajectories(path: Union[str, Path]) -> TrajectoriesRelation:
@@ -528,11 +480,12 @@ def ingest_csv(path: Union[str, Path]) -> Dataset:
     """
     path = Path(path)
     trajectories = _ingest_points(path)
-    props, pprops = _check_siblings(path, trajectories)
     tids = trajectories.tids()
+    props, pprops = (_build_keyed(c, tids) for c in _check_siblings(path, trajectories))
+    values = {tid: {n: pairs[0][1] for n, pairs in per.items()} for tid, per in props.items()}
     return Dataset(
         trajectories,
-        PropertyRelation(_build_props(props, tids), _build_pprops(pprops, tids)),
+        PropertyRelation(values, pprops),
         {
             "name": path.stem,
             "source": str(path),
@@ -558,6 +511,30 @@ def _write_rows(path: Path, header: list[str], rows: Iterable[Sequence[str]]) ->
         fh.writelines(line[:-2] + "\n" for line in lines)
 
 
+def _write_keyed(
+    path: Path,
+    keys: tuple[str, ...],
+    per_tid: Mapping[str, Mapping[str, Sequence[tuple[int, PropertyValue]]]],
+) -> None:
+    """Write (order, value) pairs per tid and name as a property file keyed by
+    ``keys``, one row per key carrying a value and one column per name, or
+    delete the file if there is no value to write."""
+    names = sorted({name for per in per_tid.values() for name in per})
+    if not names:
+        path.unlink(missing_ok=True)
+        return
+    rows: list[list[str]] = []
+    for tid, per in sorted(per_tid.items()):
+        cells: dict[int, list[str]] = {}  # per order with a value, a cell per name
+        for i, name in enumerate(names):
+            for order, value in per.get(name, ()):
+                if order not in cells:
+                    cells[order] = [""] * len(names)
+                cells[order][i] = _format_value(value)
+        rows.extend([tid, str(order)][: len(keys)] + row for order, row in sorted(cells.items()))
+    _write_rows(path, [*keys, *names], rows)
+
+
 def export_csv(d: Dataset, path: Union[str, Path]) -> None:
     """Write a dataset back to CSV form.
 
@@ -577,31 +554,9 @@ def export_csv(d: Dataset, path: Union[str, Path]) -> None:
     orders = chain.from_iterable(map(str, range(len(t))) for _, t in rel)
     _write_rows(path, list(POINTS_HEADER), zip(tids, orders, *columns))
 
-    tprops = d.properties.trajectory_props
-    tnames = sorted({name for per in tprops.values() for name in per})
-    if tnames:
-        rows = [
-            [tid] + [_format_value(per[n]) if n in per else "" for n in tnames]
-            for tid, per in sorted(tprops.items())
-            if per
-        ]
-        _write_rows(_props_path(path), ["tid"] + tnames, rows)
-    else:
-        _props_path(path).unlink(missing_ok=True)
-
-    pprops = d.properties.point_props
-    pnames = sorted({name for per in pprops.values() for name in per})
-    if pnames:
-        rows = []
-        for tid, per in sorted(pprops.items()):
-            # One row per order carrying a value, one column per name.
-            orders = sorted({order for pairs in per.values() for order, _ in pairs})
-            row_of = {order: i for i, order in enumerate(orders)}
-            cells = [[""] * len(orders) for _ in pnames]
-            for name, column in zip(pnames, cells):
-                for order, value in per.get(name, ()):
-                    column[row_of[order]] = _format_value(value)
-            rows.extend(zip(repeat(tid), map(str, orders), *cells))
-        _write_rows(_pprops_path(path), ["tid", "order"] + pnames, rows)
-    else:
-        _pprops_path(path).unlink(missing_ok=True)
+    pairs = {
+        tid: {name: ((0, value),) for name, value in per.items()}
+        for tid, per in d.properties.trajectory_props.items()
+    }
+    for (sibling, keys), per_tid in zip(_siblings(path), (pairs, d.properties.point_props)):
+        _write_keyed(sibling, keys, per_tid)

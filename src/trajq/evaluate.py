@@ -173,6 +173,11 @@ def _require_valid(ast: Predicate, env: EvalEnv) -> None:
         raise ValidationFailedError(diags)
 
 
+def _require_trajectory(t: Any) -> None:
+    if not isinstance(t, Trajectory):
+        raise PredicateTypeError(f"a trajectory is a Trajectory, got {type(t).__name__}")
+
+
 # --- the clause loop, the atom rule and point sites ---------------------
 
 
@@ -246,6 +251,7 @@ def _holds(ast: Predicate, ground: Callable[[Atom], bool], sites: _Sites) -> boo
 def _decide(ast: Predicate, t: Trajectory, env: EvalEnv, source: _SiteSource) -> bool:
     """Validate, then run the clause loop with pf and pl and source's sites."""
     _require_valid(ast, env)
+    _require_trajectory(t)
     return _holds(ast, lambda atom: _ground_atom(atom, t, env), source(t, env))
 
 
@@ -455,12 +461,13 @@ def region_signature(t: Trajectory, r: Region, s: Strictness) -> RegionSignature
     path by crossings there.
 
     Raises:
-        PredicateTypeError: r is not a Region.
+        PredicateTypeError: r is not a Region, or t not a Trajectory.
         UnsupportedStrictnessError: s is not a Strictness, or of an unknown kind.
         CrossingOverflowError: relaxed, a coordinate difference overflows.
     """
     if not isinstance(r, Region):
         raise PredicateTypeError(f"area relations need a Region, got {type(r).__name__}")
+    _require_trajectory(t)
     env = EvalEnv({"R": r})
     truth, owned = _site_source(s)(t, env)((_HULL, _INTERIOR))
 
@@ -499,5 +506,7 @@ def select_st(
     """
     _site_source(s)  # fail fast, before touching rows
     _require_valid(ast, env)
+    if not isinstance(rel, TrajectoriesRelation):
+        raise PredicateTypeError(f"a relation is a TrajectoriesRelation, got {type(rel).__name__}")
     kept = tuple(row for row in rel.rows if evaluate(ast, row[1], env, s))
     return TrajectoriesRelation(kept)

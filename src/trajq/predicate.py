@@ -391,10 +391,10 @@ def validate(
 ) -> list[Diagnostic]:
     """Check names, kinds, and variable binding; returns findings, raises nothing.
 
-    An empty result means: every atom's rhs resolves in the environment, the
-    temporal operators BEFORE/AFTER only meet intervals, every bound
-    variable matches its quantifier, and the endpoint constants pf/pl stay
-    out of quantified bodies.
+    An empty result means: every atom's rhs resolves in the environment to
+    a Region or an Interval, the temporal operators BEFORE/AFTER only meet
+    intervals, every bound variable matches its quantifier, and the
+    endpoint constants pf/pl stay out of quantified bodies.
     """
     diags: list[Diagnostic] = []
     for clause in ast.clauses:
@@ -421,6 +421,15 @@ def validate(
             if target is None:
                 diags.append(
                     Diagnostic("unknown-name", f"unknown name {atom.rhs!r}", atom.rhs)
+                )
+            elif not isinstance(target, (Region, Interval)):
+                diags.append(
+                    Diagnostic(
+                        "type-error",
+                        f"{atom.rhs!r} is bound to a {type(target).__name__},"
+                        " not a Region or an Interval",
+                        atom.rhs,
+                    )
                 )
             elif atom.op in (Op.BEFORE, Op.AFTER) and isinstance(target, Region):
                 diags.append(

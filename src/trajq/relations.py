@@ -269,12 +269,21 @@ def classify_de9im(
     does not care which way it was walked. ``labels`` restricts the result.
 
     Raises:
-        PredicateTypeError: r is not a Region.
+        PredicateTypeError: r is not a Region, or t not a Trajectory.
         UnsupportedStrictnessError: s is not a Strictness, or of an unknown kind.
     """
     sig = de9im_signature(t, r, s)
+    found = de9im_labels(t, r, s, sig) if normalize_orientation else _signature_labels(sig)
+    return set(found if labels is None else found.intersection(labels))
+
+
+def de9im_labels(
+    t: Trajectory, r: Region, s: Strictness, sig: RegionSignature
+) -> frozenset[De9imLabel]:
+    """The labels ``classify_de9im(t, r, s)`` finds, looked up by t's
+    signature ``sig = de9im_signature(t, r, s)``, for a caller that has it."""
     found = _signature_labels(sig)
-    if normalize_orientation and len(t) > 1:
+    if len(t) > 1:
         # Reversal swaps pf and pl. The direction-sensitive formulas read the
         # reversed path's site sets only for a reversed (pf, pl) of (B, E) or
         # (B, I), so only then is it walked (its crossings or strategy points differ).
@@ -282,7 +291,7 @@ def classify_de9im(
         if (rev.pf, rev.pl) in (("B", "E"), ("B", "I")):
             rev = de9im_signature(Trajectory(t.xs[::-1], t.ys[::-1], t.taus), r, s)
         found |= _signature_labels(rev) & DIRECTION_SENSITIVE
-    return set(found if labels is None else found.intersection(labels))
+    return found
 
 
 def classify_allen(t: Trajectory, i: Interval) -> AllenLabel:
@@ -294,12 +303,14 @@ def classify_allen(t: Trajectory, i: Interval) -> AllenLabel:
     exclusive.
 
     Raises:
-        PredicateTypeError: i is not an Interval.
+        PredicateTypeError: i is not an Interval, or t not a Trajectory.
         DegenerateSpanError: fewer than two points, so the span has no
             duration and the relations are not meaningful.
     """
     if not isinstance(i, Interval):
         raise PredicateTypeError(f"interval relations need an Interval, got {type(i).__name__}")
+    if not isinstance(t, Trajectory):
+        raise PredicateTypeError(f"a trajectory is a Trajectory, got {type(t).__name__}")
     a_s, a_e = time_span(t)
     if len(t) < 2 or not a_s < a_e:
         raise DegenerateSpanError(

@@ -5,6 +5,7 @@ so export after ingest must reproduce them byte for byte. CLI tests drive
 main() with argv lists and assert on captured output and exit codes.
 """
 
+import importlib
 import math
 from pathlib import Path
 
@@ -381,6 +382,21 @@ def test_cli_usage_errors(capsys):
                        "--region", "R=1,2,0,3")
     assert code == 2
 
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["de9im", "--region", "R=1,1,0,0"], "region needs x_min < x_max and y_min < y_max"),
+        (["de9im", "--region", "R=0,0,1,nan"], "non-finite region bounds"),
+        (["allen", "--interval", "I=5,1"], "interval needs tau_s < tau_e"),
+    ],
+)
+def test_cli_invalid_geometry_names_the_reason(capsys, argv, reason):
+    kind, flag, value = argv
+    code, _, err = run(capsys, "classify", kind, "x.csv", flag, value)
+    assert code == 2
+    assert f"argument {flag}: {reason}" in err and "_arg" not in err
+
     capsys.readouterr()
 
 
@@ -406,6 +422,29 @@ def test_cli_classify_de9im_why_appends_the_signature(capsys):
             "--strictness", mode, "--why",
         )
         assert (code, out) == (0, want)
+
+
+def test_cli_classify_de9im_why_computes_the_signature_once(capsys, monkeypatch, tmp_path):
+    evaluation = importlib.import_module("trajq.evaluate")
+    calls = []
+    real = evaluation.box_crossings
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(evaluation, "box_crossings", counted)
+    data = write(tmp_path / "two.csv", "tid,order,x,y,tau\nT,0,0,0,0\nT,1,5,5,1\n")
+    outs = []
+    for why in ([], ["--why"]):
+        calls.clear()
+        code, out, _ = run(
+            capsys, "classify", "de9im", str(data), "--region", "R=1,1,4,4",
+            "--strictness", "relaxed", *why,
+        )
+        assert (code, len(calls)) == (0, 1)
+        outs.append(out)
+    assert outs == ["T\tR095,R223\n", "T\tR095,R223\tpf=E pl=E tfl={I,B,E} t={I,B,E}\n"]
 
 
 def test_cli_classify_allen(capsys):

@@ -330,6 +330,23 @@ def test_environment_without_bindings_is_a_type_error():
             select_st(rel, ast, EvalEnv(None), STRICT)
 
 
+@pytest.mark.parametrize("binding", ["x", (0, 0, 1, 1)])
+def test_binding_that_is_no_region_is_a_validation_failure(binding):
+    ast = parse_predicate("EXISTS p IN T: p INSIDE R")
+    for mode in (STRICT, RELAXED, approximated("uniform", 2)):
+        with pytest.raises(ValidationFailedError, match="not a Region or an Interval"):
+            evaluate(ast, CROSSING, EvalEnv({"R": binding}), mode)
+
+
+def test_rows_that_are_no_trajectories_are_a_type_error():
+    ast = parse_predicate("EXISTS p IN T: p INSIDE R")
+    with pytest.raises(PredicateTypeError, match="TrajectoriesRelation, got list"):
+        select_st(list(SELECTION.rows), ast, CROSS_ENV, STRICT)
+    for mode in (STRICT, RELAXED, approximated("uniform", 2)):
+        with pytest.raises(PredicateTypeError, match="Trajectory, got tuple"):
+            evaluate(ast, ((0, 0, 0), (1, 1, 1)), CROSS_ENV, mode)
+
+
 EXISTENTIAL = tuple(
     parse_predicate(text)
     for text in (

@@ -68,6 +68,15 @@ def test_unknown_name_diagnostic():
         parse_predicate("EXISTS p IN T: p WITHIN J", ENV)
 
 
+@pytest.mark.parametrize("binding", ["x", (0, 0, 1, 1), 3.0])
+def test_binding_that_is_no_region_or_interval_is_a_type_error(binding):
+    text = "EXISTS p IN T: p INSIDE R"
+    diags = validate(parse_predicate(text), {"R": binding})
+    assert [(d.kind, d.name) for d in diags] == [("type-error", "R")]
+    with pytest.raises(PredicateTypeError, match="not a Region or an Interval"):
+        parse_predicate(text, {"R": binding})
+
+
 def test_unbound_variable_diagnostic():
     ast = parse_predicate("q WITHIN R")
     assert [d.kind for d in validate(ast, ENV)] == ["unbound-variable"]

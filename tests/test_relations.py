@@ -18,7 +18,7 @@ from helpers import (
     random_region,
     witness_path,
 )
-from trajq.errors import DegenerateSpanError
+from trajq.errors import DegenerateSpanError, PredicateTypeError
 from trajq.evaluate import RELAXED, STRICT, EvalEnv, evaluate
 from trajq.geometry import Interval, Region
 from trajq.model import build_trajectory
@@ -93,6 +93,15 @@ def test_de9im_labels_filter():
     subset = (De9imLabel.R031, De9imLabel.R179)
     assert classify_de9im(t, UNIT, STRICT, labels=subset) == {De9imLabel.R179}
     assert classify_de9im(t, UNIT, STRICT, labels=(De9imLabel.R031,)) == set()
+
+
+@pytest.mark.parametrize("t", [[(0, 0, 0), (1, 1, 1)], "T", None])
+def test_classifying_what_is_no_trajectory_is_a_type_error(t):
+    for s in (STRICT, RELAXED):
+        with pytest.raises(PredicateTypeError, match="a trajectory is a Trajectory"):
+            classify_de9im(t, UNIT, s)
+    with pytest.raises(PredicateTypeError, match="a trajectory is a Trajectory"):
+        classify_allen(t, ALLEN_I)
 
 
 def test_orientation_normalization():
