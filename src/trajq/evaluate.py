@@ -181,7 +181,7 @@ def _require_trajectory(t: Any) -> None:
 # --- the clause loop, the atom rule and point sites ---------------------
 
 
-def _band(c, lo: float, hi: float, strict: bool):
+def _in_band(c, lo: float, hi: float, strict: bool):
     return ((c > lo) & (c < hi)) if strict else ((c >= lo) & (c <= hi))
 
 
@@ -199,7 +199,7 @@ def _atom_mask(atom: Atom, xs, ys, taus, env: EvalEnv):
         if op is Op.OUTSIDE:
             return _off(xs, target.x_min, target.x_max) | _off(ys, target.y_min, target.y_max)
         strict = op is Op.INSIDE
-        return _band(xs, target.x_min, target.x_max, strict) & _band(
+        return _in_band(xs, target.x_min, target.x_max, strict) & _in_band(
             ys, target.y_min, target.y_max, strict
         )
     if op is Op.OUTSIDE:
@@ -208,7 +208,7 @@ def _atom_mask(atom: Atom, xs, ys, taus, env: EvalEnv):
         return taus < target.tau_s
     if op is Op.AFTER:
         return taus > target.tau_e
-    return _band(taus, target.tau_s, target.tau_e, op is Op.INSIDE)
+    return _in_band(taus, target.tau_s, target.tau_e, op is Op.INSIDE)
 
 
 def _body_mask(body: Body, atom_mask: Callable[[Atom], np.ndarray]) -> np.ndarray:

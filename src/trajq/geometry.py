@@ -8,25 +8,24 @@ After relative to an interval. Both boundaries belong to the closed shape:
 "outside" means strictly exterior (which is deliberately narrower than
 not-inside, since not-inside also admits the boundary).
 
-The continuum of positions along one trajectory segment is handled exactly,
-not by sampling: every class of points along a segment is a finite union of
-subintervals of the parameter range [0, 1], represented by :class:`ParamSet`
-with explicit open/closed endpoint flags. Because a rectangle is convex and
-each coordinate varies linearly in the parameter, these sets are produced by
-solving linear threshold crossings; all endpoint parameters are derived from
-the same divisions, so the class sets of a segment partition [0, 1] exactly
-in float arithmetic, with no epsilon tolerances anywhere.
+Where a segment crosses a box does not depend on the question asked. Every
+atom tests an axis-aligned box (a region's bounds, a time interval, or the
+half-line before or after one), and :func:`box_crossings` computes, as numpy
+arrays over many segments at once, the parameters at which each segment
+enters and leaves the closed box and which segments run flat along a face.
+It is the one solver of segment-box crossings: the evaluator, the NF²
+executor and the per-segment class sets all read it. Hull, interior and
+exterior, or within, inside and outside, are comparisons with those two
+parameters.
 
-The evaluator and the NF² executor need those sets for many segments at
-once. Every atom tests an axis-aligned box (a region's bounds, a time
-interval, or the half-line before or after one), and where a segment
-crosses a box does not depend on the operator: :func:`box_crossings`
-computes, as numpy arrays and from the same divisions, the parameters at
-which each segment enters and leaves the closed box, and which segments run
-flat along a face. Hull, interior and exterior, or within, inside and
-outside, are then comparisons with those two parameters. A coordinate
-difference that overflows the float range has no usable crossing and
-raises :class:`CrossingOverflowError`, one segment or many.
+The continuum along a segment is handled exactly, not by sampling: each
+class of points along a segment is a finite union of subintervals of the
+parameter range [0, 1], a :class:`ParamSet` with explicit open/closed
+endpoint flags. A segment's class sets all come from its one pair of
+crossings, so they partition [0, 1] exactly in float arithmetic, with no
+epsilon tolerances. A coordinate difference that overflows the float range
+has no usable crossing and raises :class:`CrossingOverflowError`, one
+segment or many.
 """
 
 from __future__ import annotations
@@ -249,52 +248,14 @@ FULL_SET = ParamSet((ParamInterval(0.0, 1.0, True, True),))
 _OVERFLOW = "a coordinate difference along a segment overflows the float range"
 
 
-def _axis_below(c0: float, c1: float, v: float, strict: bool) -> ParamSet:
-    """Parameters where the linear coordinate c(lam) is below threshold v.
-
-    Solves c0 + lam*(c1-c0) < v (or <= for strict=False) over lam in [0, 1].
-    """
-    if c0 == c1:
-        hit = c0 < v if strict else c0 <= v
-        return FULL_SET if hit else EMPTY_SET
-    d, num = c1 - c0, v - c0
-    if math.isinf(d) or math.isinf(num):
-        raise CrossingOverflowError(_OVERFLOW)
-    lam = num / d
-    if c1 > c0:
-        # below-threshold parameters sit left of the crossing
-        if lam > 1.0:
-            return FULL_SET
-        if lam < 0.0 or (lam == 0.0 and strict):
-            return EMPTY_SET
-        return ParamSet((ParamInterval(0.0, lam, True, not strict),))
-    # decreasing coordinate: below-threshold parameters sit right of it
-    if lam < 0.0:
-        return FULL_SET
-    if lam > 1.0 or (lam == 1.0 and strict):
-        return EMPTY_SET
-    return ParamSet((ParamInterval(lam, 1.0, not strict, True),))
-
-
-def _axis_above(c0: float, c1: float, v: float, strict: bool) -> ParamSet:
-    return _axis_below(-c0, -c1, -v, strict)
-
-
-def _band(c0: float, c1: float, lo: float, hi: float, strict: bool) -> ParamSet:
-    """Parameters with lo < c(lam) < hi (or the closed version)."""
-    return _axis_above(c0, c1, lo, strict).intersect(_axis_below(c0, c1, hi, strict))
-
-
 def _axis_band(
     c0: np.ndarray, c1: np.ndarray, lo: float, hi: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unclamped ends of the closed band lo <= c(lam) <= hi, per segment
     c0 -> c1, and the rows that run flat along one of its faces.
 
-    The crossings are (v - c0) / (c1 - c0), the division :func:`_axis_below`
-    makes; negating all three operands, as :func:`_axis_above` does, leaves
-    every rounding unchanged, so one quotient serves both directions and
-    each end equals the ParamSet path's bit for bit.
+    The crossings are the quotients (v - c0) / (c1 - c0), one per bound;
+    the smaller one is where the segment enters the band.
     """
     try:
         # Arithmetic on an infinite bound raises no flag; a flat row (x/0,
@@ -355,9 +316,7 @@ def box_crossings(
     A parameter lam of [0, 1] lies in the closed box iff enter <= lam <=
     leave, and in its interior iff enter < lam < leave on a row that is not
     an edge row: one that runs flat along a face, so it never reaches the
-    interior. These are the endpoints and the ownership
-    :func:`segment_region_params` (hull or interior) and
-    :func:`segment_interval_params` give, on all segments at once.
+    interior.
 
     Raises:
         CrossingOverflowError: a coordinate difference is not finite.
@@ -371,24 +330,38 @@ def box_crossings(
     return enter, leave, edge
 
 
+def _spans(starts: tuple, ends: tuple, lo: tuple, hi: tuple) -> tuple[ParamSet, ParamSet]:
+    """The parameters at which one segment lies in the closed box lo <= c <=
+    hi, and those at which it lies in the box's interior, both read from
+    :func:`box_crossings`.
+
+    Raises:
+        CrossingOverflowError: a coordinate difference is not finite.
+    """
+    crossings = box_crossings(np.array(starts)[:, None], np.array(ends)[:, None], lo, hi)
+    enter, leave, edge = (c.item() for c in crossings)
+    a, b = max(enter, 0.0), min(leave, 1.0)
+    closed = ParamSet((ParamInterval(a, b, True, True),)) if a <= b else EMPTY_SET
+    # an end of the open span is closed only where it is an end of [0, 1]
+    lo_closed, hi_closed = enter < 0.0, leave > 1.0
+    if edge or not _valid(a, b, lo_closed, hi_closed):
+        return closed, EMPTY_SET
+    return closed, ParamSet((ParamInterval(a, b, lo_closed, hi_closed),))
+
+
 def segment_region_params(seg: Segment, r: Region, cls: PointClass) -> ParamSet:
     """Exact parameter set of the segment points falling in one region class.
 
     The three class sets of any (segment, region) pair partition [0, 1]:
-    interior is an open band intersection, the closed hull adds the boundary,
+    interior is the open span of the box, the closed hull adds the boundary,
     and exterior is the complement of the hull. All interval endpoints come
-    from the same crossing parameters, so the partition is exact.
+    from one :func:`box_crossings` call, so the partition is exact.
     """
-    x0, y0 = seg.start.x, seg.start.y
-    x1, y1 = seg.end.x, seg.end.y
-    interior = _band(x0, x1, r.x_min, r.x_max, True).intersect(
-        _band(y0, y1, r.y_min, r.y_max, True)
+    closed, interior = _spans(
+        (seg.start.x, seg.start.y), (seg.end.x, seg.end.y), (r.x_min, r.y_min), (r.x_max, r.y_max)
     )
     if cls is PointClass.INTERIOR:
         return interior
-    closed = _band(x0, x1, r.x_min, r.x_max, False).intersect(
-        _band(y0, y1, r.y_min, r.y_max, False)
-    )
     if cls is PointClass.BOUNDARY:
         return closed.intersect(interior.complement())
     return closed.complement()
@@ -399,17 +372,17 @@ def segment_interval_params(seg: Segment, i: Interval, cls: TimeClass) -> ParamS
 
     Time increases strictly along a segment, so each class is a single
     (possibly empty or degenerate) subinterval of [0, 1]; the four class
-    sets partition [0, 1] exactly.
+    sets partition [0, 1] exactly. BEFORE and AFTER are the interiors of
+    the half-lines below tau_s and above tau_e.
     """
-    t0, t1 = seg.start.tau, seg.end.tau
+    taus = (seg.start.tau,), (seg.end.tau,)
     if cls is TimeClass.BEFORE:
-        return _axis_below(t0, t1, i.tau_s, True)
+        return _spans(*taus, (-math.inf,), (i.tau_s,))[1]
     if cls is TimeClass.AFTER:
-        return _axis_above(t0, t1, i.tau_e, True)
-    interior = _band(t0, t1, i.tau_s, i.tau_e, True)
+        return _spans(*taus, (i.tau_e,), (math.inf,))[1]
+    closed, interior = _spans(*taus, (i.tau_s,), (i.tau_e,))
     if cls is TimeClass.INTERIOR:
         return interior
-    closed = _band(t0, t1, i.tau_s, i.tau_e, False)
     return closed.intersect(interior.complement())
 
 

@@ -320,8 +320,8 @@ def parse_predicate(
     Raises:
         PredicateSyntaxError: malformed input, with character position.
         UnknownNameError: env given and an atom references an unknown name.
-        PredicateTypeError: text is not a str, or env given and an atom
-            misuses kinds or binding.
+        PredicateTypeError: text is not a str, env is given and is not a
+            mapping, or an atom misuses kinds or binding.
     """
     if not isinstance(text, str):
         raise PredicateTypeError(f"predicate text is a str, got {type(text).__name__}")
@@ -389,13 +389,22 @@ def _walk_atoms(node: Body):
 def validate(
     ast: Predicate, env: Mapping[str, Region | Interval]
 ) -> list[Diagnostic]:
-    """Check names, kinds, and variable binding; returns findings, raises nothing.
+    """Check names, kinds, and variable binding; returns findings.
 
     An empty result means: every atom's rhs resolves in the environment to
     a Region or an Interval, the temporal operators BEFORE/AFTER only meet
     intervals, every bound variable matches its quantifier, and the
     endpoint constants pf/pl stay out of quantified bodies.
+
+    Raises:
+        PredicateTypeError: env is not a mapping of names.
     """
+    try:
+        lookup = env.get
+    except AttributeError:
+        raise PredicateTypeError(
+            f"an environment is a mapping of names, got {type(env).__name__}"
+        ) from None
     diags: list[Diagnostic] = []
     for clause in ast.clauses:
         bound = clause.var if isinstance(clause, QuantifiedClause) else None
@@ -417,7 +426,7 @@ def validate(
                         atom.subject.name,
                     )
                 )
-            target = env.get(atom.rhs)
+            target = lookup(atom.rhs)
             if target is None:
                 diags.append(
                     Diagnostic("unknown-name", f"unknown name {atom.rhs!r}", atom.rhs)

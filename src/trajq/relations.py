@@ -269,9 +269,15 @@ def classify_de9im(
     does not care which way it was walked. ``labels`` restricts the result.
 
     Raises:
-        PredicateTypeError: r is not a Region, or t not a Trajectory.
+        PredicateTypeError: r is not a Region, t not a Trajectory, or labels
+            not an iterable of De9imLabel.
         UnsupportedStrictnessError: s is not a Strictness, or of an unknown kind.
     """
+    if labels is not None:
+        wanted = list(labels) if isinstance(labels, Iterable) else [labels]
+        if not all(isinstance(lab, De9imLabel) for lab in wanted):
+            raise PredicateTypeError(f"labels are an iterable of De9imLabel, got {labels!r}")
+        labels = wanted
     sig = de9im_signature(t, r, s)
     found = de9im_labels(t, r, s, sig) if normalize_orientation else _signature_labels(sig)
     return set(found if labels is None else found.intersection(labels))

@@ -3,10 +3,10 @@
 Nothing in this module is used by production code paths; tests import both
 and compare. Two oracles check relaxed evaluation. The exact one walks the
 segments one at a time through the ParamSet algebra, a formulation
-independent of the evaluator's site masks that shares only the crossing
-divisions, so it decides boundary cases too. The sampling one realizes the
-interpolated continuum finitely: densify every segment with uniformly
-spaced points, then run the strict evaluator over the densified
+independent of the evaluator's site masks that reads the same
+``box_crossings``, so it decides boundary cases too. The sampling one
+realizes the interpolated continuum finitely: densify every segment with
+uniformly spaced points, then run the strict evaluator over the densified
 trajectory. On generic inputs (no tangency, nothing decided exactly on a
 region boundary) the verdict converges to the exact relaxed one as the
 density grows. Atoms satisfiable only on a measure-zero set, like "p WITHIN

@@ -284,3 +284,14 @@ def test_unknown_strictness_and_empty_labels():
     with pytest.raises(UnsupportedStrictnessError):
         classify_de9im(T2, REGION, Strictness("fuzzy"))
     assert classify_de9im(T2, REGION, RELAXED, labels=()) == set()
+
+
+@pytest.mark.parametrize("labels", [5, ["R031"], "R031", [De9imLabel.R031, None]])
+def test_labels_that_are_no_de9im_labels_are_a_typed_error(labels):
+    with pytest.raises(PredicateTypeError, match="an iterable of De9imLabel"):
+        classify_de9im(T2, REGION, RELAXED, labels=labels)
+
+
+def test_labels_may_be_any_iterable_of_labels():
+    found = classify_de9im(T2, REGION, RELAXED)
+    assert classify_de9im(T2, REGION, RELAXED, labels=iter(De9imLabel)) == found

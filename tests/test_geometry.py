@@ -174,6 +174,7 @@ def test_horizontal_crossing_interior_params():
     (iv,) = interior.intervals
     assert (iv.lo, iv.hi) == (1 / 3, 2 / 3)
     assert not iv.lo_closed and not iv.hi_closed
+    assert [type(v) for v in (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)] == [float, float, bool, bool]
 
 
 def test_fully_inside_segment():
@@ -213,6 +214,7 @@ def test_interval_params_after_and_before():
     before = segment_interval_params(seg((0, 0, 90), (1, 0, 110)), i, TimeClass.BEFORE)
     (bv,) = before.intervals
     assert (bv.lo, bv.hi, bv.lo_closed, bv.hi_closed) == (0.0, 0.5, True, False)
+    assert [type(v) for v in (bv.lo, bv.hi, bv.lo_closed, bv.hi_closed)] == [float, float, bool, bool]
 
 
 def _random_segment(rng):

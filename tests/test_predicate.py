@@ -77,6 +77,15 @@ def test_binding_that_is_no_region_or_interval_is_a_type_error(binding):
         parse_predicate(text, {"R": binding})
 
 
+@pytest.mark.parametrize("env", [["R"], 5, "R", None])
+def test_environment_that_is_no_mapping_is_a_type_error(env):
+    with pytest.raises(PredicateTypeError, match="an environment is a mapping"):
+        validate(parse_predicate("pf WITHIN R"), env)
+    if env is not None:  # parse_predicate reads None as no environment
+        with pytest.raises(PredicateTypeError, match="an environment is a mapping"):
+            parse_predicate("pf WITHIN R", env)
+
+
 def test_unbound_variable_diagnostic():
     ast = parse_predicate("q WITHIN R")
     assert [d.kind for d in validate(ast, ENV)] == ["unbound-variable"]

@@ -3,7 +3,7 @@
 The evaluator decides each clause on one mask of sites per trajectory:
 segment ends, threshold crossings and the open cells between them.
 ``relaxed_paramset_oracle`` walks the same segments one at a time through
-the ParamSet algebra. Both use the same crossing divisions, so they must
+the ParamSet algebra. Both read the same ``box_crossings``, so they must
 agree on every input, including paths that touch a border only on a set
 of measure zero, which the dense-sampling oracle cannot decide.
 """
@@ -135,7 +135,7 @@ def test_before_reads_only_the_start_of_the_interval():
 
 
 # ROADMAP item 1's witnesses. Crossings are divisions (v - c0) / (c1 - c0)
-# in parameter space, so at extreme magnitudes distinct crossings collapse
+# in parameter space, so at large magnitudes distinct crossings collapse
 # onto each other or onto a vertex, and differences overflow. Each test
 # asserts the right answer, so ordering the crossings in coordinate space
 # makes it pass, and its strict xfail mark then fails until removed.
@@ -166,6 +166,19 @@ def test_time_span_over_the_whole_float_range_meets_the_interval():
     t = build_trajectory([(0.5, 0.5, -1e308), (0.5, 0.5, 1e308)])
     ast = parse_predicate("EXISTS p IN T: p INSIDE I")
     assert eval_relaxed(ast, t, EvalEnv({"I": Interval(-1.0, 1.0)})) is True
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a crossing rounds onto pl: set()")
+def test_a_crossing_just_before_the_last_point_stays_before_it():
+    # y leaves R at a parameter just below 1 that rounds to 1, the point
+    # where x reaches the face x = 0; the exact path never meets R
+    r = Region(0.0, -1.0, 3.0, 0.5)
+    t = build_trajectory([(-1.0, 4e11, 0.0), (0.0, -1.000000001, 1.0)])
+    back = build_trajectory([(0.0, -1.000000001, 0.0), (-1.0, 4e11, 1.0)])
+    ast = parse_predicate("FORALL p IN T: p OUTSIDE R")
+    assert eval_relaxed(ast, t, EvalEnv({"R": r})) is True
+    assert classify_de9im(back, r, RELAXED) == {De9imLabel.R031}
+    assert classify_de9im(t, r, RELAXED) == {De9imLabel.R031}
 
 
 def _scalar_augmented(t, lams):
