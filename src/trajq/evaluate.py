@@ -160,10 +160,8 @@ register_strategy(
 
 
 def _require_valid(ast: Predicate, env: EvalEnv) -> None:
-    if not isinstance(ast, Predicate):
-        raise PredicateTypeError(
-            f"a predicate is a Predicate from parse_predicate, got {type(ast).__name__}"
-        )
+    """Raises PredicateTypeError for an env that is no EvalEnv, and what
+    ``validate`` raises or finds for the predicate."""
     if not isinstance(env, EvalEnv) or not isinstance(env.bindings, Mapping):
         raise PredicateTypeError(
             f"an environment is an EvalEnv over a mapping of names, got {env!r}"

@@ -349,41 +349,64 @@ def _spans(starts: tuple, ends: tuple, lo: tuple, hi: tuple) -> tuple[ParamSet, 
     return closed, ParamSet((ParamInterval(a, b, lo_closed, hi_closed),))
 
 
-def segment_region_params(seg: Segment, r: Region, cls: PointClass) -> ParamSet:
-    """Exact parameter set of the segment points falling in one region class.
+class SegmentParams:
+    """The exact parameter sets of one segment's points in the classes of
+    regions and intervals.
 
-    The three class sets of any (segment, region) pair partition [0, 1]:
-    interior is the open span of the box, the closed hull adds the boundary,
-    and exterior is the complement of the hull. All interval endpoints come
-    from one :func:`box_crossings` call, so the partition is exact.
+    Each box is solved once, by one :func:`box_crossings` call, and every
+    class set of it is read from that: a region's three classes from its
+    box, an interval's INTERIOR and BOUNDARY from [tau_s, tau_e], BEFORE
+    and AFTER from the half-lines below tau_s and above tau_e.
     """
-    closed, interior = _spans(
-        (seg.start.x, seg.start.y), (seg.end.x, seg.end.y), (r.x_min, r.y_min), (r.x_max, r.y_max)
-    )
-    if cls is PointClass.INTERIOR:
-        return interior
-    if cls is PointClass.BOUNDARY:
+
+    def __init__(self, seg: Segment):
+        self.seg = seg
+        self._spans: dict = {}  # (lo, hi) -> (closed span, open span)
+
+    def _box(self, starts: tuple, ends: tuple, lo: tuple, hi: tuple) -> tuple[ParamSet, ParamSet]:
+        spans = self._spans.get((lo, hi))
+        if spans is None:
+            spans = self._spans[lo, hi] = _spans(starts, ends, lo, hi)
+        return spans
+
+    def region(self, r: Region, cls: PointClass) -> ParamSet:
+        """The three class sets of a region partition [0, 1]: interior is
+        the open span of the box, the closed hull adds the boundary, and
+        exterior is the complement of the hull."""
+        a, b = self.seg.start, self.seg.end
+        closed, interior = self._box((a.x, a.y), (b.x, b.y), (r.x_min, r.y_min), (r.x_max, r.y_max))
+        if cls is PointClass.INTERIOR:
+            return interior
+        if cls is PointClass.BOUNDARY:
+            return closed.intersect(interior.complement())
+        return closed.complement()
+
+    def interval(self, i: Interval, cls: TimeClass) -> ParamSet:
+        """Time increases strictly along a segment, so each class is a
+        single (possibly empty or degenerate) subinterval of [0, 1]; the
+        four class sets partition [0, 1]. BEFORE and AFTER are the
+        interiors of the half-lines below tau_s and above tau_e."""
+        taus = (self.seg.start.tau,), (self.seg.end.tau,)
+        if cls is TimeClass.BEFORE:
+            return self._box(*taus, (-math.inf,), (i.tau_s,))[1]
+        if cls is TimeClass.AFTER:
+            return self._box(*taus, (i.tau_e,), (math.inf,))[1]
+        closed, interior = self._box(*taus, (i.tau_s,), (i.tau_e,))
+        if cls is TimeClass.INTERIOR:
+            return interior
         return closed.intersect(interior.complement())
-    return closed.complement()
+
+
+def segment_region_params(seg: Segment, r: Region, cls: PointClass) -> ParamSet:
+    """Exact parameter set of the segment points falling in one region
+    class (see :meth:`SegmentParams.region`)."""
+    return SegmentParams(seg).region(r, cls)
 
 
 def segment_interval_params(seg: Segment, i: Interval, cls: TimeClass) -> ParamSet:
-    """Exact parameter set of the segment points falling in one time class.
-
-    Time increases strictly along a segment, so each class is a single
-    (possibly empty or degenerate) subinterval of [0, 1]; the four class
-    sets partition [0, 1] exactly. BEFORE and AFTER are the interiors of
-    the half-lines below tau_s and above tau_e.
-    """
-    taus = (seg.start.tau,), (seg.end.tau,)
-    if cls is TimeClass.BEFORE:
-        return _spans(*taus, (-math.inf,), (i.tau_s,))[1]
-    if cls is TimeClass.AFTER:
-        return _spans(*taus, (i.tau_e,), (math.inf,))[1]
-    closed, interior = _spans(*taus, (i.tau_s,), (i.tau_e,))
-    if cls is TimeClass.INTERIOR:
-        return interior
-    return closed.intersect(interior.complement())
+    """Exact parameter set of the segment points falling in one time class
+    (see :meth:`SegmentParams.interval`)."""
+    return SegmentParams(seg).interval(i, cls)
 
 
 def lerp(seg: Segment, lam: float) -> tuple[float, float, float]:

@@ -29,27 +29,48 @@ keeps no state between runs: what one run builds (the memo of an operator
 evaluation, a hash-join index) lives only in that run.
 
 Execution is linear in the rows of each operator, so compiled plans are
-linear in points per trajectory:
+linear in points per trajectory. Each relation keeps one column per
+attribute beside its rows (built on first use; ``trajectories_to_nf2``
+hands its points relations the lists it makes anyway), and three kinds of
+operator run on those columns, with no row scope per row:
 
+* A selection whose condition reads only attributes of its own rows,
+  literals and invariant subexpressions (below), combined by comparisons,
+  arithmetic, AND, OR and NOT, computes one mask over the columns. It
+  keeps Python's comparisons exactly (``_COMPARE``: an int against a float
+  is exact, NaN and undefined compare false), and a conjunct or disjunct
+  runs only on the rows still undecided, so an invariant that would raise
+  runs only where some row reaches it, as on rows.
+* min/max of a one-column projection of an attribute (``Col`` or ``As``)
+  is Python's min/max of that column, with no projection built; count is
+  the length of the relation.
 * A join whose condition is ``a = b``, with ``a`` reading no attribute of
   the right side and ``b`` none of the left (or the reverse), is a hash
-  join; its output order is the nested loop's (left-major, right rows in
-  input order), and an undefined or NaN key matches nothing. Any other
-  join is a nested loop.
+  join; a key reads its side's columns where a selection condition could.
+  Its output order is the nested loop's (left-major, right rows in input
+  order), and an undefined or NaN key matches nothing. A segment test
+  (``SegIntersects``) reads the four columns it names.
+
+Everything else keeps the row runner, one row scope per row: a selection
+or key that reads an attribute of an enclosing row directly, coerces a
+nested attribute of its rows to a scalar, or holds a subexpression that
+reads its rows; any other join (a nested loop); projections with computed
+items. Each node gets one runner, chosen while it is compiled. In both:
+
 * A relation-valued or aggregate subexpression that reads no attribute of
   the rows of its enclosing selection, join or projection (found while it
   is compiled, as every name is resolved then) is invariant: it is
   evaluated lazily on first use and kept for that one evaluation of the
   operator, i.e. once per outer row.
-* A segment test (``SegIntersects``) is only ever a selection's whole
-  condition, decided for all its rows in one call of the evaluator's
-  crossing code (``geometry.box_crossings``), closed or open as the
-  condition asks: it raises ``CrossingOverflowError`` wherever relaxed
-  evaluation does.
+* A segment test is only ever a selection's whole condition, decided for
+  all its rows in one call of the evaluator's crossing code
+  (``geometry.box_crossings``), closed or open as the condition asks: it
+  raises ``CrossingOverflowError`` wherever relaxed evaluation does.
 * Rows are checked where they enter: by the public ``Nf2Relation``
   constructor, and once on the result of ``execute``. Relations built
   inside a plan take their schemas from the compiler and skip the per-row
-  checks.
+  checks, and derive their columns on each use rather than keep them, so
+  no column a run builds outlives it.
 """
 
 from __future__ import annotations
@@ -58,7 +79,7 @@ import json
 import operator
 import weakref
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 from typing import Union
 
 import numpy as np
@@ -155,18 +176,33 @@ class Nf2Relation:
                     )
 
     def column(self, name: str) -> tuple:
-        i = self.schema.index(name)
-        return tuple(row[i] for row in self.rows)
+        return tuple(_columns(self)[self.schema.index(name)])
 
     def __len__(self) -> int:
         return len(self.rows)
 
 
+def _columns(rel: Nf2Relation) -> tuple:
+    """The values of rel's rows read down, one sequence per attribute.
+
+    A relation that entered from outside a plan keeps them from its first
+    use on (they are no dataclass field, so equality and repr ignore them);
+    one that a plan built derives them on each use, so that they die with
+    the run that built it.
+    """
+    kept = rel.__dict__.get("_cols")
+    if kept is not None:
+        return kept
+    cols = tuple(zip(*rel.rows)) if rel.rows else ((),) * len(rel.schema.attributes)
+    if "_cols" not in rel.__dict__:
+        object.__setattr__(rel, "_cols", cols)
+    return cols
+
+
 def _built(schema: Nf2Schema, rows: tuple) -> Nf2Relation:
     """A relation a plan built from checked parts, without row checks."""
     rel = object.__new__(Nf2Relation)
-    object.__setattr__(rel, "schema", schema)
-    object.__setattr__(rel, "rows", rows)
+    rel.__dict__.update(schema=schema, rows=rows, _cols=None)
     return rel
 
 
@@ -411,6 +447,154 @@ def _compare(op: str, left, right):
 # The subexpressions worth keeping when invariant: relations and aggregates.
 _HOISTABLE = frozenset((Project, Select, Unnest, Join, Agg))
 
+# --- column runners -----------------------------------------------------
+#
+# A column runner evaluates a condition, or an operand of one, on the rows
+# of one evaluation of an operator at once: ``vec(cols, live, os)``, with
+# ``cols`` the columns of the operator's relation, ``live`` the ascending
+# indices of the rows asked about, and ``os`` the scope of this evaluation
+# of the operator, whose memo keeps its invariants. A condition's runner
+# returns the indices in ``live`` of the rows that satisfy it; an
+# operand's returns its values on those rows, or UNDEFINED if it is
+# undefined on all of them. An operand with one value for every row (a
+# literal, or an invariant subexpression) is marked _CONST instead: its
+# row runner, run over ``os``, gives the value. No runner evaluates
+# anything when ``live`` is empty, so a conjunct runs only on the rows
+# still live, and an invariant only once some row reaches it.
+
+_CONST = "const"
+_NO_NAMES: dict = {}  # the positions of an operator's scope, which has no row
+
+
+def _op_scope(s: _Scope, memo: dict) -> _Scope:
+    """The scope of one evaluation of an operator that runs on columns."""
+    return _Scope(_NO_NAMES, (), s, memo)
+
+
+def _reader(i: int):
+    """The column runner of the attribute at position i of the rows."""
+
+    def read(cols, live, os):
+        col = cols[i]
+        return col if len(live) == len(col) else map(col.__getitem__, live)
+
+    return read
+
+
+def _values(vec, run, cols, live, os):
+    """The values of an operand on the live rows, or UNDEFINED."""
+    if vec is _CONST:
+        v = run(os)
+        return v if v is UNDEFINED else repeat(v, len(live))
+    return vec(cols, live, os)
+
+
+def _compare_columns(op: str, left, lvec, right, rvec):
+    """The column runner of ``left op right``, or None if an operand has none."""
+    if lvec is None or rvec is None:
+        return None
+    fn = _COMPARE[op]
+
+    def run(cols, live, os):
+        if not live:
+            return live
+        a = _values(lvec, left, cols, live, os)
+        b = _values(rvec, right, cols, live, os)
+        if a is UNDEFINED or b is UNDEFINED:
+            return []
+        return list(compress(live, map(fn, a, b)))
+
+    return run
+
+
+def _and_columns(parts: list):
+    def run(cols, live, os):
+        for part in parts:
+            if not live:
+                break
+            live = part(cols, live, os)
+        return live
+
+    return run
+
+
+def _or_columns(parts: list):
+    def run(cols, live, os):
+        hits, rest = set(), live
+        for part in parts:
+            if not rest:
+                break
+            got = part(cols, rest, os)
+            if got:
+                hits.update(got)
+                rest = [i for i in rest if i not in hits]
+        return [i for i in live if i in hits]
+
+    return run
+
+
+def _not_columns(child):
+    def run(cols, live, os):
+        got = set(child(cols, live, os))
+        return [i for i in live if i not in got]
+
+    return run
+
+
+def _arith_values(fn, op: str, t: str, a, b) -> list:
+    """``fn`` over the paired values of a and b. A value no float holds,
+    where the result is typed float, raises (an int operand or result)."""
+    try:
+        values = list(map(fn, a, b))
+        if t == "float":
+            for v in values:
+                float(v)
+    except OverflowError:
+        raise TypeMismatchError(f"{op} overflows a float") from None
+    return values
+
+
+def _row_keys(key, positions: dict):
+    """The join keys of a relation's rows, one row scope each."""
+    return lambda rel, s, memo: [key(_Scope(positions, r, s, memo)) for r in rel.rows]
+
+
+def _column_keys(key, vec):
+    """The join keys of a relation's rows, read from its columns."""
+
+    def keys(rel, s, memo):
+        got = _values(vec, key, _columns(rel), range(len(rel.rows)), _op_scope(s, memo))
+        return () if got is UNDEFINED else got
+
+    return keys
+
+
+def _equal_pairs(lkeys, rkeys) -> tuple[list, list]:
+    """The (left, right) positions of the key pairs that are ``=``, in the
+    nested loop's order: left-major, right rows in input order. ``=`` is
+    false for an undefined key and for NaN, which a dict would match with
+    itself by identity: they stay out of the index."""
+    rkeys = list(rkeys)
+    index: dict = dict(zip(rkeys, range(len(rkeys))))
+    if len(index) == len(rkeys):  # distinct keys: each left row meets one right row at most
+        index.pop(UNDEFINED, None)
+        if any(map(operator.ne, rkeys, rkeys)):
+            for k in [k for k in index if k != k]:
+                del index[k]
+        found = list(map(index.get, lkeys))
+        hit = list(map(operator.is_not, found, repeat(None)))
+        return list(compress(range(len(found)), hit)), list(compress(found, hit))
+    index = {}
+    for j, k in enumerate(rkeys):
+        if k is not UNDEFINED and k == k:
+            index.setdefault(k, []).append(j)
+    li, ri = [], []
+    for i, k in enumerate(lkeys):
+        for j in index.get(k, ()):
+            li.append(i)
+            ri.append(j)
+    return li, ri
+
 
 class _Compiler:
     """Type-checks an expression and compiles it in the same pass: each
@@ -418,7 +602,7 @@ class _Compiler:
     row scope that evaluates it. A runner holds what the check found there:
     output schemas, invariance in the rows of the operator (kept in its
     memo), hash-join keys, the coercion of a one-column relation to a
-    scalar."""
+    scalar, and whether a selection or join key runs on columns."""
 
     def __init__(self, input_schema: Nf2Schema):
         self.input_schema = input_schema
@@ -456,31 +640,19 @@ class _Compiler:
         self.own = outer
         return compiled
 
-    def _resolve(self, scope: _Scope | None, name: str):
+    def _resolve(self, scope: _Scope | None, name: str) -> tuple[_Scope, int]:
+        """The row that provides ``name`` and its position there."""
         while scope is not None:
             i = scope.positions.get(name)
             if i is not None:
                 self.reads.add(scope)
-                return scope.row[i].type
+                return scope, i
             scope = scope.parent
         raise UnknownAttributeError(name)
 
     def _compile(self, e: AlgebraExpr, scope: _Scope | None):
-        if isinstance(e, Attr):
-            if scope is None:
-                raise UnknownAttributeError(f"{e.name} (no row context at the top level)")
-            return self._resolve(scope, e.name), operator.methodcaller("lookup", e.name)
-        if isinstance(e, Lit):
-            value = e.value
-            if isinstance(value, bool) or value is None:
-                raise TypeMismatchError(f"unsupported literal {value!r}")
-            t = "str" if isinstance(value, str) else "int" if isinstance(value, int) else "float"
-            return t, lambda s: value
-        if isinstance(e, Cmp):
-            lt, left = self._scalar(e.left, scope)
-            rt, right = self._scalar(e.right, scope)
-            _comparable(lt, rt)
-            return "bool", _compare(e.op, left, right)
+        if isinstance(e, (Attr, Lit, Cmp, BoolAnd, BoolOr, BoolNot, Arith)):
+            return self._vector(e, scope)[:2]
         if isinstance(e, Project):
             src_t, src = self._relation(e.src, scope)
             schema, project = self._project(src_t, e.items, scope)
@@ -505,59 +677,96 @@ class _Compiler:
         if isinstance(e, Join):
             return self._join(e, scope)
         if isinstance(e, Agg):
-            src_t, src = self._relation(e.src, scope)
-            if e.fn == "count":
-                return "int", lambda s: len(src(s).rows)
-            if len(src_t.attributes) != 1 or not _numeric(src_t.attributes[0].type):
-                raise TypeMismatchError(
-                    f"{e.fn} needs a single numeric column, got {src_t.names()}"
-                )
-            pick = min if e.fn == "min" else max
-
-            def aggregate(s):
-                rows = src(s).rows
-                return pick(row[0] for row in rows) if rows else UNDEFINED
-
-            return src_t.attributes[0].type, aggregate
-        if isinstance(e, (BoolAnd, BoolOr)):
-            parts = []
-            for part in e.parts:
-                t, run = self.compile(part, scope)
-                if t != "bool":
-                    raise TypeMismatchError("boolean connective over non-boolean")
-                parts.append(run)
-            every = all if isinstance(e, BoolAnd) else any
-            return "bool", lambda s: every(run(s) for run in parts)
-        if isinstance(e, BoolNot):
-            t, child = self.compile(e.child, scope)
-            if t != "bool":
-                raise TypeMismatchError("NOT over non-boolean")
-            return "bool", lambda s: not child(s)
-        if isinstance(e, Arith):
-            return self._arith(e, scope)
+            return self._aggregate(e, scope)
         if isinstance(e, SegIntersects):
             raise TypeMismatchError("a segment condition must be a selection's whole condition")
         raise TypeMismatchError(f"unknown expression node {e!r}")
+
+    def _vector(self, e: AlgebraExpr, scope: _Scope | None):
+        """The type, row runner and column runner of a condition, or an
+        operand of one, over the rows of the innermost operator.
+
+        The column runner is None where e reads an attribute of an
+        enclosing row directly, coerces a nested attribute of the rows to a
+        scalar, or holds a subexpression that reads the rows: each of those
+        needs a row scope.
+        """
+        if isinstance(e, Attr):
+            if scope is None:
+                raise UnknownAttributeError(f"{e.name} (no row context at the top level)")
+            found, i = self._resolve(scope, e.name)
+            t = found.row[i].type
+            own = found in self.own and not isinstance(t, Nf2Schema)
+            return t, operator.methodcaller("lookup", e.name), _reader(i) if own else None
+        if isinstance(e, Lit):
+            value = e.value
+            if isinstance(value, bool) or value is None:
+                raise TypeMismatchError(f"unsupported literal {value!r}")
+            t = "str" if isinstance(value, str) else "int" if isinstance(value, int) else "float"
+            return t, lambda s: value, _CONST
+        if isinstance(e, Cmp):
+            lt, left, lvec = self._operand(e.left, scope)
+            rt, right, rvec = self._operand(e.right, scope)
+            _comparable(lt, rt)
+            return "bool", _compare(e.op, left, right), _compare_columns(e.op, left, lvec, right, rvec)
+        if isinstance(e, (BoolAnd, BoolOr)):
+            runs, vecs = [], []
+            for part in e.parts:
+                t, run, vec = self._vector(part, scope)
+                if t != "bool":
+                    raise TypeMismatchError("boolean connective over non-boolean")
+                runs.append(run)
+                vecs.append(vec)
+            conj = isinstance(e, BoolAnd)
+            every = all if conj else any
+            vec = None if None in vecs else (_and_columns if conj else _or_columns)(vecs)
+            return "bool", lambda s: every(run(s) for run in runs), vec
+        if isinstance(e, BoolNot):
+            t, child, vec = self._vector(e.child, scope)
+            if t != "bool":
+                raise TypeMismatchError("NOT over non-boolean")
+            return "bool", lambda s: not child(s), None if vec is None else _not_columns(vec)
+        if isinstance(e, Arith):
+            return self._arith(e, scope)
+        (t, run), reads = self._reading(self.compile, e, scope)
+        return t, run, _CONST if self.own and reads.isdisjoint(self.own) else None
 
     def _select(self, e: Select, scope: _Scope | None):
         src_t, src = self._relation(e.src, scope)
         cond = e.cond
         if isinstance(cond, SegIntersects):  # reads the selected rows only
-            if any(src_t.get(n).type != "float" for n in (cond.x1, cond.y1, cond.x2, cond.y2)):
+            names = (cond.x1, cond.y1, cond.x2, cond.y2)
+            if any(src_t.get(n).type != "float" for n in names):
                 raise TypeMismatchError("a segment condition needs float attributes")
-            return src_t, lambda s: _built(src_t, _segments_hitting(src(s), cond))
+            at = tuple(src_t.positions[n] for n in names)
+            return src_t, lambda s: _built(src_t, _segments_hitting(src(s), cond, at))
         row = _types(src_t, scope)
-        t, test = self._within((row,), cond, row)
+        outer, self.own = self.own, (row,)
+        t, test, vec = self._vector(cond, row)
+        self.own = outer
         if t != "bool":
             raise TypeMismatchError("selection condition must be boolean")
-        positions = src_t.positions
+        if vec is None:  # one row scope per row
+            positions = src_t.positions
 
-        def select(s):
-            memo = {}
-            rows = src(s).rows
-            return _built(src_t, tuple(r for r in rows if test(_Scope(positions, r, s, memo))))
+            def select(s):
+                memo = {}
+                rows = src(s).rows
+                return _built(src_t, tuple(r for r in rows if test(_Scope(positions, r, s, memo))))
 
-        return src_t, select
+            return src_t, select
+
+        def select_columns(s):
+            rel = src(s)
+            rows = rel.rows
+            if not rows:
+                return rel
+            live = vec(_columns(rel), range(len(rows)), _op_scope(s, {}))
+            if len(live) == len(rows):
+                return rel
+            return _built(src_t, tuple(map(rows.__getitem__, live)))
+
+        return src_t, select_columns
 
     def _join(self, e: Join, scope: _Scope | None):
         left_t, left = self._relation(e.left, scope)
@@ -569,51 +778,76 @@ class _Compiler:
         # resolves every name as the concatenated row would.
         lrow = _types(left_t, scope)
         rrow = _types(right_t, lrow)
+        lpos, rpos = left_t.positions, right_t.positions
         cond, keys = e.cond, None
         if isinstance(cond, Cmp) and cond.op == "=":
             outer, self.own = self.own, (lrow, rrow)
-            (lt, a), a_reads = self._reading(self._scalar, cond.left, rrow)
-            (rt, b), b_reads = self._reading(self._scalar, cond.right, rrow)
+            (lt, a, avec), a_reads = self._reading(self._operand, cond.left, rrow)
+            (rt, b, bvec), b_reads = self._reading(self._operand, cond.right, rrow)
             self.own = outer
             _comparable(lt, rt)
+            sides = None
             if rrow not in a_reads and lrow not in b_reads:
-                keys = (a, b)
+                sides = ((a, avec), (b, bvec))
             elif lrow not in a_reads and rrow not in b_reads:
-                keys = (b, a)
+                sides = ((b, bvec), (a, avec))
+            if sides is not None:  # a key reads its own side's columns, or a scope per row
+                keys = tuple(
+                    _row_keys(key, positions) if vec is None else _column_keys(key, vec)
+                    for (key, vec), positions in zip(sides, (lpos, rpos))
+                )
             test = _compare("=", a, b)
         else:
             t, test = self._within((lrow, rrow), cond, rrow)
             if t != "bool":
                 raise TypeMismatchError("join condition must be boolean")
         schema = Nf2Schema(left_t.attributes + right_t.attributes)
-        lpos, rpos = left_t.positions, right_t.positions
 
         def join(s):
-            lrows, rrows = left(s).rows, right(s).rows
+            lrel, rrel = left(s), right(s)
+            lrows, rrows = lrel.rows, rrel.rows
             memo, rows = {}, []
             if keys is None:
                 for lr in lrows:
                     ls = _Scope(lpos, lr, s, memo)
                     rows.extend(lr + rr for rr in rrows if test(_Scope(rpos, rr, ls, memo)))
             elif lrows and rrows:
-                lkey, rkey = keys
-                index: dict = {}
-                for rr in rrows:
-                    k = rkey(_Scope(rpos, rr, s, memo))
-                    # `=` is false for an undefined key and for NaN, which the
-                    # dict would match with itself by identity: leave them out.
-                    if k is not UNDEFINED and k == k:
-                        index.setdefault(k, []).append(rr)
-                for lr in lrows:
-                    k = lkey(_Scope(lpos, lr, s, memo))
-                    rows.extend(lr + rr for rr in index.get(k, ()))
+                lkeys, rkeys = keys
+                rk = rkeys(rrel, s, memo)
+                li, ri = _equal_pairs(lkeys(lrel, s, memo), rk)
+                rows = map(operator.add, map(lrows.__getitem__, li), map(rrows.__getitem__, ri))
             return _built(schema, tuple(rows))
 
         return schema, join
 
+    def _aggregate(self, e: Agg, scope: _Scope | None):
+        src, at = e.src, 0
+        if isinstance(src, Project) and len(src.items) == 1 and isinstance(src.items[0], (Col, As)):
+            # One attribute of the projected relation: read in its column,
+            # with no projection built.
+            item = src.items[0]
+            from_t, relation = self._relation(src.src, scope)
+            at = from_t.index(item.name if isinstance(item, Col) else item.source)
+            src_t = Nf2Schema((Attribute(item.name, from_t.attributes[at].type),))
+        else:
+            src_t, relation = self._relation(src, scope)
+        if e.fn == "count":
+            return "int", lambda s: len(relation(s).rows)
+        if len(src_t.attributes) != 1 or not _numeric(src_t.attributes[0].type):
+            raise TypeMismatchError(
+                f"{e.fn} needs a single numeric column, got {src_t.names()}"
+            )
+        pick = min if e.fn == "min" else max
+
+        def aggregate(s):
+            column = _columns(relation(s))[at]
+            return pick(column) if column else UNDEFINED
+
+        return src_t.attributes[0].type, aggregate
+
     def _arith(self, e: Arith, scope: _Scope | None):
-        lt, left = self._scalar(e.left, scope)
-        rt, right = self._scalar(e.right, scope)
+        lt, left, lvec = self._operand(e.left, scope)
+        rt, right, rvec = self._operand(e.right, scope)
         if not (_numeric(lt) and _numeric(rt)):
             raise TypeMismatchError(f"arithmetic over {lt} and {rt}")
         t = "int" if lt == rt == "int" else "float"
@@ -623,15 +857,21 @@ class _Compiler:
             lv, rv = left(s), right(s)
             if lv is UNDEFINED or rv is UNDEFINED:
                 return UNDEFINED
-            try:  # an int operand or result that no float holds, typed float
-                v = fn(lv, rv)
-                if t == "float":
-                    float(v)
-            except OverflowError:
-                raise TypeMismatchError(f"{op} overflows a float") from None
-            return v
+            return _arith_values(fn, op, t, (lv,), (rv,))[0]
 
-        return t, arith
+        if lvec is None or rvec is None:
+            return t, arith, None
+        if lvec is _CONST and rvec is _CONST:
+            return t, arith, _CONST
+
+        def arith_columns(cols, live, os):
+            a = _values(lvec, left, cols, live, os)
+            b = _values(rvec, right, cols, live, os)
+            if a is UNDEFINED or b is UNDEFINED:
+                return UNDEFINED
+            return _arith_values(fn, op, t, a, b)
+
+        return t, arith, arith_columns
 
     def _relation(self, e: AlgebraExpr, scope: _Scope | None):
         t, run = self.compile(e, scope)
@@ -639,13 +879,14 @@ class _Compiler:
             raise TypeMismatchError(f"expected a relation, got {t}")
         return t, run
 
-    def _scalar(self, e: AlgebraExpr, scope: _Scope | None):
-        """Scalar type and runner of a comparison/arithmetic operand.
+    def _operand(self, e: AlgebraExpr, scope: _Scope | None):
+        """Scalar type, row runner and column runner of a comparison,
+        arithmetic or join-key operand.
 
         A relation-valued operand is legal if it has a single atomic column:
         its runner coerces it to its sole value (or undefined if empty).
         """
-        t, run = self.compile(e, scope)
+        t, run, vec = self._vector(e, scope)
         if isinstance(t, Nf2Schema):
             if len(t.attributes) == 1 and isinstance(t.attributes[0].type, str):
 
@@ -655,11 +896,11 @@ class _Compiler:
                         raise TypeMismatchError(f"scalar coercion of a {len(rows)}-row relation")
                     return rows[0][0] if rows else UNDEFINED
 
-                return t.attributes[0].type, sole
+                return t.attributes[0].type, sole, vec
             raise TypeMismatchError("only single-column relations can be used as scalars")
         if t == "bool":
             raise TypeMismatchError("boolean used as a scalar operand")
-        return t, run
+        return t, run, vec
 
     def _project(self, src: Nf2Schema, items: tuple[ProjItem, ...], scope: _Scope | None):
         """The schema of projecting rows of ``src`` on ``items``, and a
@@ -729,15 +970,22 @@ def check(e: AlgebraExpr, input_schema: Nf2Schema) -> Nf2Schema:
     Raises:
         UnknownAttributeError: a name that no enclosing row provides (for a
             segment condition, that the selected rows lack).
-        TypeMismatchError: any other ill-typed construction.
+        TypeMismatchError: input_schema is not an Nf2Schema, or any other
+            ill-typed construction.
     """
+    if not isinstance(input_schema, Nf2Schema):
+        raise TypeMismatchError(
+            f"check needs an Nf2Schema as input_schema, got {type(input_schema).__name__}"
+        )
     return _Compiler(input_schema).plan(e)[0]
 
 
-def _segments_hitting(rel: Nf2Relation, c: SegIntersects) -> tuple:
+def _segments_hitting(rel: Nf2Relation, c: SegIntersects, at: tuple) -> tuple:
     """The rows of rel whose segment meets the rectangle, all in one call of
-    the evaluator's crossing code (which may raise CrossingOverflowError)."""
-    x1, y1, x2, y2 = (np.array(rel.column(n), float) for n in (c.x1, c.y1, c.x2, c.y2))
+    the evaluator's crossing code (which may raise CrossingOverflowError).
+    ``at`` holds the positions of the segment's x1, y1, x2, y2 columns."""
+    cols = _columns(rel)
+    x1, y1, x2, y2 = (np.array(cols[i], float) for i in at)
     r = c.region
     enter, leave, edge = box_crossings((x1, y1), (x2, y2), (r.x_min, r.y_min), (r.x_max, r.y_max))
     lo, hi = np.maximum(enter, 0.0), np.minimum(leave, 1.0)
@@ -812,8 +1060,9 @@ def trajectories_to_nf2(rel: TrajectoriesRelation) -> Nf2Relation:
     """Materialize a trajectories relation as a nested relation.
 
     The points relations hold ints from ``range`` and floats from float64
-    columns, so they conform by construction and skip the row checks; the
-    outer rows are checked, as nothing types a relation's tids.
+    columns, so they conform by construction and skip the row checks, and
+    they keep those lists as their columns; the outer rows are checked, as
+    nothing types a relation's tids.
 
     Raises:
         TypeMismatchError: rel is not a TrajectoriesRelation.
@@ -824,10 +1073,9 @@ def trajectories_to_nf2(rel: TrajectoriesRelation) -> Nf2Relation:
         )
     rows = []
     for tid, t in rel.rows:
-        nested = _built(
-            POINTS_SCHEMA,
-            tuple(zip(range(len(t)), t.xs.tolist(), t.ys.tolist(), t.taus.tolist())),
-        )
+        cols = (range(len(t)), t.xs.tolist(), t.ys.tolist(), t.taus.tolist())
+        nested = _built(POINTS_SCHEMA, tuple(zip(*cols)))
+        object.__setattr__(nested, "_cols", cols)
         rows.append((tid, nested))
     return Nf2Relation(TRAJECTORIES_SCHEMA, tuple(rows))
 

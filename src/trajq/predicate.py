@@ -355,13 +355,24 @@ def _fmt_body(node: Body) -> str:
     return " OR ".join(rendered)
 
 
+def _require_predicate(ast) -> None:
+    if not isinstance(ast, Predicate):
+        raise PredicateTypeError(
+            f"a predicate is a Predicate from parse_predicate, got {type(ast).__name__}"
+        )
+
+
 def format_predicate(ast: Predicate) -> str:
     """Render an AST as canonical text; parsing the result reproduces the AST.
 
     Canonical ASTs are those the parser can produce: no single-element
     AND/OR nodes and no two adjacent ground clauses (the parser merges
     neighbouring ground conjuncts into one clause body).
+
+    Raises:
+        PredicateTypeError: ast is not a Predicate.
     """
+    _require_predicate(ast)
     multi = len(ast.clauses) > 1
     parts = []
     for clause in ast.clauses:
@@ -397,8 +408,10 @@ def validate(
     endpoint constants pf/pl stay out of quantified bodies.
 
     Raises:
-        PredicateTypeError: env is not a mapping of names.
+        PredicateTypeError: ast is not a Predicate, or env is not a mapping
+            of names.
     """
+    _require_predicate(ast)
     try:
         lookup = env.get
     except AttributeError:

@@ -38,12 +38,11 @@ from .geometry import (
     ParamSet,
     PointClass,
     Region,
+    SegmentParams,
     TimeClass,
     densify,
-    segment_interval_params,
-    segment_region_params,
 )
-from .model import Segment, Trajectory, segments
+from .model import Trajectory, segments
 from .predicate import (
     And,
     Atom,
@@ -91,30 +90,30 @@ def relaxed_oracle(
     return eval_strict(ast, resample(t, spec), env)
 
 
-def _body_params(body: Body, seg: Segment, env: EvalEnv) -> ParamSet:
+def _body_params(body: Body, seg: SegmentParams, env: EvalEnv) -> ParamSet:
     if isinstance(body, Atom):
         target = env.bindings[body.rhs]
         if isinstance(target, Region):
             if body.op is Op.WITHIN:
-                return segment_region_params(seg, target, PointClass.INTERIOR).union(
-                    segment_region_params(seg, target, PointClass.BOUNDARY)
+                return seg.region(target, PointClass.INTERIOR).union(
+                    seg.region(target, PointClass.BOUNDARY)
                 )
             if body.op is Op.INSIDE:
-                return segment_region_params(seg, target, PointClass.INTERIOR)
-            return segment_region_params(seg, target, PointClass.EXTERIOR)
+                return seg.region(target, PointClass.INTERIOR)
+            return seg.region(target, PointClass.EXTERIOR)
         if body.op is Op.WITHIN:
-            return segment_interval_params(seg, target, TimeClass.INTERIOR).union(
-                segment_interval_params(seg, target, TimeClass.BOUNDARY)
+            return seg.interval(target, TimeClass.INTERIOR).union(
+                seg.interval(target, TimeClass.BOUNDARY)
             )
         if body.op is Op.INSIDE:
-            return segment_interval_params(seg, target, TimeClass.INTERIOR)
+            return seg.interval(target, TimeClass.INTERIOR)
         if body.op is Op.OUTSIDE:
-            return segment_interval_params(seg, target, TimeClass.BEFORE).union(
-                segment_interval_params(seg, target, TimeClass.AFTER)
+            return seg.interval(target, TimeClass.BEFORE).union(
+                seg.interval(target, TimeClass.AFTER)
             )
         if body.op is Op.BEFORE:
-            return segment_interval_params(seg, target, TimeClass.BEFORE)
-        return segment_interval_params(seg, target, TimeClass.AFTER)
+            return seg.interval(target, TimeClass.BEFORE)
+        return seg.interval(target, TimeClass.AFTER)
     if isinstance(body, Not):
         return _body_params(body.child, seg, env).complement()
     sets = [_body_params(p, seg, env) for p in body.parts]
@@ -146,6 +145,8 @@ def relaxed_paramset_oracle(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool
     are evaluated on the recorded points.
     """
     segs = segments(t)
+    # one per segment, kept across clauses: each box is solved once per segment
+    params = [SegmentParams(seg) for seg in segs]
     for clause in ast.clauses:
         if isinstance(clause, GroundClause) or not segs:
             if not eval_strict(Predicate((clause,)), t, env):
@@ -155,7 +156,7 @@ def relaxed_paramset_oracle(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool
         hit = False
         for i, seg in enumerate(segs):
             dom = _segment_domain(i, len(segs), clause.domain)
-            body = _body_params(clause.body, seg, env)
+            body = _body_params(clause.body, params[i], env)
             if not (body if exists else body.complement()).intersect(dom).is_empty:
                 hit = True
                 break

@@ -39,9 +39,8 @@ from trajq.geometry import (
     Interval,
     PointClass,
     Region,
+    SegmentParams,
     TimeClass,
-    segment_interval_params,
-    segment_region_params,
 )
 from trajq.model import (
     Segment,
@@ -220,12 +219,12 @@ def test_exact_interpolated_evaluation_matches_dense_sampling(report):
         b = TrajectoryPoint(
             1, rng.uniform(-3, 3), rng.uniform(-3, 3), a.tau + rng.uniform(0.5, 30)
         )
-        seg = Segment(a, b)
+        seg = SegmentParams(Segment(a, b))
         r = random_region(rng)
         i = random_interval(rng)
         for sets in (
-            [segment_region_params(seg, r, c) for c in PointClass],
-            [segment_interval_params(seg, i, c) for c in TimeClass],
+            [seg.region(r, c) for c in PointClass],
+            [seg.interval(i, c) for c in TimeClass],
         ):
             union = sets[0]
             for other in sets[1:]:

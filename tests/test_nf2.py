@@ -324,6 +324,13 @@ def test_checker_rejection_messages(plan, error, message):
 FOUR_POINTS = Nf2Relation(POINTS_SCHEMA, tuple((o, float(o), 0.0, float(o)) for o in range(4)))
 
 
+@pytest.mark.parametrize("schema", ["schema", None, TRAJECTORIES_SCHEMA.attributes])
+def test_check_names_an_input_schema_that_is_no_schema(schema):
+    plan = Select(Input(), Cmp("=", Attr("tid"), Lit("a")))
+    with pytest.raises(TypeMismatchError, match="input_schema, got"):
+        check(plan, schema)
+
+
 def test_negated_condition():
     plan = Select(Input(), BoolNot(Cmp("<", Attr("order"), Lit(2))))
     assert render(plan) == "SELECT[NOT (order < 2)](INPUT)"

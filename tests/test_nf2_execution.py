@@ -122,10 +122,10 @@ def _counted(run, *args) -> tuple:
 
 
 def _run_cost(plan, rel: Nf2Relation) -> tuple:
-    """execute(plan, rel) and what running the plan costs, beyond checking it."""
-    result, cost = _counted(execute, plan, rel)
-    _, checking = _counted(nf2.check, plan, rel.schema)
-    return result, {k: cost[k] - checking[k] for k in cost}
+    """execute(plan, rel) and what running the plan costs, beyond checking
+    and compiling it (done by a first run)."""
+    execute(plan, rel)
+    return _counted(execute, plan, rel)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -214,11 +214,15 @@ def _orders_where(cond) -> tuple:
     return tuple(o for (o,) in row[1].rows)
 
 
-def _extra_cost(cond) -> dict:
+def _extra_cost(cond, per_row: bool = False) -> dict:
     """What selecting the points on cond costs beyond a condition with no
-    subexpression that keeps the same points."""
+    subexpression that keeps the same points. With ``per_row``, cond reads
+    the points in a subexpression, so it runs with a row scope per point;
+    the base then does too, by a conjunct that reads the enclosing row."""
     kept = _orders_where(cond)
     plain = BoolOr(tuple(Cmp("=", Attr("order"), Lit(o)) for o in kept))
+    if per_row:
+        plain = BoolAnd((plain, Cmp("=", Attr("tid"), Attr("tid"))))
     _, cost = _run_cost(_orders_plan(cond), _outer_rel())
     _, base = _run_cost(_orders_plan(plain), _outer_rel())
     return {k: cost[k] - base[k] for k in cost}
@@ -230,7 +234,7 @@ def test_shadowing_inner_attribute_is_read_per_row():
     cond = Cmp(">=", below_x, Lit(2))
     assert _orders_where(cond) == (2, 3)
     # Each of the 4 points selects over the 3 rows of C.
-    assert _extra_cost(cond) == {"scopes": 4 * 3, "rows": 0 + 1 + 2 + 3}
+    assert _extra_cost(cond, per_row=True) == {"scopes": 4 * 3, "rows": 0 + 1 + 2 + 3}
 
 
 def test_inner_and_outer_names_are_read_per_row():
@@ -238,16 +242,19 @@ def test_inner_and_outer_names_are_read_per_row():
     below = Agg("count", Select(C, Cmp("<", Attr("c"), Arith("-", Attr("x"), Attr("shift")))))
     cond = Cmp("=", below, Lit(1))  # x - 1 in (1, 2]: the point x = 2.5
     assert _orders_where(cond) == (2,)
-    assert _extra_cost(cond) == {"scopes": 4 * 3, "rows": 0 + 0 + 1 + 2}
+    assert _extra_cost(cond, per_row=True) == {"scopes": 4 * 3, "rows": 0 + 0 + 1 + 2}
 
 
 def test_outer_only_subexpression_is_kept_per_operator():
     last = Agg("max", Project(Attr("T"), (Col("order"),)))
     cond = Cmp("=", Attr("order"), last)
     assert _orders_where(cond) == (3,)
-    # The projection of the 4 points is built once, not once per point.
-    assert _extra_cost(cond) == {"scopes": 0, "rows": 4}
-    # So is a computed column, with a scope per point.
+    # max reads the order column of T where it is: no projection is built
+    # (0 rows), and the selection runs on columns as its base does, one
+    # operator scope each (0 extra scopes).
+    assert _extra_cost(cond) == {"scopes": 0, "rows": 0}
+    # A computed column is projected, once and not once per point: a scope
+    # and a row per point.
     last = Agg("max", Project(Attr("T"), (Computed("o", Attr("order")),)))
     assert _orders_where(Cmp("=", Attr("order"), last)) == (3,)
     assert _extra_cost(Cmp("=", Attr("order"), last)) == {"scopes": 4, "rows": 4}
@@ -358,10 +365,241 @@ def test_endpoint_clauses_select_each_endpoint_once(mode):
         for name, rel in (("in-out-in", in_out_in), ("in-out", in_out)):
             result, cost = _run_cost(plan, rel)
             assert (result.column("tid") == ("w",)) == (name in holds_on), (label, name)
-            # A pass over the points per endpoint selected, not one per
-            # coordinate compared.
-            assert cost["scopes"] <= 2 * n + 8, (label, name, cost)
+            # No scope per point: one for the plan, one for the walk's row,
+            # and one per selection over the points that runs (each on
+            # columns): an endpoint, then its test, for at most two
+            # endpoints. R223's first clause fails on pf, which is inside.
+            assert cost["scopes"] <= 1 + 1 + 2 * 2, (label, name, cost)
 
+
+
+# --- column runners -----------------------------------------------------------
+
+# Two nested relations per outer row, with int, float and str attributes:
+# ints beyond 2**53 (compared with floats exactly) and one no float holds
+# (so arithmetic with a float overflows), NaN, -0.0 and infinities, and an
+# int in a float attribute. Either relation may be empty, so an aggregate
+# over it is undefined.
+NM_INTS = (0, 1, -1, 2, 2**53 + 1, -(2**53) - 1, 2**63, 10**400)
+NM_FLOATS = (0.0, -0.0, 0.5, 1.0, -1.0, 2.0**53, 2.0**53 + 2, math.nan, math.inf, -math.inf, 2**53 + 1)
+NM_STRS = ("", "a", "b", "ab")
+N_SCHEMA = Nf2Schema((Attribute("i", "int"), Attribute("f", "float"), Attribute("s", "str")))
+M_SCHEMA = Nf2Schema((Attribute("j", "int"), Attribute("g", "float"), Attribute("t", "str")))
+NM = Nf2Schema(
+    (
+        Attribute("tid", "str"),
+        Attribute("shift", "int"),
+        Attribute("N", N_SCHEMA),
+        Attribute("M", M_SCHEMA),
+    )
+)
+# reads the enclosing row, so a condition holding it runs with a row scope each
+ON_ROWS = Cmp("=", Attr("tid"), Attr("tid"))
+
+
+def _nested(draw, schema, most):
+    value = st.tuples(st.sampled_from(NM_INTS), st.sampled_from(NM_FLOATS), st.sampled_from(NM_STRS))
+    return Nf2Relation(schema, tuple(draw(st.lists(value, max_size=most))))
+
+
+@st.composite
+def nm_relations(draw):
+    return Nf2Relation(
+        NM,
+        tuple(
+            (f"t{k}", draw(st.sampled_from((0, 1, -1))), _nested(draw, N_SCHEMA, 6), _nested(draw, M_SCHEMA, 3))
+            for k in range(draw(st.integers(1, 3)))
+        ),
+    )
+
+
+# Operands over the rows of N: attributes, literals, arithmetic, and
+# invariants (aggregates over M or N, a count, a scalar coercion of M).
+NM_NUMBERS = st.one_of(
+    st.sampled_from((Attr("i"), Attr("f"))),
+    st.sampled_from(NM_INTS + NM_FLOATS).map(Lit),
+    st.builds(
+        Arith,
+        st.sampled_from(("+", "-", "*")),
+        st.sampled_from((Attr("i"), Attr("f"))),
+        st.sampled_from((Lit(1), Lit(-0.0), Lit(2.5), Attr("i"), Attr("f"))),
+    ),
+    st.sampled_from(
+        tuple(Agg(fn, Project(Attr(rel), (Col(c),))) for fn in ("min", "max") for rel, c in (("M", "g"), ("M", "j"), ("N", "f")))
+        + (Agg("count", Attr("M")),)
+    ),
+)
+NM_TEXTS = st.one_of(
+    st.just(Attr("s")),
+    st.sampled_from(NM_STRS).map(Lit),
+    st.just(Project(Attr("M"), (Col("t"),))),  # raises for two or more rows of M
+)
+OPS = st.sampled_from(("<", ">", "=", "<=", ">=", "!="))
+NM_COMPARISONS = st.one_of(
+    st.builds(Cmp, OPS, NM_NUMBERS, NM_NUMBERS), st.builds(Cmp, OPS, NM_TEXTS, NM_TEXTS)
+)
+NM_CONDITIONS = st.recursive(
+    NM_COMPARISONS,
+    lambda inner: st.one_of(
+        st.builds(BoolAnd, st.lists(inner, max_size=3).map(tuple)),
+        st.builds(BoolOr, st.lists(inner, max_size=3).map(tuple)),
+        st.builds(nf2.BoolNot, inner),
+    ),
+    max_leaves=6,
+)
+
+
+def _outcome(plan, rel):
+    """The result of a run, or the type of the error it raised."""
+    try:
+        return execute(plan, rel)
+    except TypeMismatchError as exc:
+        return type(exc)
+
+
+def _per_outer_row(node) -> Project:
+    return Project(Input(), (Col("tid"), Computed("S", node)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nm_relations(), NM_CONDITIONS)
+def test_selection_on_columns_equals_selection_on_rows(rel, cond):
+    on_columns = _per_outer_row(Select(Attr("N"), cond))
+    on_rows = _per_outer_row(Select(Attr("N"), BoolAnd((cond, ON_ROWS))))
+    assert _outcome(on_columns, rel) == _outcome(on_rows, rel), render(cond)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(nm_relations(), OPS, st.sampled_from(("min", "max")), st.sampled_from(("i", "f")))
+def test_aggregate_of_a_column_equals_aggregate_of_a_projection(rel, op, fn, name):
+    # min/max of N's column, against the same over a projection built row
+    # by row; both compared with each row of N, undefined on an empty N.
+    column = Agg(fn, Project(Attr("N"), (Col(name),)))
+    projected = Agg(fn, Project(Attr("N"), (Computed(name, Attr(name)),)))
+    got, want = (
+        _outcome(_per_outer_row(Select(Attr("N"), Cmp(op, Attr("f"), agg))), rel)
+        for agg in (column, projected)
+    )
+    assert got == want
+    # Python's min/max over the column, in row order: with NaN, the same object.
+    nonempty = Select(Input(), Cmp(">", Agg("count", Attr("N")), Lit(0)))
+    pick, at = (min if fn == "min" else max), N_SCHEMA.index(name)
+    for n, value in execute(Project(nonempty, (Col("N"), Computed("v", column))), rel).rows:
+        assert value is pick([row[at] for row in n.rows])
+
+
+LEFT_KEYS = (Attr("i"), Attr("f"), Arith("+", Attr("i"), Lit(1)), Arith("*", Attr("f"), Lit(-1.0)), Lit(1))
+RIGHT_KEYS = (Attr("j"), Attr("g"), Arith("-", Attr("j"), Lit(1)), Agg("max", Project(Attr("N"), (Col("f"),))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    nm_relations(),
+    st.one_of(
+        st.tuples(st.sampled_from(LEFT_KEYS), st.sampled_from(RIGHT_KEYS)),
+        st.just((Attr("f"), Attr("g"))),  # often the same NaN object on both sides
+        st.just((Attr("s"), Attr("t"))),
+    ),
+    st.booleans(),
+)
+def test_join_on_columns_equals_nested_loop(rel, keys, flipped):
+    a, b = keys[::-1] if flipped else keys
+    on_columns = _per_outer_row(Join(Attr("N"), Attr("M"), Cmp("=", a, b)))
+    nested_loop = _per_outer_row(Join(Attr("N"), Attr("M"), BoolAnd((Cmp("=", a, b), ON_ROWS))))
+    assert _outcome(on_columns, rel) == _outcome(nested_loop, rel), (render(a), render(b))
+
+
+def _nm(n: int) -> Nf2Relation:
+    """One outer row whose N and M hold n rows each."""
+    n_rows = tuple((k, float(k), "ab"[k % 2]) for k in range(n))
+    m_rows = tuple((k, k + 0.5, "ab"[k % 2]) for k in range(n))
+    return Nf2Relation(
+        NM, (("a", 1, Nf2Relation(N_SCHEMA, n_rows), Nf2Relation(M_SCHEMA, m_rows)),)
+    )
+
+
+RUN_ON_COLUMNS = (
+    Select(Attr("N"), Cmp("<", Attr("i"), Lit(3))),
+    Select(
+        Attr("N"),
+        BoolOr(
+            (
+                nf2.BoolNot(Cmp("=", Attr("s"), Lit("a"))),
+                BoolAnd((Cmp(">=", Attr("f"), Lit(1.0)), Cmp("!=", Attr("i"), Lit(2)))),
+            )
+        ),
+    ),
+    Select(Attr("N"), Cmp("=", Arith("+", Attr("i"), Lit(1)), Attr("f"))),
+    # hoisted invariants: an aggregate, a count, a relation coerced to a scalar
+    Select(Attr("N"), Cmp("=", Attr("f"), Agg("max", Project(Attr("N"), (Col("f"),))))),
+    Select(Attr("N"), Cmp("<", Attr("i"), Agg("count", Attr("M")))),
+    Select(
+        Attr("N"),
+        Cmp("=", Attr("s"), Project(Select(Attr("M"), Cmp("=", Attr("j"), Lit(0))), (Col("t"),))),
+    ),
+    Join(Attr("N"), Attr("M"), Cmp("=", Attr("i"), Attr("j"))),
+    Join(Attr("N"), Attr("M"), Cmp("=", Attr("j"), Arith("+", Attr("i"), Lit(1)))),
+)
+RUN_ON_ROWS = (
+    # an attribute of the enclosing row, read directly
+    Select(Attr("N"), Cmp("=", Attr("tid"), Lit("a"))),
+    Select(Attr("N"), Cmp("<", Attr("i"), Attr("shift"))),
+    Join(Attr("N"), Attr("M"), Cmp("=", Arith("+", Attr("i"), Attr("shift")), Attr("j"))),
+    # a subexpression that reads the row
+    Select(Attr("N"), Cmp(">", Agg("count", Select(Attr("M"), Cmp("<", Attr("j"), Attr("i")))), Lit(0))),
+    # a join on anything but `=`: a nested loop
+    Join(Attr("N"), Attr("M"), Cmp("<", Attr("i"), Attr("j"))),
+)
+
+
+@pytest.mark.parametrize(
+    "node, on_columns",
+    [(node, True) for node in RUN_ON_COLUMNS] + [(node, False) for node in RUN_ON_ROWS],
+    ids=lambda v: render(v) if not isinstance(v, bool) else str(v),
+)
+def test_which_operators_run_on_columns(node, on_columns):
+    # On columns an operator builds a fixed number of scopes (one per
+    # evaluation, or per join key read from columns); on rows, one per row
+    # of N (and of M, for a join's keys or loop), so 36 more for 40 rows
+    # than for 4.
+    plan = _per_outer_row(node)
+    small, large = (_run_cost(plan, _nm(n))[1]["scopes"] for n in (4, 40))
+    if on_columns:
+        assert small == large, (small, large)
+    else:
+        assert large - small >= 36, (small, large)
+
+
+@pytest.mark.parametrize("fn", ("min", "max"))
+def test_min_max_of_a_column_build_no_projection(fn):
+    # A scope for the plan and one for the outer row, and the one result
+    # row; the Computed projection builds a scope and a row per row of N.
+    for n in (4, 40):
+        column = Agg(fn, Project(Attr("N"), (Col("f"),)))
+        projected = Agg(fn, Project(Attr("N"), (Computed("f", Attr("f")),)))
+        plans = (Project(Input(), (Computed("v", agg),)) for agg in (column, projected))
+        costs = [_run_cost(plan, _nm(n))[1] for plan in plans]
+        assert costs == [{"scopes": 2, "rows": 1}, {"scopes": 2 + n, "rows": 1 + n}]
+
+
+@pytest.mark.parametrize("label", (De9imLabel.R031, De9imLabel.R223), ids=("R031", "R223"))
+def test_segment_join_and_test_run_on_columns(label):
+    plan = compile_spatial(label, R, RELAXED)
+    scopes = {_run_cost(plan, _miss_walk(11, n))[1]["scopes"] for n in (15, 60)}
+    assert len(scopes) == 1, scopes
+
+
+def test_columns_of_relations_a_run_builds_die_with_it():
+    rel = _miss_walk(11, 20)
+    ((_, points),) = rel.rows
+    # Every point passes, so the selection, which reads the columns of the
+    # projection, returns the projection as it is.
+    everything = Select(Project(Attr("T"), (Col("x"), Col("y"))), Cmp(">", Attr("x"), Lit(-math.inf)))
+    ((kept,),) = execute(Project(Input(), (Computed("S", everything),)), rel).rows
+    assert kept.rows == tuple((x, y) for _, x, y, _ in points.rows)
+    assert kept.__dict__["_cols"] is None  # derived on each use, never kept
+    # the input's points keep theirs
+    assert nf2._columns(points) is nf2._columns(points)
 
 
 # --- one compiled plan per plan object and input schema ----------------------

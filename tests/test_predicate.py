@@ -86,6 +86,19 @@ def test_environment_that_is_no_mapping_is_a_type_error(env):
             parse_predicate("pf WITHIN R", env)
 
 
+@pytest.mark.parametrize("ast", ["EXISTS p IN T: p INSIDE R", 5, None])
+def test_validating_what_is_no_predicate_is_a_type_error(ast):
+    # the text itself is the natural slip
+    with pytest.raises(PredicateTypeError, match=f"got {type(ast).__name__}"):
+        validate(ast, ENV)
+
+
+@pytest.mark.parametrize("ast", [5, "pf WITHIN R", None])
+def test_formatting_what_is_no_predicate_is_a_type_error(ast):
+    with pytest.raises(PredicateTypeError, match=f"got {type(ast).__name__}"):
+        format_predicate(ast)
+
+
 def test_unbound_variable_diagnostic():
     ast = parse_predicate("q WITHIN R")
     assert [d.kind for d in validate(ast, ENV)] == ["unbound-variable"]
