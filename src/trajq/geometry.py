@@ -397,18 +397,6 @@ class SegmentParams:
         return closed.intersect(interior.complement())
 
 
-def segment_region_params(seg: Segment, r: Region, cls: PointClass) -> ParamSet:
-    """Exact parameter set of the segment points falling in one region
-    class (see :meth:`SegmentParams.region`)."""
-    return SegmentParams(seg).region(r, cls)
-
-
-def segment_interval_params(seg: Segment, i: Interval, cls: TimeClass) -> ParamSet:
-    """Exact parameter set of the segment points falling in one time class
-    (see :meth:`SegmentParams.interval`)."""
-    return SegmentParams(seg).interval(i, cls)
-
-
 def lerp(seg: Segment, lam: float) -> tuple[float, float, float]:
     """Interpolated (x, y, tau) at parameter lam in [0, 1].
 

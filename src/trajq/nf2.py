@@ -574,17 +574,7 @@ def _equal_pairs(lkeys, rkeys) -> tuple[list, list]:
     nested loop's order: left-major, right rows in input order. ``=`` is
     false for an undefined key and for NaN, which a dict would match with
     itself by identity: they stay out of the index."""
-    rkeys = list(rkeys)
-    index: dict = dict(zip(rkeys, range(len(rkeys))))
-    if len(index) == len(rkeys):  # distinct keys: each left row meets one right row at most
-        index.pop(UNDEFINED, None)
-        if any(map(operator.ne, rkeys, rkeys)):
-            for k in [k for k in index if k != k]:
-                del index[k]
-        found = list(map(index.get, lkeys))
-        hit = list(map(operator.is_not, found, repeat(None)))
-        return list(compress(range(len(found)), hit)), list(compress(found, hit))
-    index = {}
+    index: dict = {}
     for j, k in enumerate(rkeys):
         if k is not UNDEFINED and k == k:
             index.setdefault(k, []).append(j)

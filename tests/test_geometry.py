@@ -14,12 +14,11 @@ from trajq.geometry import (
     ParamSet,
     PointClass,
     Region,
+    SegmentParams,
     TimeClass,
     classify_point_region,
     classify_time_interval,
     lerp,
-    segment_interval_params,
-    segment_region_params,
 )
 from trajq.model import Segment, TrajectoryPoint
 
@@ -170,7 +169,7 @@ def test_paramset_normalized_form(s):
 
 def test_horizontal_crossing_interior_params():
     s = seg((-1, 0.5, 0), (2, 0.5, 10))
-    interior = segment_region_params(s, UNIT, PointClass.INTERIOR)
+    interior = SegmentParams(s).region(UNIT, PointClass.INTERIOR)
     (iv,) = interior.intervals
     assert (iv.lo, iv.hi) == (1 / 3, 2 / 3)
     assert not iv.lo_closed and not iv.hi_closed
@@ -179,39 +178,39 @@ def test_horizontal_crossing_interior_params():
 
 def test_fully_inside_segment():
     s = seg((0.2, 0.2, 0), (0.8, 0.8, 10))
-    assert segment_region_params(s, UNIT, PointClass.INTERIOR) == FULL_SET
-    assert segment_region_params(s, UNIT, PointClass.EXTERIOR) == EMPTY_SET
+    assert SegmentParams(s).region(UNIT, PointClass.INTERIOR) == FULL_SET
+    assert SegmentParams(s).region(UNIT, PointClass.EXTERIOR) == EMPTY_SET
 
 
 def test_collinear_edge_segment_is_boundary():
     s = seg((0, 0, 0), (1, 0, 10))
-    assert segment_region_params(s, UNIT, PointClass.BOUNDARY) == FULL_SET
-    assert segment_region_params(s, UNIT, PointClass.INTERIOR) == EMPTY_SET
+    assert SegmentParams(s).region(UNIT, PointClass.BOUNDARY) == FULL_SET
+    assert SegmentParams(s).region(UNIT, PointClass.INTERIOR) == EMPTY_SET
 
 
 def test_zero_length_segment_classifies_as_point():
     inside = seg((0.5, 0.5, 0), (0.5, 0.5, 10))
-    assert segment_region_params(inside, UNIT, PointClass.INTERIOR) == FULL_SET
+    assert SegmentParams(inside).region(UNIT, PointClass.INTERIOR) == FULL_SET
     outside = seg((3, 3, 0), (3, 3, 10))
-    assert segment_region_params(outside, UNIT, PointClass.EXTERIOR) == FULL_SET
-    assert segment_region_params(outside, UNIT, PointClass.INTERIOR) == EMPTY_SET
+    assert SegmentParams(outside).region(UNIT, PointClass.EXTERIOR) == FULL_SET
+    assert SegmentParams(outside).region(UNIT, PointClass.INTERIOR) == EMPTY_SET
 
 
 def test_interval_params_half_open_at_border():
     i = Interval(100, 140)
     s = seg((0, 0, 120), (1, 0, 140))
-    interior = segment_interval_params(s, i, TimeClass.INTERIOR)
+    interior = SegmentParams(s).interval(i, TimeClass.INTERIOR)
     (iv,) = interior.intervals
     assert (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) == (0.0, 1.0, True, False)
-    boundary = segment_interval_params(s, i, TimeClass.BOUNDARY)
+    boundary = SegmentParams(s).interval(i, TimeClass.BOUNDARY)
     (bv,) = boundary.intervals
     assert (bv.lo, bv.hi) == (1.0, 1.0)
 
 
 def test_interval_params_after_and_before():
     i = Interval(100, 140)
-    assert segment_interval_params(seg((0, 0, 150), (1, 0, 160)), i, TimeClass.AFTER) == FULL_SET
-    before = segment_interval_params(seg((0, 0, 90), (1, 0, 110)), i, TimeClass.BEFORE)
+    assert SegmentParams(seg((0, 0, 150), (1, 0, 160))).interval(i, TimeClass.AFTER) == FULL_SET
+    before = SegmentParams(seg((0, 0, 90), (1, 0, 110))).interval(i, TimeClass.BEFORE)
     (bv,) = before.intervals
     assert (bv.lo, bv.hi, bv.lo_closed, bv.hi_closed) == (0.0, 0.5, True, False)
     assert [type(v) for v in (bv.lo, bv.hi, bv.lo_closed, bv.hi_closed)] == [float, float, bool, bool]
@@ -228,7 +227,7 @@ def test_region_params_partition_and_agree_pointwise():
     rng = random.Random(20240817)
     for _ in range(300):
         s = _random_segment(rng)
-        sets = {c: segment_region_params(s, UNIT, c) for c in PointClass}
+        sets = {c: SegmentParams(s).region(UNIT, c) for c in PointClass}
         union = sets[PointClass.INTERIOR].union(sets[PointClass.BOUNDARY]).union(
             sets[PointClass.EXTERIOR]
         )
@@ -246,7 +245,7 @@ def test_interval_params_partition():
     for _ in range(300):
         t0 = rng.uniform(0, 12)
         s = seg((0, 0, t0), (1, 1, t0 + rng.uniform(0.5, 10)))
-        sets = [segment_interval_params(s, i, c) for c in TimeClass]
+        sets = [SegmentParams(s).interval(i, c) for c in TimeClass]
         union = sets[0]
         for other in sets[1:]:
             assert union.intersect(other) == EMPTY_SET
