@@ -107,8 +107,8 @@ class UnknownStrategyError(TrajqError, KeyError):
 
 
 class StrategyOutputError(TrajqError, ValueError):
-    """An approximation strategy returned parameters that are unsorted or
-    outside [0, 1]."""
+    """An approximation strategy returned something other than a sequence
+    of real numbers, or parameters that are unsorted or outside [0, 1]."""
 
 
 class StrategyParameterError(TrajqError, ValueError):

@@ -17,6 +17,22 @@ holds iff the body holds at some owned site, FORALL iff it fails at none.
 One atom rule, ``_atom_mask``, tests point sites as arrays and the pf or
 pl of a ground clause as floats, so ground clauses agree in every mode.
 
+Strict sites are the recorded points, so the box of a trajectory
+(``Trajectory.box``: x and y min/max, the first and last τ) bounds all of
+them. Before testing any point, the strict source decides each atom on that
+box (``_box_truth``): true when the box lies in the atom's region or
+interval, false when it misses it, and unknown otherwise. Only ordered
+comparisons are used (open bounds for INSIDE, BEFORE and AFTER, closed for
+WITHIN, OUTSIDE as the complement of WITHIN), so the answer is exact on
+every finite input. A decided atom is one bool that broadcasts over the
+masks of the other atoms; a clause whose atoms the box all decides tests no
+point, and vacuity still comes from the domain (EXISTS over the empty TFL of
+a one- or two-point trajectory fails, FORALL holds). Relaxed and
+approximated sites keep the full test. Relaxed crossings can still collapse
+or overflow, and a box decision would hide the ``CrossingOverflowError``
+raised for them. Approximated sites are computed as (1 - λ)·a + λ·b and can
+round to just outside the box of the vertices.
+
 Relaxed sites come from one vectorised pass over all segments of a
 trajectory. Every atom tests a box: a region's bounds, an interval, or for
 BEFORE and AFTER the half-line before or after it. On one segment the
@@ -51,7 +67,8 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from collections.abc import Mapping
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,7 +81,7 @@ from .errors import (
     ValidationFailedError,
 )
 from .geometry import Interval, Region, box_crossings, densify
-from .model import Segment, TrajectoriesRelation, Trajectory, segments
+from .model import Box, Segment, TrajectoriesRelation, Trajectory, segments
 from .predicate import (
     And,
     Atom,
@@ -226,7 +243,9 @@ def _ground_atom(atom: Atom, t: Trajectory, env: EvalEnv) -> bool:
     return _atom_mask(atom, t.xs.item(i), t.ys.item(i), t.taus.item(i), env)
 
 
-_Sites = Callable[[Iterable[Atom]], tuple[Callable[[Atom], np.ndarray], Callable[[Domain], Any]]]
+_Sites = Callable[
+    [Iterable[Atom]], tuple[Callable[[Atom], np.ndarray | bool], Callable[[Domain], Any]]
+]
 _SiteSource = Callable[[Trajectory, EvalEnv], _Sites]
 
 
@@ -240,7 +259,7 @@ def _holds(ast: Predicate, ground: Callable[[Atom], bool], sites: _Sites) -> boo
             truth, owned = sites(_walk_atoms(clause.body))
             body, domain = _body_mask(clause.body, truth), owned(clause.domain)
             exists = clause.quantifier is Quantifier.EXISTS
-            ok = _owned(body, domain).any() if exists else not _owned(~body, domain).any()
+            ok = _some(body, domain) if exists else not _some(body ^ True, domain)
         if not ok:
             return False
     return True
@@ -253,14 +272,18 @@ def _decide(ast: Predicate, t: Trajectory, env: EvalEnv, source: _SiteSource) ->
     return _holds(ast, lambda atom: _ground_atom(atom, t, env), source(t, env))
 
 
-def _owned(mask: np.ndarray, domain) -> np.ndarray:
-    """The mask at the sites a domain owns, False elsewhere; a domain of
-    ``True`` owns every site, and the mask is returned as it is."""
-    return mask if domain is True else mask & domain
+def _some(mask, domain) -> bool:
+    """Whether a mask holds at some site a domain owns. A domain of ``True``
+    owns every site; a mask that is a bool holds at every site or at none."""
+    if isinstance(mask, bool):
+        return mask and (domain is True or domain.any())
+    return (mask if domain is True else mask & domain).any()
 
 
-def _point_sites(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv) -> _Sites:
-    """Sites at the points of coordinate arrays: T owns all, TFL all but the ends."""
+def _point_sites(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv):
+    """Sites at the points of coordinate arrays, as the pair a site source
+    serves: the atom rule over the arrays, and the sites each domain owns
+    (T all, TFL all but the ends)."""
 
     def owned(d: Domain):
         if d is Domain.ALL_POINTS:
@@ -269,19 +292,7 @@ def _point_sites(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv)
         inner[1:-1] = True
         return inner
 
-    return lambda atoms: ((lambda atom: _atom_mask(atom, xs, ys, taus, env)), owned)
-
-
-def _strict_sites(t: Trajectory, env: EvalEnv) -> _Sites:
-    return _point_sites(t.xs, t.ys, t.taus, env)
-
-
-def eval_strict(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
-    """Truth of the predicate using only the recorded points."""
-    return _decide(ast, t, env, _strict_sites)
-
-
-# --- relaxed machinery --------------------------------------------------
+    return (lambda atom: _atom_mask(atom, xs, ys, taus, env)), owned
 
 
 _Box = tuple[tuple[str, ...], tuple[float, ...], tuple[float, ...]]
@@ -300,15 +311,58 @@ def _box(atom: Atom, env: EvalEnv) -> _Box:
     return ("taus",), (target.tau_s,), (target.tau_e,)
 
 
+# The ops that hold on the closed box (OUTSIDE as its complement); the
+# others hold on its interior.
+_CLOSED_OPS = (Op.WITHIN, Op.OUTSIDE)
+
+
+def _box_truth(atom: Atom, box: Box, env: EvalEnv) -> bool | None:
+    """The truth of an atom at every point of a trajectory's box: True or
+    False where it is the same at all of them, None where it is not. The
+    box decides when it lies in the atom's box (open or closed as the op
+    holds on it) or misses it; ordered comparisons only, so exact on every
+    finite input."""
+    names, lo, hi = _box(atom, env)
+    closed = atom.op in _CLOSED_OPS
+    inside = meets = True
+    for name, low, high in zip(names, lo, hi):
+        a, b = getattr(box, name)
+        if closed:
+            inside = inside and low <= a and b <= high
+            meets = meets and low <= b and a <= high
+        else:
+            inside = inside and low < a and b < high
+            meets = meets and low < b and a < high
+    if inside or not meets:
+        return inside is not (atom.op is Op.OUTSIDE)
+    return None
+
+
+def _strict_sites(t: Trajectory, env: EvalEnv) -> _Sites:
+    """The recorded points. Their box bounds every site, so an atom it
+    decides is one bool that broadcasts over the site masks, and no point
+    is tested for it."""
+    truth, owned = _point_sites(t.xs, t.ys, t.taus, env)
+
+    def atom_mask(atom: Atom):
+        known = _box_truth(atom, t.box, env)
+        return truth(atom) if known is None else known
+
+    return lambda atoms: (atom_mask, owned)
+
+
+def eval_strict(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
+    """Truth of the predicate using only the recorded points."""
+    return _decide(ast, t, env, _strict_sites)
+
+
+# --- relaxed machinery --------------------------------------------------
+
+
 def _crossings(t: Trajectory, names: tuple[str, ...], lo, hi):
     """Where each segment of t crosses a box (:func:`box_crossings`)."""
     columns = [getattr(t, name) for name in names]
     return box_crossings([c[:-1] for c in columns], [c[1:] for c in columns], lo, hi)
-
-
-# The ops that hold on the closed box (OUTSIDE as its complement); the
-# others hold on its interior.
-_CLOSED_OPS = (Op.WITHIN, Op.OUTSIDE)
 
 
 def _relaxed_sites(t: Trajectory, env: EvalEnv) -> _Sites:
@@ -370,11 +424,20 @@ def _augmented_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lams: list[float] = []
     counts: list[int] = []
-    for seg in segments(t):
-        before = len(lams)
-        lams.extend(strategy.point_generator(seg))
-        counts.append(len(lams) - before)
-    lam = np.array(lams, dtype=float)
+    try:
+        for seg in segments(t):
+            before = len(lams)
+            lams.extend(strategy.point_generator(seg))
+            counts.append(len(lams) - before)
+        lam = np.array(lams)
+        real = lam.ndim == 1 and lam.dtype.kind in "biufO"  # O: Fraction, Decimal
+        lam = lam.astype(float, copy=False)
+    except (TypeError, ValueError):  # not iterable, ragged, or objects no float takes
+        real = False
+    if not real:
+        raise StrategyOutputError(
+            f"strategy {strategy.name!r} returned something other than a sequence of real numbers"
+        )
     seg = np.repeat(np.arange(len(counts)), counts)
     outside = ~((lam >= 0.0) & (lam <= 1.0))
     if outside.any():
@@ -390,7 +453,7 @@ def _augmented_arrays(
 def _approximated_sites(strategy: ApproxStrategy, t: Trajectory, env: EvalEnv) -> _Sites:
     """The recorded points plus the strategy's, made once, on first use."""
     points = functools.cache(lambda: _point_sites(*_augmented_arrays(t, strategy), env))
-    return lambda atoms: points()(atoms)
+    return lambda atoms: points()
 
 
 def eval_approximated(
@@ -469,16 +532,17 @@ def region_signature(t: Trajectory, r: Region, s: Strictness) -> RegionSignature
     env = EvalEnv({"R": r})
     truth, owned = _site_source(s)(t, env)((_HULL, _INTERIOR))
 
-    def classes(within, inside) -> np.ndarray:  # rows I, B, E
-        return np.array([inside, within & (inside ^ True), within ^ True])
+    def classes(within, inside) -> list:  # I, B, E
+        return [inside, within & (inside ^ True), within ^ True]
 
+    # One row per class: a site mask, or a bool where the box decided.
     rows = classes(truth(_HULL), truth(_INTERIOR))
     ends = [
         classes(*(_atom_mask(a, x, y, tau, env) for a in (_HULL, _INTERIOR)))
         for x, y, tau in ((t.xs.item(i), t.ys.item(i), t.taus.item(i)) for i in (0, -1))
     ]
-    domains = (Domain.INNER_POINTS, Domain.ALL_POINTS)
-    triples = (*ends, *(_owned(rows, owned(d)).reshape(3, -1).any(axis=1) for d in domains))
+    domains = (owned(Domain.INNER_POINTS), owned(Domain.ALL_POINTS))
+    triples = (*ends, *([_some(row, d) for row in rows] for d in domains))
     return RegionSignature(*("".join(c for c, hit in zip("IBE", m) if hit) for m in triples))
 
 

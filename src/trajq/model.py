@@ -10,8 +10,9 @@ passes). A single-point trajectory is legal.
 A ``Trajectory(xs, ys, taus)`` stores the samples as three read-only
 float64 columns, which is what evaluation, export and the nested-relational
 engine read. ``t.points`` is a view of the same data as ``TrajectoryPoint``
-records, built on first use; ``build_trajectory`` turns (x, y, tau) samples
-into the columns. ``Trajectory.from_runs`` builds many trajectories from
+records, built on first use, and ``t.box`` the box that bounds them;
+``build_trajectory`` turns (x, y, tau) samples into the columns.
+``Trajectory.from_runs`` builds many trajectories from
 concatenated columns, checked once by the constructor's rule, without
 copying them.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -50,6 +51,16 @@ class TrajectoryPoint:
     x: float
     y: float
     tau: float
+
+
+class Box(NamedTuple):
+    """The smallest box that holds every recorded point of a trajectory:
+    per column, named as the ``Trajectory`` columns, its (least, greatest)
+    value. τ rises strictly, so its pair is the first and last timestamp."""
+
+    xs: tuple[float, float]
+    ys: tuple[float, float]
+    taus: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -189,6 +200,15 @@ class Trajectory:
         """The points as records, built from the columns on first use."""
         columns = (self.xs.tolist(), self.ys.tolist(), self.taus.tolist())
         return tuple(map(TrajectoryPoint, range(len(self)), *columns))
+
+    @cached_property
+    def box(self) -> Box:
+        """The box of the recorded points, computed on first use."""
+        return Box(
+            (self.xs.min().item(), self.xs.max().item()),
+            (self.ys.min().item(), self.ys.max().item()),
+            (self.taus.item(0), self.taus.item(-1)),
+        )
 
 
 def build_trajectory(samples: Iterable[tuple[float, float, float]]) -> Trajectory:

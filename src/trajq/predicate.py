@@ -19,7 +19,9 @@ WITHIN means interior-or-boundary containment, INSIDE strictly interior,
 OUTSIDE strictly exterior; BEFORE/AFTER compare a point's timestamp against
 an interval and are only valid with interval operands. Keywords are
 case-sensitive upper-case, whitespace is insignificant, and identifiers
-match [A-Za-z_][A-Za-z0-9_]*.
+match [A-Za-z_][A-Za-z0-9_]*. NOT, parenthesised bodies and parenthesised
+clauses nest at most ``MAX_NESTING`` (100) levels deep, ``NOT (`` counting
+as one; the token that opens one more is a syntax error.
 
 Two tokens of lookahead disambiguate an opening parenthesis: it starts a
 nested predicate clause when a quantifier keyword follows, otherwise it
@@ -177,10 +179,17 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# How deeply NOT, parenthesised bodies and parenthesised clauses may nest.
+# The parser recurses once per level, so the bound keeps it well below the
+# interpreter's recursion limit, and the evaluator's walks over the tree too.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         j = min(self.i + ahead, len(self.tokens) - 1)
@@ -208,6 +217,13 @@ class _Parser:
             raise self.fail(f"'{word}'")
         return self.advance()
 
+    def enter(self) -> None:
+        """Consume the token that opens one more level of nesting."""
+        if self.depth == MAX_NESTING:
+            raise self.fail(f"at most {MAX_NESTING} levels of NOT and parentheses")
+        self.depth += 1
+        self.advance()
+
     def at_word(self, *words: str) -> bool:
         tok = self.peek()
         return tok.kind == "ident" and tok.text in words
@@ -233,9 +249,10 @@ class _Parser:
         if self.at_word(*_QUANTIFIER_WORDS):
             return (self.quantified(),)
         if self.peek().kind == "(" and self._quantifier_ahead():
-            self.advance()
+            self.enter()
             sub = self.predicate()
             self.expect(")", "')'")
+            self.depth -= 1
             return sub.clauses
         return (GroundClause(self.body(var=None, top_level=True)),)
 
@@ -273,14 +290,19 @@ class _Parser:
 
     def unit(self, var: str | None) -> Body:
         if self.at_word("NOT"):
-            self.advance()
-            return Not(self.unit(var))
-        if self.peek().kind == "(":
-            self.advance()
+            if self.peek(1).kind == "(":  # one level, as format_predicate writes NOT
+                self.advance()
+                return Not(self.unit(var))
+            self.enter()
+            inner = Not(self.unit(var))
+        elif self.peek().kind == "(":
+            self.enter()
             inner = self.body(var, top_level=False)
             self.expect(")", "')'")
-            return inner
-        return self.atom(var)
+        else:
+            return self.atom(var)
+        self.depth -= 1
+        return inner
 
     def atom(self, var: str | None) -> Atom:
         tok = self.peek()

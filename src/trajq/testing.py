@@ -13,6 +13,9 @@ density grows. Atoms satisfiable only on a measure-zero set, like "p WITHIN
 R AND NOT (p INSIDE R)", can fool any finite density and are excluded from
 its equivalence suites.
 
+The strict oracle is a plain loop over the recorded points, with one float
+comparison per bound of an atom: no arrays and no bounding box.
+
 The area-label oracle evaluates the 19 catalog formulas one at a time, on
 the path and, for the direction-sensitive labels, on the reversed path; the
 classifier instead looks the labels up by the path's class signature.
@@ -51,6 +54,8 @@ from .predicate import (
     GroundClause,
     Not,
     Op,
+    Or,
+    PointRef,
     Predicate,
     Quantifier,
     format_predicate,
@@ -81,6 +86,51 @@ def resample(t: Trajectory, spec: ResampleSpec) -> Trajectory:
     seg = np.repeat(np.arange(m), k)
     lam = np.tile(np.arange(1, k + 1) / (k + 1), m)
     return Trajectory(*densify(t.xs, t.ys, t.taus, seg, lam))
+
+
+def _body_at(body: Body, point_of, env: EvalEnv) -> bool:
+    """The truth of a clause body whose atoms test the recorded points
+    ``point_of(atom)`` names, one float comparison per bound."""
+    if isinstance(body, Not):
+        return not _body_at(body.child, point_of, env)
+    if isinstance(body, (And, Or)):
+        truths = [_body_at(part, point_of, env) for part in body.parts]
+        return all(truths) if isinstance(body, And) else any(truths)
+    p, target, op = point_of(body), env.bindings[body.rhs], body.op
+    if isinstance(target, Region):
+        if op is Op.INSIDE:
+            return target.x_min < p.x < target.x_max and target.y_min < p.y < target.y_max
+        closed = target.x_min <= p.x <= target.x_max and target.y_min <= p.y <= target.y_max
+        return closed if op is Op.WITHIN else not closed
+    if op is Op.INSIDE:
+        return target.tau_s < p.tau < target.tau_e
+    if op is Op.WITHIN:
+        return target.tau_s <= p.tau <= target.tau_e
+    if op is Op.OUTSIDE:
+        return p.tau < target.tau_s or p.tau > target.tau_e
+    if op is Op.BEFORE:
+        return p.tau < target.tau_s
+    return p.tau > target.tau_e
+
+
+def strict_point_oracle(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
+    """Strict evaluation as a plain loop over ``t.points``: a ground clause
+    reads pf or pl, a quantifier every point of T or of TFL (T without its
+    first and last point). No arrays and no bounding box, so it is the
+    reference for the evaluator's site masks and its box decisions. The
+    predicate must be valid in env."""
+    points = t.points
+    ends = {PointRef.FIRST: points[0], PointRef.LAST: points[-1]}
+    for clause in ast.clauses:
+        if isinstance(clause, GroundClause):
+            ok = _body_at(clause.body, lambda atom: ends[atom.subject], env)
+        else:
+            domain = points if clause.domain is Domain.ALL_POINTS else points[1:-1]
+            truths = (_body_at(clause.body, lambda atom: p, env) for p in domain)
+            ok = any(truths) if clause.quantifier is Quantifier.EXISTS else all(truths)
+        if not ok:
+            return False
+    return True
 
 
 def relaxed_oracle(

@@ -371,6 +371,17 @@ def test_cli_query_errors(capsys):
     assert code == 1 and "no approximation strategy" in err
 
 
+@pytest.mark.parametrize("opener", ["(", "NOT "])
+def test_cli_query_too_deeply_nested_is_one_error_line(capsys, opener):
+    closer = ")" if opener == "(" else ""
+    text = "EXISTS p IN T: " + opener * 1200 + "p INSIDE R" + closer * 1200
+    code, out, err = run(
+        capsys, "query", str(DATA / "goose.csv"), "--predicate", text, "--region", "R=0,0,1,1"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: syntax error at position") and err.count("\n") == 1
+
+
 def test_cli_usage_errors(capsys):
     assert run(capsys, "--help")[0] == 0
     assert main([]) == 2

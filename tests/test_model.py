@@ -197,3 +197,12 @@ def test_segment_property_view_partitions(values):
         if nxt is not None:
             assert nxt[0] == end + 1 and nxt[2] != value
     assert covered == list(range(len(values)))
+
+
+def test_box_bounds_the_points_and_takes_tau_from_the_ends():
+    t = build_trajectory([(3, -1, 0.5), (-2, 4, 1), (0, 0, 7)])
+    assert t.box == ((-2.0, 3.0), (-1.0, 4.0), (0.5, 7.0))
+    assert build_trajectory([(1, 2, 3)]).box == ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
+    runs = Trajectory.from_runs([5, 1, 9, 2], [0, 8, 3, 3], [0, 1, 0, 4], [0, 2])
+    assert [r.box.xs for r in runs] == [(1.0, 5.0), (2.0, 9.0)]
+    assert runs[1].box.taus == (0.0, 4.0)

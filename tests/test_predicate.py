@@ -7,6 +7,7 @@ from trajq.errors import PredicateSyntaxError, PredicateTypeError, UnknownNameEr
 from trajq.geometry import Interval, Region
 from helpers import random_predicate
 from trajq.predicate import (
+    MAX_NESTING,
     And,
     Domain,
     GroundClause,
@@ -184,6 +185,42 @@ def test_syntax_error_positions(text, position):
         parse_predicate(text)
     assert exc.value.position == position
     assert exc.value.expected
+
+
+CLAUSE = "EXISTS p IN T: p INSIDE R"
+# (text, the unit that opens one more level, what precedes the first)
+NESTINGS = (
+    ("(", ")", "EXISTS p IN T: ", "p INSIDE R"),
+    ("NOT ", "", "EXISTS p IN T: ", "p INSIDE R"),
+    (f"({CLAUSE} AND ", ")", "", CLAUSE),
+)
+
+
+def _nested(opener, closer, head, core, depth):
+    return head + opener * depth + core + closer * depth
+
+
+@pytest.mark.parametrize("opener,closer,head,core", NESTINGS)
+def test_deep_nesting_is_a_syntax_error(opener, closer, head, core):
+    # 1200 levels overflowed the interpreter's stack; the error names the
+    # token that opens level MAX_NESTING + 1
+    for depth in (MAX_NESTING + 1, 1200):
+        with pytest.raises(PredicateSyntaxError) as exc:
+            parse_predicate(_nested(opener, closer, head, core, depth))
+        assert exc.value.position == len(head) + MAX_NESTING * len(opener)
+        assert f"at most {MAX_NESTING} levels" in str(exc.value)
+
+
+@pytest.mark.parametrize("opener,closer,head,core", NESTINGS)
+def test_nesting_up_to_the_bound_parses(opener, closer, head, core):
+    ast = parse_predicate(_nested(opener, closer, head, core, MAX_NESTING))
+    assert parse_predicate(format_predicate(ast)) == ast
+
+
+def test_not_of_a_group_is_one_level():
+    # format_predicate writes NOT (...), so NOT and its "(" count once
+    text = "EXISTS p IN T: " + "NOT (" * MAX_NESTING + "p INSIDE R" + ")" * MAX_NESTING
+    assert format_predicate(parse_predicate(text)) == text
 
 
 def test_corpus_files_parse_and_roundtrip():
