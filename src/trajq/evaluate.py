@@ -257,9 +257,13 @@ def _holds(ast: Predicate, ground: Callable[[Atom], bool], sites: _Sites) -> boo
             ok = _body_mask(clause.body, ground)
         else:
             truth, owned = sites(_walk_atoms(clause.body))
-            body, domain = _body_mask(clause.body, truth), owned(clause.domain)
             exists = clause.quantifier is Quantifier.EXISTS
-            ok = _some(body, domain) if exists else not _some(body ^ True, domain)
+            body = _body_mask(clause.body, truth)
+            # EXISTS holds, and FORALL fails, iff decisive holds at an owned
+            # site; where the box made it False, no domain is built
+            decisive = body if exists else body ^ True
+            found = decisive is not False and _some(decisive, owned(clause.domain))
+            ok = found if exists else not found
         if not ok:
             return False
     return True

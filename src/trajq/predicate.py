@@ -180,8 +180,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # How deeply NOT, parenthesised bodies and parenthesised clauses may nest.
-# The parser recurses once per level, so the bound keeps it well below the
-# interpreter's recursion limit, and the evaluator's walks over the tree too.
+# The parser recurses a few frames per level, so the bound keeps it, and the
+# evaluator's walks over the tree, well below the interpreter's recursion
+# limit.
 MAX_NESTING = 100
 
 
