@@ -124,6 +124,31 @@ def _check_runs(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, starts: np.nda
     )
 
 
+def _run_boxes(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, starts: np.ndarray) -> list[Box]:
+    """The box of each run of the columns, the runs starting at ``starts``:
+    four reductions and two lookups for all runs at once."""
+    last = np.append(starts[1:], taus.size) - 1
+    lo_x, hi_x, lo_y, hi_y = (
+        ufunc.reduceat(col, starts).tolist()
+        for col in (xs, ys)
+        for ufunc in (np.minimum, np.maximum)
+    )
+    firsts, lasts = taus[starts].tolist(), taus[last].tolist()
+    return list(map(Box, zip(lo_x, hi_x), zip(lo_y, hi_y), zip(firsts, lasts)))
+
+
+class _Runs:
+    """The columns and run starts of one ``Trajectory.from_runs`` call. The
+    boxes of all its runs are computed together, when one is first asked for."""
+
+    def __init__(self, cols: list[np.ndarray], starts: np.ndarray):
+        self.cols, self.starts = cols, starts
+
+    @cached_property
+    def boxes(self) -> list[Box]:
+        return _run_boxes(*self.cols, self.starts)
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """An ordered, time-monotone sequence of at least one point, stored as
@@ -173,11 +198,13 @@ class Trajectory:
         _check_runs(*cols, starts)
         for col in cols:
             col.flags.writeable = False
+        runs = _Runs(cols, starts)
         out = []
-        for s, e in zip(starts.tolist(), [*starts[1:].tolist(), n]):
+        for k, (s, e) in enumerate(zip(starts.tolist(), [*starts[1:].tolist(), n])):
             t = object.__new__(cls)
             for name, col in zip(("xs", "ys", "taus"), cols):
                 object.__setattr__(t, name, col[s:e])
+            object.__setattr__(t, "_run", (runs, k))
             out.append(t)
         return tuple(out)
 
@@ -203,12 +230,13 @@ class Trajectory:
 
     @cached_property
     def box(self) -> Box:
-        """The box of the recorded points, computed on first use."""
-        return Box(
-            (self.xs.min().item(), self.xs.max().item()),
-            (self.ys.min().item(), self.ys.max().item()),
-            (self.taus.item(0), self.taus.item(-1)),
-        )
+        """The box of the recorded points, computed on first use. The
+        trajectories of one ``from_runs`` call compute theirs together."""
+        run = self.__dict__.get("_run")
+        if run is None:
+            return _run_boxes(self.xs, self.ys, self.taus, _ONE_RUN)[0]
+        runs, k = run
+        return runs.boxes[k]
 
 
 def build_trajectory(samples: Iterable[tuple[float, float, float]]) -> Trajectory:
