@@ -228,13 +228,14 @@ class Trajectory:
         columns = (self.xs.tolist(), self.ys.tolist(), self.taus.tolist())
         return tuple(map(TrajectoryPoint, range(len(self)), *columns))
 
-    @cached_property
+    @property
     def box(self) -> Box:
         """The box of the recorded points, computed on first use. The
         trajectories of one ``from_runs`` call compute theirs together."""
         run = self.__dict__.get("_run")
-        if run is None:
-            return _run_boxes(self.xs, self.ys, self.taus, _ONE_RUN)[0]
+        if run is None:  # built alone: a batch of one run
+            run = (_Runs([self.xs, self.ys, self.taus], _ONE_RUN), 0)
+            object.__setattr__(self, "_run", run)
         runs, k = run
         return runs.boxes[k]
 
