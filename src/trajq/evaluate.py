@@ -20,14 +20,15 @@ pl of a ground clause as floats, so ground clauses agree in every mode.
 Strict sites are the recorded points, so the box of a trajectory
 (``Trajectory.box``: x and y min/max, the first and last τ) bounds all of
 them. Before testing any point, the strict source decides each atom on that
-box (``_box_truth``): true when the box lies in the atom's region or
+box (``_on_box``): true when the box lies in the atom's region or
 interval, false when it misses it, and unknown otherwise. Only ordered
 comparisons are used (open bounds for INSIDE, BEFORE and AFTER, closed for
 WITHIN, OUTSIDE as the complement of WITHIN), so the answer is exact on
 every finite input. A decided atom is one bool that broadcasts over the
 masks of the other atoms; a clause whose atoms the box all decides tests no
 point, and vacuity still comes from the domain (EXISTS over the empty TFL of
-a one- or two-point trajectory fails, FORALL holds). Relaxed and
+a one- or two-point trajectory fails, FORALL holds). An atom the box leaves
+unknown tests the points only on the axes whose span straddles its band. Relaxed and
 approximated sites keep the full test. Relaxed crossings can still collapse
 or overflow, and a box decision would hide the ``CrossingOverflowError``
 raised for them. Approximated sites are computed as (1 - λ)·a + λ·b and can
@@ -81,7 +82,7 @@ from .errors import (
     ValidationFailedError,
 )
 from .geometry import Interval, Region, box_crossings, densify
-from .model import Box, Segment, TrajectoriesRelation, Trajectory, segments
+from .model import Segment, TrajectoriesRelation, Trajectory, segments
 from .predicate import (
     And,
     Atom,
@@ -284,19 +285,22 @@ def _some(mask, domain) -> bool:
     return (mask if domain is True else mask & domain).any()
 
 
+def _point_domain(n: int, d: Domain):
+    """The sites of n points a domain owns: T all (``True``), TFL all but
+    the first and the last."""
+    if d is Domain.ALL_POINTS:
+        return True
+    inner = np.zeros(n, dtype=bool)
+    inner[1:-1] = True
+    return inner
+
+
 def _point_sites(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv):
     """Sites at the points of coordinate arrays, as the pair a site source
-    serves: the atom rule over the arrays, and the sites each domain owns
-    (T all, TFL all but the ends)."""
-
-    def owned(d: Domain):
-        if d is Domain.ALL_POINTS:
-            return True
-        inner = np.zeros(xs.size, dtype=bool)
-        inner[1:-1] = True
-        return inner
-
-    return (lambda atom: _atom_mask(atom, xs, ys, taus, env)), owned
+    serves: the atom rule over the arrays, and the sites each domain owns."""
+    return (lambda atom: _atom_mask(atom, xs, ys, taus, env)), functools.partial(
+        _point_domain, xs.size
+    )
 
 
 _Box = tuple[tuple[str, ...], tuple[float, ...], tuple[float, ...]]
@@ -320,39 +324,38 @@ def _box(atom: Atom, env: EvalEnv) -> _Box:
 _CLOSED_OPS = (Op.WITHIN, Op.OUTSIDE)
 
 
-def _box_truth(atom: Atom, box: Box, env: EvalEnv) -> bool | None:
-    """The truth of an atom at every point of a trajectory's box: True or
-    False where it is the same at all of them, None where it is not. The
-    box decides when it lies in the atom's box (open or closed as the op
-    holds on it) or misses it; ordered comparisons only, so exact on every
-    finite input."""
+def _on_box(atom: Atom, t: Trajectory, env: EvalEnv):
+    """The truth of an atom at the recorded points of t, read off their box
+    where it can be. On each axis the atom tests, the box's span lies in
+    the atom's band (open or closed as the op holds on it), misses it, or
+    straddles it. A miss on some axis, or a span in the band on every axis,
+    decides the atom at every point, and one bool comes back. Otherwise the
+    points are tested, an axis whose span lies in the band read as one
+    value of its span. Ordered comparisons only, so exact on every finite
+    input."""
     names, lo, hi = _box(atom, env)
     closed = atom.op in _CLOSED_OPS
-    inside = meets = True
+    box = t.box
+    columns = {"xs": t.xs, "ys": t.ys, "taus": t.taus}
+    settled = 0
     for name, low, high in zip(names, lo, hi):
         a, b = getattr(box, name)
-        if closed:
-            inside = inside and low <= a and b <= high
-            meets = meets and low <= b and a <= high
-        else:
-            inside = inside and low < a and b < high
-            meets = meets and low < b and a < high
-    if inside or not meets:
-        return inside is not (atom.op is Op.OUTSIDE)
-    return None
+        if not ((low <= b and a <= high) if closed else (low < b and a < high)):
+            return atom.op is Op.OUTSIDE
+        if (low <= a and b <= high) if closed else (low < a and b < high):
+            columns[name] = a
+            settled += 1
+    if settled == len(names):
+        return atom.op is not Op.OUTSIDE
+    return _atom_mask(atom, columns["xs"], columns["ys"], columns["taus"], env)
 
 
 def _strict_sites(t: Trajectory, env: EvalEnv) -> _Sites:
     """The recorded points. Their box bounds every site, so an atom it
-    decides is one bool that broadcasts over the site masks, and no point
-    is tested for it."""
-    truth, owned = _point_sites(t.xs, t.ys, t.taus, env)
-
-    def atom_mask(atom: Atom):
-        known = _box_truth(atom, t.box, env)
-        return truth(atom) if known is None else known
-
-    return lambda atoms: (atom_mask, owned)
+    decides (:func:`_on_box`) is one bool that broadcasts over the site
+    masks, and no point is tested for it."""
+    sites = (lambda atom: _on_box(atom, t, env)), functools.partial(_point_domain, len(t))
+    return lambda atoms: sites
 
 
 def eval_strict(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
