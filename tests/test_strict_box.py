@@ -3,11 +3,12 @@
 Under the strict assumption a quantifier ranges over the recorded points
 only, so the box of those points bounds every site: an atom whose region or
 interval holds the box, or misses it, has one truth at every site and no
-point is tested for it. ``testing.strict_point_oracle`` loops over the
-points with float comparisons and never reads a box, so it is the
+point is tested for it; an atom it leaves open is tested only on the axes
+where the box straddles the band. ``testing.strict_point_oracle`` loops
+over the points with float comparisons and never reads a box, so it is the
 reference here. The instances put boxes inside, on the border lines and
-corners of, across and beside R, S and I, including boxes of zero width
-and trajectories of one, two and three points.
+corners of, across and beside R, S and I, per axis, including boxes of
+zero width and trajectories of one, two and three points.
 """
 
 import importlib
@@ -128,7 +129,9 @@ def _walk(n, x0, y0, dx, dy):
     return build_trajectory((x0 + i * dx, y0 + ((i % 2) * dy), float(i)) for i in range(n))
 
 
-BOXES = EvalEnv({"R": Region(0, 0, 10, 10), "S": Region(20, 20, 21, 21), "B": Region(-5, -5, 15, 15)})
+BOXES = EvalEnv(
+    {"R": Region(0, 0, 10, 10), "S": Region(20, 20, 21, 21), "B": Region(-5, -5, 15, 15)}
+)
 
 
 def test_box_that_misses_or_holds_the_region_tests_no_point(monkeypatch):
