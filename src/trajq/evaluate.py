@@ -28,11 +28,11 @@ every finite input. A decided atom is one bool that broadcasts over the
 masks of the other atoms; a clause whose atoms the box all decides tests no
 point, and vacuity still comes from the domain (EXISTS over the empty TFL of
 a one- or two-point trajectory fails, FORALL holds). An atom the box leaves
-unknown tests the points only on the axes whose span straddles its band. Relaxed and
-approximated sites keep the full test. Relaxed crossings can still collapse
-or overflow, and a box decision would hide the ``CrossingOverflowError``
-raised for them. Approximated sites are computed as (1 - λ)·a + λ·b and can
-round to just outside the box of the vertices.
+unknown tests the points only on the axes whose span straddles its band.
+Relaxed and approximated sites keep the full test. Relaxed crossings can
+still collapse or overflow, and a box decision would hide the
+``CrossingOverflowError`` raised for them. Approximated sites are computed
+as (1 - λ)·a + λ·b and can round to just outside the box of the vertices.
 
 Relaxed sites come from one vectorised pass over all segments of a
 trajectory. Every atom tests a box: a region's bounds, an interval, or for
@@ -298,9 +298,8 @@ def _point_domain(n: int, d: Domain):
 def _point_sites(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv):
     """Sites at the points of coordinate arrays, as the pair a site source
     serves: the atom rule over the arrays, and the sites each domain owns."""
-    return (lambda atom: _atom_mask(atom, xs, ys, taus, env)), functools.partial(
-        _point_domain, xs.size
-    )
+    owned = functools.partial(_point_domain, xs.size)
+    return (lambda atom: _atom_mask(atom, xs, ys, taus, env)), owned
 
 
 _Box = tuple[tuple[str, ...], tuple[float, ...], tuple[float, ...]]
