@@ -28,7 +28,7 @@ every finite input. A decided atom is one bool that broadcasts over the
 masks of the other atoms; a clause whose atoms the box all decides tests no
 point, and vacuity still comes from the domain (EXISTS over the empty TFL of
 a one- or two-point trajectory fails, FORALL holds). An atom the box leaves
-unknown tests the points only on the axes whose span straddles its band.
+unknown is tested at every point, as without the box.
 Relaxed and approximated sites keep the full test. Relaxed crossings can
 still collapse or overflow, and a box decision would hide the
 ``CrossingOverflowError`` raised for them. Approximated sites are computed
@@ -260,11 +260,10 @@ def _holds(ast: Predicate, ground: Callable[[Atom], bool], sites: _Sites) -> boo
             truth, owned = sites(_walk_atoms(clause.body))
             exists = clause.quantifier is Quantifier.EXISTS
             body = _body_mask(clause.body, truth)
-            # EXISTS holds, and FORALL fails, iff decisive holds at an owned
-            # site; where the box made it False, no domain is built
-            decisive = body if exists else body ^ True
-            found = decisive is not False and _some(decisive, owned(clause.domain))
-            ok = found if exists else not found
+            if body is (not exists):  # the box decided it: no domain is built
+                ok = body
+            else:
+                ok = (_some if exists else _every)(body, owned(clause.domain))
         if not ok:
             return False
     return True
@@ -283,6 +282,14 @@ def _some(mask, domain) -> bool:
     if isinstance(mask, bool):
         return mask and (domain is True or domain.any())
     return (mask if domain is True else mask & domain).any()
+
+
+def _every(mask, domain) -> bool:
+    """Whether a mask holds at every site a domain owns, as :func:`_some`
+    reads them; it does over a domain that owns no site."""
+    if isinstance(mask, bool):
+        return mask or not (domain is True or domain.any())
+    return (mask if domain is True else mask | ~domain).all()
 
 
 def _point_domain(n: int, d: Domain):
@@ -328,25 +335,21 @@ def _on_box(atom: Atom, t: Trajectory, env: EvalEnv):
     where it can be. On each axis the atom tests, the box's span lies in
     the atom's band (open or closed as the op holds on it), misses it, or
     straddles it. A miss on some axis, or a span in the band on every axis,
-    decides the atom at every point, and one bool comes back. Otherwise the
-    points are tested, an axis whose span lies in the band read as one
-    value of its span. Ordered comparisons only, so exact on every finite
+    decides the atom at every point, and one bool comes back; otherwise the
+    points are tested. Ordered comparisons only, so exact on every finite
     input."""
     names, lo, hi = _box(atom, env)
     closed = atom.op in _CLOSED_OPS
     box = t.box
-    columns = {"xs": t.xs, "ys": t.ys, "taus": t.taus}
-    settled = 0
+    inside = True
     for name, low, high in zip(names, lo, hi):
         a, b = getattr(box, name)
-        if not ((low <= b and a <= high) if closed else (low < b and a < high)):
+        if (b < low or high < a) if closed else (b <= low or high <= a):
             return atom.op is Op.OUTSIDE
-        if (low <= a and b <= high) if closed else (low < a and b < high):
-            columns[name] = a
-            settled += 1
-    if settled == len(names):
+        inside = inside and ((low <= a and b <= high) if closed else (low < a and b < high))
+    if inside:
         return atom.op is not Op.OUTSIDE
-    return _atom_mask(atom, columns["xs"], columns["ys"], columns["taus"], env)
+    return _atom_mask(atom, t.xs, t.ys, t.taus, env)
 
 
 def _strict_sites(t: Trajectory, env: EvalEnv) -> _Sites:
@@ -428,20 +431,23 @@ def eval_relaxed(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
 def _augmented_arrays(
     t: Trajectory, strategy: ApproxStrategy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    not_reals = f"strategy {strategy.name!r} returned something other than a sequence of real numbers"
     lams: list[float] = []
     counts: list[int] = []
+    for seg in segments(t):
+        out = strategy.point_generator(seg)
+        before = len(lams)
+        try:
+            lams.extend(out)
+        except TypeError as exc:  # not iterable
+            raise StrategyOutputError(not_reals) from exc
+        counts.append(len(lams) - before)
     try:
-        for seg in segments(t):
-            before = len(lams)
-            lams.extend(strategy.point_generator(seg))
-            counts.append(len(lams) - before)
         lam = np.array(lams, dtype=float)
-    except (TypeError, ValueError):  # not iterable, ragged, or items no float takes
-        lam = None
-    if lam is None or lam.ndim != 1:
-        raise StrategyOutputError(
-            f"strategy {strategy.name!r} returned something other than a sequence of real numbers"
-        )
+    except (TypeError, ValueError) as exc:  # ragged, or items no float takes
+        raise StrategyOutputError(not_reals) from exc
+    if lam.ndim != 1:
+        raise StrategyOutputError(not_reals)
     seg = np.repeat(np.arange(len(counts)), counts)
     outside = ~((lam >= 0.0) & (lam <= 1.0))
     if outside.any():

@@ -303,6 +303,16 @@ def test_misbehaving_strategy_rejected():
             eval_approximated(ast, t, env, ApproxStrategy("bad", lambda seg: bad))
         assert isinstance(exc.value, ValueError)
 
+    def own_error(seg):
+        raise ValueError("the strategy's own fault")
+
+    # an error the strategy raises itself is not mistaken for bad output
+    with pytest.raises(ValueError, match="own fault"):
+        eval_approximated(ast, t, env, ApproxStrategy("own", own_error))
+    with pytest.raises(StrategyOutputError) as exc:
+        eval_approximated(ast, t, env, ApproxStrategy("bad", lambda seg: None))
+    assert isinstance(exc.value.__cause__, TypeError)
+
 
 def test_unvalidated_predicate_rejected():
     ast = parse_predicate("EXISTS p IN T: p INSIDE S")

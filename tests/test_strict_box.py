@@ -3,8 +3,8 @@
 Under the strict assumption a quantifier ranges over the recorded points
 only, so the box of those points bounds every site: an atom whose region or
 interval holds the box, or misses it, has one truth at every site and no
-point is tested for it; an atom it leaves open is tested only on the axes
-where the box straddles the band. ``testing.strict_point_oracle`` loops
+point is tested for it; an atom it leaves open is tested at every point.
+``testing.strict_point_oracle`` loops
 over the points with float comparisons and never reads a box, so it is the
 reference here. The instances put boxes inside, on the border lines and
 corners of, across and beside R, S and I, per axis, including boxes of
