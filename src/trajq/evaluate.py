@@ -309,20 +309,21 @@ def _point_sites(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, env: EvalEnv)
     return (lambda atom: _atom_mask(atom, xs, ys, taus, env)), owned
 
 
-_Box = tuple[tuple[str, ...], tuple[float, ...], tuple[float, ...]]
+_Box = tuple[tuple[int, float, float], ...]
 
 
 def _box(atom: Atom, env: EvalEnv) -> _Box:
-    """The box an atom tests: the coordinates it reads, their lower bounds
-    and their upper bounds. Time BEFORE and AFTER test half-lines."""
+    """The box an atom tests: per coordinate it reads, the coordinate's
+    index in (x, y, τ), the order of ``Trajectory.box``, and its lower and
+    upper bound. Time BEFORE and AFTER test half-lines."""
     target = env.bindings[atom.rhs]
     if isinstance(target, Region):
-        return ("xs", "ys"), (target.x_min, target.y_min), (target.x_max, target.y_max)
+        return (0, target.x_min, target.x_max), (1, target.y_min, target.y_max)
     if atom.op is Op.BEFORE:
-        return ("taus",), (-math.inf,), (target.tau_s,)
+        return ((2, -math.inf, target.tau_s),)
     if atom.op is Op.AFTER:
-        return ("taus",), (target.tau_e,), (math.inf,)
-    return ("taus",), (target.tau_s,), (target.tau_e,)
+        return ((2, target.tau_e, math.inf),)
+    return ((2, target.tau_s, target.tau_e),)
 
 
 # The ops that hold on the closed box (OUTSIDE as its complement); the
@@ -338,12 +339,11 @@ def _on_box(atom: Atom, t: Trajectory, env: EvalEnv):
     decides the atom at every point, and one bool comes back; otherwise the
     points are tested. Ordered comparisons only, so exact on every finite
     input."""
-    names, lo, hi = _box(atom, env)
     closed = atom.op in _CLOSED_OPS
     box = t.box
     inside = True
-    for name, low, high in zip(names, lo, hi):
-        a, b = getattr(box, name)
+    for axis, low, high in _box(atom, env):
+        a, b = box[axis]
         if (b < low or high < a) if closed else (b <= low or high <= a):
             return atom.op is Op.OUTSIDE
         inside = inside and ((low <= a and b <= high) if closed else (low < a and b < high))
@@ -356,7 +356,7 @@ def _strict_sites(t: Trajectory, env: EvalEnv) -> _Sites:
     """The recorded points. Their box bounds every site, so an atom it
     decides (:func:`_on_box`) is one bool that broadcasts over the site
     masks, and no point is tested for it."""
-    sites = (lambda atom: _on_box(atom, t, env)), functools.partial(_point_domain, len(t))
+    sites = (lambda atom: _on_box(atom, t, env)), functools.partial(_point_domain, t.taus.size)
     return lambda atoms: sites
 
 
@@ -368,9 +368,10 @@ def eval_strict(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
 # --- relaxed machinery --------------------------------------------------
 
 
-def _crossings(t: Trajectory, names: tuple[str, ...], lo, hi):
+def _crossings(t: Trajectory, box: _Box):
     """Where each segment of t crosses a box (:func:`box_crossings`)."""
-    columns = [getattr(t, name) for name in names]
+    axes, lo, hi = zip(*box)
+    columns = [(t.xs, t.ys, t.taus)[axis] for axis in axes]
     return box_crossings([c[:-1] for c in columns], [c[1:] for c in columns], lo, hi)
 
 
@@ -385,7 +386,7 @@ def _relaxed_sites(t: Trajectory, env: EvalEnv) -> _Sites:
     def sites(atoms: Iterable[Atom]):
         keys = {a: (_box(a, env), a.op in _CLOSED_OPS) for a in atoms}
         boxes = dict.fromkeys(box for box, _ in keys.values())
-        crossings = {box: _crossings(t, *box) for box in boxes}
+        crossings = {box: _crossings(t, box) for box in boxes}
         m = len(t) - 1
         bounds = [np.zeros(m), np.ones(m)]
         for enter, leave, _ in crossings.values():
