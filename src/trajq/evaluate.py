@@ -429,10 +429,15 @@ def eval_relaxed(ast: Predicate, t: Trajectory, env: EvalEnv) -> bool:
 # --- approximated machinery ---------------------------------------------
 
 
+def _not_reals(strategy: ApproxStrategy) -> StrategyOutputError:
+    return StrategyOutputError(
+        f"strategy {strategy.name!r} returned something other than a sequence of real numbers"
+    )
+
+
 def _augmented_arrays(
     t: Trajectory, strategy: ApproxStrategy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    not_reals = f"strategy {strategy.name!r} returned something other than a sequence of real numbers"
     lams: list[float] = []
     counts: list[int] = []
     for seg in segments(t):
@@ -441,14 +446,14 @@ def _augmented_arrays(
         try:
             lams.extend(out)
         except TypeError as exc:  # not iterable
-            raise StrategyOutputError(not_reals) from exc
+            raise _not_reals(strategy) from exc
         counts.append(len(lams) - before)
     try:
         lam = np.array(lams, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged, or items no float takes
-        raise StrategyOutputError(not_reals) from exc
+        raise _not_reals(strategy) from exc
     if lam.ndim != 1:
-        raise StrategyOutputError(not_reals)
+        raise _not_reals(strategy)
     seg = np.repeat(np.arange(len(counts)), counts)
     outside = ~((lam >= 0.0) & (lam <= 1.0))
     if outside.any():

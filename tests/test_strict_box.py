@@ -142,6 +142,17 @@ def test_box_that_misses_or_holds_the_region_tests_no_point(monkeypatch):
     assert calls == []
 
 
+def test_box_on_the_border_decides_without_points(monkeypatch):
+    calls = _atom_mask_calls(monkeypatch)
+    # a box on B's border lies in the closed B; one that ends on S's edge
+    # misses the open S
+    on_b = build_trajectory([(-5, -5, 0), (15, 15, 1), (0, 0, 2)])
+    to_s = build_trajectory([(19, 20, 0), (20, 21, 1)])
+    assert eval_strict(parse_predicate("FORALL p IN T: p WITHIN B"), on_b, BOXES)
+    assert not eval_strict(parse_predicate("EXISTS p IN T: p INSIDE S"), to_s, BOXES)
+    assert calls == []
+
+
 def test_box_that_overlaps_the_region_tests_the_points(monkeypatch):
     calls = _atom_mask_calls(monkeypatch)
     # corners beside R on two sides: the box covers R, no point is in it
