@@ -137,6 +137,23 @@ def _run_boxes(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray, starts: np.ndar
     return list(map(Box, zip(lo_x, hi_x), zip(lo_y, hi_y), zip(firsts, lasts)))
 
 
+class _computed_once:
+    """``functools.cached_property`` without its lock, which Python 3.11
+    takes on each first access: the value is computed on first use and
+    stored in the instance, whose ``__dict__`` then shadows this non-data
+    descriptor. Two threads may both compute it; both get the same value."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class _Runs:
     """The columns and run starts of one ``Trajectory.from_runs`` call. The
     boxes of all its runs are computed together, when one is first asked for."""
@@ -228,7 +245,7 @@ class Trajectory:
         columns = (self.xs.tolist(), self.ys.tolist(), self.taus.tolist())
         return tuple(map(TrajectoryPoint, range(len(self)), *columns))
 
-    @property
+    @_computed_once
     def box(self) -> Box:
         """The box of the recorded points, computed on first use. The
         trajectories of one ``from_runs`` call compute theirs together."""

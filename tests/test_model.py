@@ -206,3 +206,4 @@ def test_box_bounds_the_points_and_takes_tau_from_the_ends():
     runs = Trajectory.from_runs([5, 1, 9, 2], [0, 8, 3, 3], [0, 1, 0, 4], [0, 2])
     assert [r.box.xs for r in runs] == [(1.0, 5.0), (2.0, 9.0)]
     assert runs[1].box.taus == (0.0, 4.0)
+    assert t.box is t.box  # computed once, then kept
