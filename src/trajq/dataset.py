@@ -20,11 +20,17 @@ without a trailing ``.0``; a property float keeps it and reads back as a
 float), quotes every cell holding a CR or LF, and uses LF line endings, so
 exporting a freshly ingested file reproduces it byte for byte.
 
-Ingest and export work a column at a time: each column is checked and
+Ingest and export work a column at a time. A file is read into columns
+with one split: a text csv would read as plain lines and commas (no quote,
+CR, NUL or empty line) is split once at commas, its line breaks made cells
+of their own, and each column is a stride slice of the cells; any other
+text is read by ``csv`` and transposed. Each column is checked and
 converted in one pass, and the rows are sorted by key once. Only when a
-column check fails is the file read again row by row, in file order, to
-raise the first fault with its line and field. The trajectories are built
-in one batch from the sorted columns (``Trajectory.from_runs``).
+check fails, a row's width included, is the file read again row by row,
+in file order, to raise the first fault with its line and field. The
+trajectories are built in one batch from the sorted columns
+(``Trajectory.from_runs``). A property sibling that is absent reads as
+one with no row.
 
 Both property siblings are read and written by one keyed reader and one
 writer, parameterised by the key columns: ``tid,order`` for point
@@ -202,28 +208,44 @@ def _row_without_limit(lines: list[str]) -> list[str]:
         csv.field_size_limit(limit)
 
 
-def _records(text: str) -> list[list[str]]:
-    """The rows of a CSV text as ``csv.reader`` reads them. A text with no
-    quote, CR, NUL or empty line and no line over the field size limit has
-    no cell csv would treat specially: it is split at LFs and commas.
+def _columns(text: str) -> tuple[list[str] | None, list[list[str]] | None]:
+    """The header of a CSV text and its body as one list per header field,
+    both as ``csv.reader`` reads them: the header is None for a text with no
+    row, the columns None when some row is not as wide as the header.
+
+    A text with no quote, CR, NUL or empty line has no cell csv would treat
+    specially. Its body is split once at commas, each line break made a cell
+    of its own; the rows have the header's width exactly when the cells
+    number (width + 1) per line break and every (width + 1)-th is one, and
+    each column is then one stride slice. Other texts, and one with a cell
+    over the field size limit, are read by csv and transposed.
 
     Raises:
         CsvParseError: a cell longer than ``csv.field_size_limit()``.
     """
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    limit = csv.field_size_limit()
-    if (
-        '"' in text
-        or "\r" in text
-        or "\0" in text
-        or "\n\n" in text
-        or text.startswith("\n")
-        or (len(text) > limit and max(map(len, lines)) > limit)
+    if text and not (
+        '"' in text or "\r" in text or "\0" in text or "\n\n" in text or text.startswith("\n")
     ):
-        return [row for _, row in _numbered_rows(text)]
-    return list(map(str.split, lines, repeat(",")))
+        first, _, body = text.partition("\n")
+        header = first.split(",")
+        if body and not body.endswith("\n"):
+            body += "\n"  # the last row may end without a line break
+        cells = body.replace("\n", ",\n,").split(",")
+        cells.pop()  # the empty cell after the last line break
+        limit = csv.field_size_limit()
+        if len(text) <= limit or max(map(len, chain(header, cells))) <= limit:
+            stride = len(header) + 1
+            rows = body.count("\n")
+            if len(cells) != stride * rows or cells[stride - 1 :: stride].count("\n") != rows:
+                return header, None
+            return header, [cells[i::stride] for i in range(stride - 1)]
+    rows = [row for _, row in _numbered_rows(text)]
+    if not rows:
+        return None, None
+    header, data = rows[0], rows[1:]
+    if any(len(row) != len(header) for row in data):
+        return header, None
+    return header, [[row[i] for row in data] for i in range(len(header))]
 
 
 def _numbered_body(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -233,11 +255,10 @@ def _numbered_body(text: str) -> Iterator[tuple[int, list[str]]]:
     return rows
 
 
-def _check_header(rows: list[list[str]], required: tuple[str, ...], path: Path) -> list[str]:
+def _check_header(header: list[str] | None, required: tuple[str, ...], path: Path) -> list[str]:
     """Verify the fixed leading columns; returns the full header row."""
-    if not rows:
+    if header is None:
         raise CsvParseError(1, 1, f"{path.name}: empty file, expected a header")
-    header = rows[0]
     if tuple(header[: len(required)]) != required:
         raise CsvParseError(
             1, 1, f"{path.name}: expected header starting {','.join(required)}"
@@ -258,17 +279,15 @@ def _all_ints(cells: Sequence[str]) -> bool:
 
 def _ingest_points(path: Path) -> TrajectoriesRelation:
     text = _read_text(path)
-    rows = _records(text)
-    _check_header(rows, POINTS_HEADER, path)
-    if len(rows[0]) != 5:
+    header, columns = _columns(text)
+    if len(_check_header(header, POINTS_HEADER, path)) != 5:
         raise CsvParseError(1, 6, f"{path.name}: unexpected extra columns")
-    body = rows[1:]
-    n = len(body)
+    if columns is None:
+        _raise_points_fault(text)
+    tids, orders, *coords = columns
+    n = len(tids)
     if not n:
         return TrajectoriesRelation(())
-    if set(map(len, body)) != {5}:
-        _raise_points_fault(text)
-    tids, orders, *coords = zip(*body)
     if "" in tids or not _all_ints(orders):
         _raise_points_fault(text)
     try:
@@ -346,8 +365,8 @@ class _Cells(NamedTuple):
     rows sorted by (tid, order)."""
 
     names: list[str]
-    tids: tuple[str, ...]
-    columns: list[tuple[str, ...]]
+    tids: list[str]
+    columns: list[list[str]]
     codes: np.ndarray
     orders: np.ndarray
     perm: np.ndarray
@@ -355,19 +374,22 @@ class _Cells(NamedTuple):
 
 def _check_keyed(path: Path, keys: tuple[str, ...], sizes: Mapping[str, int]) -> _Cells | None:
     """Check a property file keyed by ``keys`` against the trajectories' tids
-    and sizes; a file keyed by tid alone holds order 0 of each trajectory."""
-    text = _read_text(path)
-    rows = _records(text)
-    header = _check_header(rows, keys, path)
-    body = rows[1:]
-    if not body:
+    and sizes; a file keyed by tid alone holds order 0 of each trajectory.
+    None for a file that is absent or has no row."""
+    try:
+        text = _read_text(path)
+    except FileNotFoundError:  # the file is optional
         return None
+    header, body = _columns(text)
+    header = _check_header(header, keys, path)
     if len(keys) == 1:
         sizes = dict.fromkeys(sizes, 1)
-    if set(map(len, body)) != {len(header)}:
+    if body is None:
         _raise_keyed_fault(text, path, header, keys, sizes)
-    tids, *columns = zip(*body)
-    orders = columns.pop(0) if len(keys) > 1 else ("0",) * len(tids)
+    tids, *columns = body
+    if not tids:
+        return None
+    orders = columns.pop(0) if len(keys) > 1 else ["0"] * len(tids)
     known = sizes.keys() >= set(tids) and _all_ints(orders)
     order_col = _int_column(orders) if known else None
     if order_col is None:
@@ -446,10 +468,7 @@ def _siblings(path: Path) -> list[tuple[Path, tuple[str, ...]]]:
 def _check_siblings(path: Path, trajectories: TrajectoriesRelation) -> list[_Cells | None]:
     """Check the property files beside a points file, if they exist."""
     sizes = {tid: len(t) for tid, t in trajectories}
-    return [
-        _check_keyed(sibling, keys, sizes) if sibling.exists() else None
-        for sibling, keys in _siblings(path)
-    ]
+    return [_check_keyed(sibling, keys, sizes) for sibling, keys in _siblings(path)]
 
 
 def load_trajectories(path: Union[str, Path]) -> TrajectoriesRelation:

@@ -31,7 +31,7 @@ from trajq.dataset import (
     _parse_float,
     _parse_int,
     _parse_value,
-    _records,
+    _columns,
     export_csv,
     ingest_csv,
     load_trajectories,
@@ -437,6 +437,90 @@ def test_column_ingest_matches_the_row_loop(files, terminator):
 
 
 
+# --- which path reads a file ----------------------------------------------
+
+
+def _depot() -> dict:
+    """The rows of a depot-like dataset: 20 walks of 25 points, a
+    trajectory property row per walk and a point property row per point."""
+    files = {
+        ".csv": [list(POINTS_HEADER)],
+        ".props.csv": [["tid", "base", "speed"]],
+        ".pprops.csv": [["tid", "order", "load"]],
+    }
+    for w in range(20):
+        files[".props.csv"].append([f"w{w:02d}", "north", format_float(w / 2)])
+        for o in range(25):
+            point = [format_float(w + o / 4), format_float(-o / 2), str(10 * w + o)]
+            files[".csv"].append([f"w{w:02d}", str(o), *point])
+            files[".pprops.csv"].append([f"w{w:02d}", str(o), str(o % 3)])
+    return files
+
+
+# (file, row, edit): one fault each; row 40 of the points file is w01's
+# order 14, row 100 of the point properties w03's order 23.
+DEPOT_FAULTS = [
+    (".csv", 40, lambda r: [*r[:2], "x", *r[3:]]),
+    (".csv", 40, lambda r: r[:-1]),
+    (".csv", 40, lambda r: [*r, "1"]),
+    (".csv", 40, lambda r: [r[0], "13", *r[2:]]),
+    (".csv", 40, lambda r: [*r[:4], "0"]),
+    (".csv", 40, lambda r: [r[0], "99", *r[2:]]),
+    (".props.csv", 5, lambda r: ["zz", *r[1:]]),
+    (".props.csv", 5, lambda r: r[:-1]),
+    (".props.csv", 5, lambda r: ["w03", *r[1:]]),
+    (".pprops.csv", 100, lambda r: [r[0], "25", r[2]]),
+    (".pprops.csv", 100, lambda r: [r[0], "22", r[2]]),
+    (".pprops.csv", 100, lambda r: [r[0], "x", r[2]]),
+    (".pprops.csv", 100, lambda r: [*r, "2"]),
+    (".pprops.csv", 100, lambda r: [*r[:2], LONG]),
+]
+
+
+def _write_depot(directory: Path, files: dict, quoted: bool) -> Path:
+    directory.mkdir()
+    for suffix, rows in files.items():
+        wrap = '"{}"'.format if quoted else str
+        text = "".join(",".join(map(wrap, row)) + "\n" for row in rows)
+        (directory / f"d{suffix}").write_text(text, encoding="utf-8")
+    return directory / "d.csv"
+
+
+class _CsvReaderCalled(Exception):
+    pass
+
+
+def _no_csv_reader(*args, **kwargs):
+    raise _CsvReaderCalled
+
+
+def test_a_plain_depot_loads_without_csv_reader(tmp_path, monkeypatch):
+    plain = _write_depot(tmp_path / "plain", _depot(), quoted=False)
+    quoted = _write_depot(tmp_path / "quoted", _depot(), quoted=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(csv, "reader", _no_csv_reader)
+        loaded = load_trajectories(plain)
+        dataset = ingest_csv(plain)
+        with pytest.raises(_CsvReaderCalled):  # quotes take the csv path
+            load_trajectories(quoted)
+    assert len(loaded) == 20 and sum(len(t) for _, t in loaded) == 500
+    assert _loaded(quoted) == _loaded(plain)
+    assert _outcome(ingest_csv, quoted) == _outcome(ingest_csv, plain)
+    assert dataset.trajectories == loaded
+
+
+@pytest.mark.parametrize("suffix,row,edit", DEPOT_FAULTS)
+def test_a_fault_is_raised_alike_on_either_path(suffix, row, edit, tmp_path):
+    files = _depot()
+    files[suffix][row] = edit(files[suffix][row])
+    plain = _write_depot(tmp_path / "plain", files, quoted=False)
+    quoted = _write_depot(tmp_path / "quoted", files, quoted=True)
+    want = _loaded(plain)
+    assert isinstance(want[0], type) and issubclass(want[0], TrajqError)
+    assert _loaded(quoted) == want
+    assert _outcome(ingest_csv, quoted) == _outcome(ingest_csv, plain) == want
+
+
 # --- what only the check-only path and the CLI add ----------------------
 
 
@@ -498,24 +582,74 @@ def test_every_loading_command_rejects_what_validate_rejects(files):
             assert code == 0 or err.startswith("error: span")
 
 
+def _csv_columns(text: str):
+    """What ``_columns`` must return, from ``csv.reader`` rows transposed."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if not rows:
+        return None, None
+    header, body = rows[0], rows[1:]
+    if any(len(row) != len(header) for row in body):
+        return header, None
+    return header, [[row[i] for row in body] for i in range(len(header))]
+
+
+# Texts the one split reads: a header and rows one field short, one field
+# long or as wide, ending with or without a line break.
+plain_rows = st.lists(
+    st.lists(st.text(st.sampled_from(["a", "1", " ", "é"]), max_size=3), min_size=1, max_size=4),
+    min_size=1,
+    max_size=6,
+)
+
+
 @settings(derandomize=True, max_examples=300)
 @given(st.text(st.sampled_from(["a", "1", ",", "\n", "\r", '"', " ", "\0", "é"]), max_size=30))
-def test_records_reads_as_csv_reads(text):
-    assert _records(text) == list(csv.reader(io.StringIO(text, newline="")))
+def test_columns_read_as_csv_reads(text):
+    assert _columns(text) == _csv_columns(text)
 
 
-def test_records_positions_a_field_over_the_size_limit():
+@settings(derandomize=True, max_examples=300)
+@given(plain_rows, st.booleans())
+def test_columns_of_plain_rows_read_as_csv_reads(rows, final_break):
+    text = "\n".join(map(",".join, rows)) + "\n" * final_break
+    assert _columns(text) == _csv_columns(text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("", (None, None)),
+        ("tid,order", (["tid", "order"], [[], []])),
+        ("tid,order\n", (["tid", "order"], [[], []])),
+        ("tid,order\na,1\nb,2", (["tid", "order"], [["a", "b"], ["1", "2"]])),
+        ("tid,order\na,1\nb\n", (["tid", "order"], None)),  # one field short
+        ("tid,order\na,1,x\nb,2\n", (["tid", "order"], None)),  # one field long
+        ("tid,order\na\nb,2,3\n", (["tid", "order"], None)),  # short and long
+        ("tid\na\nb,2\n", (["tid"], None)),
+        ('tid,order\n"a,b",1\n', (["tid", "order"], [["a,b"], ["1"]])),  # the csv path
+        ("tid,order\r\na,1\r\n", (["tid", "order"], [["a"], ["1"]])),
+    ],
+)
+def test_columns_of_edge_texts(text, want):
+    assert _columns(text) == want == _csv_columns(text)
+
+
+def test_columns_position_a_field_over_the_size_limit():
     saved = csv.field_size_limit(8)
     try:
         for text, line, column in (
             ("tid,order\nabcdefghij,1\n", 2, 1),
+            ("tid,order\nA,1\nB,123456789", 3, 2),  # the last row, with no line break
+            ("tid,abcdefghij\nA,1\n", 1, 2),  # the header
             ('tid,order\nA,1\nB,"1\n2345678\n9"\n', 4, 2),  # where it overflows
         ):
             with pytest.raises(CsvParseError) as exc:
-                _records(text)
+                _columns(text)
             assert (exc.value.line, exc.value.column) == (line, column)
             assert "field larger than field limit" in str(exc.value)
             assert csv.field_size_limit() == 8
-        assert _records("tid,order\nabcdefgh,1\n") == [["tid", "order"], ["abcdefgh", "1"]]
+        # a line over the limit whose cells are each within it is no fault
+        assert _columns("tid,order\nabcdefgh,1\n") == (["tid", "order"], [["abcdefgh"], ["1"]])
+        assert _columns("tid,order\nabcdefgh,12345678\n")[1] == [["abcdefgh"], ["12345678"]]
     finally:
         csv.field_size_limit(saved)
