@@ -25,10 +25,13 @@ interval, false when it misses it, and unknown otherwise. Only ordered
 comparisons are used (open bounds for INSIDE, BEFORE and AFTER, closed for
 WITHIN, OUTSIDE as the complement of WITHIN), so the answer is exact on
 every finite input. A decided atom is one bool that broadcasts over the
-masks of the other atoms; a clause whose atoms the box all decides tests no
-point, and vacuity still comes from the domain (EXISTS over the empty TFL of
-a one- or two-point trajectory fails, FORALL holds). An atom the box leaves
-unknown is tested at every point, as without the box.
+masks of the other atoms. AND and OR ask every part for its answer before
+testing any point and follow Kleene's rules (``_answer``): an AND with a
+part False is False and an OR with a part True is True, so a clause the
+decided atoms settle tests no point, and vacuity still comes from the domain
+(EXISTS over the empty TFL of a one- or two-point trajectory fails, FORALL
+holds). An atom the box leaves unknown is tested at every point when the
+body still needs it, as without the box.
 Relaxed and approximated sites keep the full test. Relaxed crossings can
 still collapse or overflow, and a box decision would hide the
 ``CrossingOverflowError`` raised for them. Approximated sites are computed
@@ -84,13 +87,13 @@ from .errors import (
 from .geometry import Interval, Region, box_crossings, densify
 from .model import Segment, TrajectoriesRelation, Trajectory, segments
 from .predicate import (
-    And,
     Atom,
     Body,
     Domain,
     GroundClause,
     Not,
     Op,
+    Or,
     PointRef,
     Predicate,
     Quantifier,
@@ -137,14 +140,20 @@ class ApproxStrategy:
     point_generator: Callable[[Segment], Sequence[float]]
 
 
+# The most points ``uniform`` inserts per segment. Its grid is built for each
+# evaluated row, so a k without bound could exhaust memory or never finish.
+MAX_UNIFORM_K = 10_000
+
+
 def uniform_strategy(k: int) -> ApproxStrategy:
-    """k evenly spaced interior points per segment: lam = j/(k+1), j=1..k."""
+    """k evenly spaced interior points per segment: lam = j/(k+1), j=1..k,
+    for k from 0 to ``MAX_UNIFORM_K``."""
     try:
         k = operator.index(k)
     except TypeError:
         raise StrategyParameterError(f"k must be an integer, got {k!r}") from None
-    if k < 0:
-        raise StrategyParameterError(f"k must be non-negative, got {k}")
+    if not 0 <= k <= MAX_UNIFORM_K:
+        raise StrategyParameterError(f"k must be from 0 to {MAX_UNIFORM_K}, got {k}")
     grid = tuple((j + 1) / (k + 1) for j in range(k))
 
     return ApproxStrategy(f"uniform-{k}", lambda seg: grid)
@@ -227,16 +236,44 @@ def _atom_mask(atom: Atom, xs, ys, taus, env: EvalEnv):
     return _in_band(taus, target.tau_s, target.tau_e, op is Op.INSIDE)
 
 
-def _body_mask(body: Body, atom_mask: Callable[[Atom], np.ndarray]) -> np.ndarray:
+_Answer = Any  # a bool, a site mask, or a function that tests the sites for one
+
+
+def _body_mask(body: Body, truth: Callable[[Atom], _Answer]) -> np.ndarray | bool:
+    """The truth of a body at every site: a bool where it has one truth at
+    every site, else a mask. ``truth`` gives an atom's answer: a bool, a
+    mask, or a function that tests the sites for the mask. No such function
+    is called before every part of an AND or OR has answered, and none
+    where a bool settles the body (:func:`_answer`)."""
+    answer = _answer(body, truth)
+    return answer() if callable(answer) else answer
+
+
+def _answer(body: Body, truth: Callable[[Atom], _Answer]) -> _Answer:
+    """A body's answer from its atoms', by Kleene's rules: an AND with a
+    part False is False and an OR with a part True is True, whatever the
+    other parts; a part True in an AND or False in an OR drops out."""
     if isinstance(body, Atom):
-        return atom_mask(body)
+        return truth(body)
     if isinstance(body, Not):
-        return _body_mask(body.child, atom_mask) ^ True  # `not` for bools and masks
-    masks = [_body_mask(p, atom_mask) for p in body.parts]
-    out = masks[0]
-    for m in masks[1:]:
-        out = (out & m) if isinstance(body, And) else (out | m)
-    return out
+        child = _answer(body.child, truth)
+        return (lambda: child() ^ True) if callable(child) else child ^ True  # bool or mask
+    settles = isinstance(body, Or)  # the part that settles the body
+    parts = []
+    for part in body.parts:
+        answer = _answer(part, truth)
+        if answer is settles:
+            return settles
+        if answer is not (not settles):
+            parts.append(answer)
+    if not parts:
+        return not settles
+    join = operator.or_ if settles else operator.and_
+
+    def mask():
+        return functools.reduce(join, (a() if callable(a) else a for a in parts))
+
+    return mask if any(map(callable, parts)) else mask()
 
 
 def _ground_atom(atom: Atom, t: Trajectory, env: EvalEnv) -> bool:
@@ -331,14 +368,13 @@ def _box(atom: Atom, env: EvalEnv) -> _Box:
 _CLOSED_OPS = (Op.WITHIN, Op.OUTSIDE)
 
 
-def _on_box(atom: Atom, t: Trajectory, env: EvalEnv):
-    """The truth of an atom at the recorded points of t, read off their box
-    where it can be. On each axis the atom tests, the box's span lies in
-    the atom's band (open or closed as the op holds on it), misses it, or
-    straddles it. A miss on some axis, or a span in the band on every axis,
-    decides the atom at every point, and one bool comes back; otherwise the
-    points are tested. Ordered comparisons only, so exact on every finite
-    input."""
+def _on_box(atom: Atom, t: Trajectory, env: EvalEnv) -> bool | None:
+    """The truth of an atom at the recorded points of t as their box gives
+    it, or None where the points must be tested. On each axis the atom
+    tests, the box's span lies in the atom's band (open or closed as the op
+    holds on it), misses it, or straddles it. A miss on some axis, or a span
+    in the band on every axis, decides the atom at every point. Ordered
+    comparisons only, so exact on every finite input."""
     closed = atom.op in _CLOSED_OPS
     box = t.box
     inside = True
@@ -347,16 +383,20 @@ def _on_box(atom: Atom, t: Trajectory, env: EvalEnv):
         if (b < low or high < a) if closed else (b <= low or high <= a):
             return atom.op is Op.OUTSIDE
         inside = inside and ((low <= a and b <= high) if closed else (low < a and b < high))
-    if inside:
-        return atom.op is not Op.OUTSIDE
-    return _atom_mask(atom, t.xs, t.ys, t.taus, env)
+    return (atom.op is not Op.OUTSIDE) if inside else None
 
 
 def _strict_sites(t: Trajectory, env: EvalEnv) -> _Sites:
     """The recorded points. Their box bounds every site, so an atom it
     decides (:func:`_on_box`) is one bool that broadcasts over the site
-    masks, and no point is tested for it."""
-    sites = (lambda atom: _on_box(atom, t, env)), functools.partial(_point_domain, t.taus.size)
+    masks; any other atom answers with a function that tests the points,
+    called only if the box answers of its siblings leave the body open."""
+
+    def truth(atom: Atom) -> _Answer:
+        known = _on_box(atom, t, env)
+        return (lambda: _atom_mask(atom, t.xs, t.ys, t.taus, env)) if known is None else known
+
+    sites = truth, functools.partial(_point_domain, t.taus.size)
     return lambda atoms: sites
 
 
@@ -552,7 +592,7 @@ def region_signature(t: Trajectory, r: Region, s: Strictness) -> RegionSignature
         return [inside, within & (inside ^ True), within ^ True]
 
     # One row per class: a site mask, or a bool where the box decided.
-    rows = classes(truth(_HULL), truth(_INTERIOR))
+    rows = classes(_body_mask(_HULL, truth), _body_mask(_INTERIOR, truth))
     ends = [
         classes(*(_atom_mask(a, x, y, tau, env) for a in (_HULL, _INTERIOR)))
         for x, y, tau in ((t.xs.item(i), t.ys.item(i), t.taus.item(i)) for i in (0, -1))

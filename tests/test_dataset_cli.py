@@ -382,6 +382,16 @@ def test_cli_query_too_deeply_nested_is_one_error_line(capsys, opener):
     assert err.startswith("error: syntax error at position") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k", ["10001", "100000000", "99999999999999999999999"])
+def test_cli_uniform_count_over_the_bound_is_one_error_line(capsys, k):
+    code, out, err = run(
+        capsys, "query", str(DATA / "goose.csv"), "--predicate", Q1,
+        "--region", "R=0,0,1,1", "--strictness", f"approx:uniform:{k}",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: k must be from 0 to 10000, got {k}\n"
+
+
 def test_cli_usage_errors(capsys):
     assert run(capsys, "--help")[0] == 0
     assert main([]) == 2

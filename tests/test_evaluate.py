@@ -26,6 +26,7 @@ from trajq.errors import (
 )
 from trajq.evaluate import (
     DEFAULT_UNIFORM_K,
+    MAX_UNIFORM_K,
     RELAXED,
     STRICT,
     ApproxStrategy,
@@ -263,6 +264,16 @@ def test_uniform_count_that_is_not_an_integer_is_a_parameter_error():
             evaluate(Q1, CROSSING, CROSS_ENV, approximated("uniform", k))
         assert isinstance(exc.value, ValueError)
     assert evaluate(Q1, CROSSING, CROSS_ENV, approximated("uniform", np.int64(50))) is True
+
+
+def test_uniform_count_is_bounded():
+    assert len(uniform_strategy(MAX_UNIFORM_K).point_generator(None)) == MAX_UNIFORM_K
+    for k in (MAX_UNIFORM_K + 1, 10**8, 10**23):
+        with pytest.raises(StrategyParameterError) as exc:
+            resolve_strategy("uniform", k)
+        assert f"from 0 to {MAX_UNIFORM_K}" in str(exc.value)
+    with pytest.raises(StrategyParameterError):
+        evaluate(Q1, CROSSING, CROSS_ENV, approximated("uniform", 10**23))
 
 
 def test_strategy_registry():

@@ -21,7 +21,20 @@ from helpers import random_predicate
 from trajq.evaluate import STRICT, EvalEnv, eval_strict, evaluate, select_st
 from trajq.geometry import Interval, Region
 from trajq.model import TrajectoriesRelation, build_trajectory
-from trajq.predicate import parse_predicate, validate
+from trajq.predicate import (
+    And,
+    Atom,
+    Domain,
+    Not,
+    Op,
+    Or,
+    Predicate,
+    QuantifiedClause,
+    Quantifier,
+    Var,
+    parse_predicate,
+    validate,
+)
 from trajq.relations import classify_de9im
 from trajq.testing import classify_de9im_oracle, strict_point_oracle
 
@@ -91,6 +104,37 @@ def test_strict_answers_equal_the_point_loop(t, seed):
         assert evaluate(ast, t, ENV, STRICT) == want, (ast, t.box)
 
 
+# Every atom R, S and I take, and bodies of n of them joined by AND, OR and
+# NOT, nested every way n atoms can be, so a box-decided atom sits before,
+# after and between open ones.
+ATOMS = tuple(Atom(Var("p"), op, "I") for op in Op) + tuple(
+    Atom(Var("p"), op, name) for name in "RS" for op in (Op.INSIDE, Op.WITHIN, Op.OUTSIDE)
+)
+SPLITS = {2: [(1, 1)], 3: [(1, 1, 1), (1, 2), (2, 1)]}
+
+
+def bodies(n: int):
+    if n == 1:
+        body = st.sampled_from(ATOMS)
+    else:
+        body = st.builds(
+            lambda join, parts: join(parts),
+            st.sampled_from([And, Or]),
+            st.sampled_from(SPLITS[n]).flatmap(lambda sizes: st.tuples(*map(bodies, sizes))),
+        )
+    return st.one_of(body, body.map(Not))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(walks(), st.lists(st.integers(2, 3).flatmap(bodies), min_size=4, max_size=4))
+def test_bodies_of_two_and_three_atoms_equal_the_point_loop(t, parts):
+    for body in parts:
+        for quantifier in Quantifier:
+            for domain in Domain:
+                ast = Predicate((QuantifiedClause(quantifier, "p", domain, body),))
+                assert eval_strict(ast, t, ENV) == strict_point_oracle(ast, t, ENV), (ast, t.box)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(walks(), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
 def test_select_st_keeps_the_rows_of_the_point_loop(ts, seed):
@@ -130,7 +174,12 @@ def _walk(n, x0, y0, dx, dy):
 
 
 BOXES = EvalEnv(
-    {"R": Region(0, 0, 10, 10), "S": Region(20, 20, 21, 21), "B": Region(-5, -5, 15, 15)}
+    {
+        "R": Region(0, 0, 10, 10),
+        "S": Region(20, 20, 21, 21),
+        "B": Region(-5, -5, 15, 15),
+        "I": Interval(100, 200),
+    }
 )
 
 
@@ -158,4 +207,22 @@ def test_box_that_overlaps_the_region_tests_the_points(monkeypatch):
     # corners beside R on two sides: the box covers R, no point is in it
     walk = build_trajectory([(-1, 5, 0), (5, 11, 1), (11, 5, 2), (5, -1, 3)])
     assert not eval_strict(parse_predicate("EXISTS p IN T: p INSIDE R"), walk, BOXES)
+    assert len(calls) == 1
+
+
+def test_a_sibling_the_box_decides_spares_the_open_atom(monkeypatch):
+    calls = _atom_mask_calls(monkeypatch)
+    # the box straddles R, lies in B and misses I (its τ runs 0..3)
+    walk = build_trajectory([(-1, 5, 0), (5, 11, 1), (11, 5, 2), (5, -1, 3)])
+    for text, want in (
+        ("EXISTS p IN T: p INSIDE R AND p INSIDE I", False),
+        ("EXISTS p IN T: p INSIDE I AND p INSIDE R", False),
+        ("FORALL p IN T: p INSIDE R OR p WITHIN B", True),
+        ("FORALL p IN TFL: NOT (p INSIDE I) OR p INSIDE R", True),
+        ("EXISTS p IN T: (p INSIDE R OR p WITHIN R) AND NOT (p WITHIN B)", False),
+    ):
+        assert eval_strict(parse_predicate(text), walk, BOXES) is want, text
+    assert calls == []
+    # a sibling the box makes true leaves the open atom to be tested
+    assert not eval_strict(parse_predicate("EXISTS p IN T: p INSIDE R AND p WITHIN B"), walk, BOXES)
     assert len(calls) == 1
