@@ -235,8 +235,8 @@ def _columns(text: str) -> tuple[list[str] | None, list[list[str]] | None]:
         limit = csv.field_size_limit()
         if len(text) <= limit or max(map(len, chain(header, cells))) <= limit:
             stride = len(header) + 1
-            rows = body.count("\n")
-            if len(cells) != stride * rows or cells[stride - 1 :: stride].count("\n") != rows:
+            lines = body.count("\n")
+            if len(cells) != stride * lines or cells[stride - 1 :: stride].count("\n") != lines:
                 return header, None
             return header, [cells[i::stride] for i in range(stride - 1)]
     rows = [row for _, row in _numbered_rows(text)]
