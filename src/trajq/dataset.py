@@ -20,17 +20,12 @@ without a trailing ``.0``; a property float keeps it and reads back as a
 float), quotes every cell holding a CR or LF, and uses LF line endings, so
 exporting a freshly ingested file reproduces it byte for byte.
 
-Ingest and export work a column at a time. A file is read into columns
-with one split: a text csv would read as plain lines and commas (no quote,
-CR, NUL or empty line) is split once at commas, its line breaks made cells
-of their own, and each column is a stride slice of the cells; any other
-text is read by ``csv`` and transposed. Each column is checked and
-converted in one pass, and the rows are sorted by key once. Only when a
-check fails, a row's width included, is the file read again row by row,
-in file order, to raise the first fault with its line and field. The
-trajectories are built in one batch from the sorted columns
-(``Trajectory.from_runs``). A property sibling that is absent reads as
-one with no row.
+Ingest and export work a column at a time: a file is split into columns
+once (``_columns``), each column is checked and converted in one pass, and
+the rows are sorted by key once. Only when a check fails, a row's width
+included, is the file read again row by row, in file order, to raise the
+first fault with its line and field. The trajectories are built in one
+batch from the sorted columns (``Trajectory.from_runs``).
 
 Both property siblings are read and written by one keyed reader and one
 writer, parameterised by the key columns: ``tid,order`` for point
@@ -52,7 +47,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, Union
@@ -209,16 +204,14 @@ def _row_without_limit(lines: list[str]) -> list[str]:
 
 
 def _columns(text: str) -> tuple[list[str] | None, list[list[str]] | None]:
-    """The header of a CSV text and its body as one list per header field,
-    both as ``csv.reader`` reads them: the header is None for a text with no
-    row, the columns None when some row is not as wide as the header.
-
-    A text with no quote, CR, NUL or empty line has no cell csv would treat
-    specially. Its body is split once at commas, each line break made a cell
-    of its own; the rows have the header's width exactly when the cells
-    number (width + 1) per line break and every (width + 1)-th is one, and
-    each column is then one stride slice. Other texts, and one with a cell
-    over the field size limit, are read by csv and transposed.
+    """The header of a CSV text, None if it has no row, and its body as one
+    list per header field, None if a row is not as wide as the header, as
+    ``csv.reader`` reads them. A text with no quote, CR, NUL or empty line
+    is split once at commas, each line break made a cell of its own: the
+    rows have the header's width exactly when there are width + 1 cells per
+    line break and every (width + 1)-th cell is one, and each column is a
+    stride slice. Other texts, and one with a cell over the field size
+    limit, are read by csv and transposed.
 
     Raises:
         CsvParseError: a cell longer than ``csv.field_size_limit()``.
@@ -246,13 +239,6 @@ def _columns(text: str) -> tuple[list[str] | None, list[list[str]] | None]:
     if any(len(row) != len(header) for row in data):
         return header, None
     return header, [[row[i] for row in data] for i in range(len(header))]
-
-
-def _numbered_body(text: str) -> Iterator[tuple[int, list[str]]]:
-    """The data rows after the header, each with the line it ends on."""
-    rows = _numbered_rows(text)
-    next(rows)
-    return rows
 
 
 def _check_header(header: list[str] | None, required: tuple[str, ...], path: Path) -> list[str]:
@@ -326,7 +312,7 @@ def _raise_points_fault(text: str) -> NoReturn:
     a bad row or a repeated key in file order, then, per trajectory in tid
     order, a gap in the orders or time that does not increase."""
     per_tid: dict[str, dict[int, tuple[float, float, float]]] = {}
-    for line, row in _numbered_body(text):
+    for line, row in islice(_numbered_rows(text), 1, None):
         if len(row) != 5:
             raise CsvParseError(line, 1, f"expected 5 fields, got {len(row)}")
         tid = row[0]
@@ -414,7 +400,7 @@ def _raise_keyed_fault(
     (``DuplicateKeyError(tid, None)`` for a file keyed by tid alone), then
     the first cell that cannot be typed."""
     seen: set[tuple[str, int]] = set()
-    for line, row in _numbered_body(text):
+    for line, row in islice(_numbered_rows(text), 1, None):
         if len(row) != len(header):
             raise CsvParseError(line, 1, f"expected {len(header)} fields, got {len(row)}")
         tid = row[0]
