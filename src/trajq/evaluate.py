@@ -269,11 +269,9 @@ def _answer(body: Body, truth: Callable[[Atom], _Answer]) -> _Answer:
     if not parts:
         return not settles
     join = operator.or_ if settles else operator.and_
-
-    def mask():
-        return functools.reduce(join, (a() if callable(a) else a for a in parts))
-
-    return mask if any(map(callable, parts)) else mask()
+    if any(map(callable, parts)):
+        return lambda: functools.reduce(join, [a() if callable(a) else a for a in parts])
+    return functools.reduce(join, parts)
 
 
 def _ground_atom(atom: Atom, t: Trajectory, env: EvalEnv) -> bool:
