@@ -258,7 +258,7 @@ def _answer(body: Body, truth: Callable[[Atom], _Answer]) -> _Answer:
     if isinstance(body, Not):
         child = _answer(body.child, truth)
         return (lambda: child() ^ True) if callable(child) else child ^ True  # bool or mask
-    settles = isinstance(body, Or)  # the part that settles the body
+    settles = isinstance(body, Or)  # the part answer that settles it: True for OR, False for AND
     parts = []
     for part in body.parts:
         answer = _answer(part, truth)
