@@ -140,8 +140,10 @@ class ApproxStrategy:
     point_generator: Callable[[Segment], Sequence[float]]
 
 
-# The most points ``uniform`` inserts per segment. Its grid is built for each
-# evaluated row, so a k without bound could exhaust memory or never finish.
+# The most points ``uniform`` inserts per segment. Its grid takes time and
+# memory linear in k to build (once per k, see ``_uniform``), and every
+# segment of every row is augmented by it, so a k without bound could
+# exhaust memory or never finish.
 MAX_UNIFORM_K = 10_000
 
 
@@ -154,8 +156,14 @@ def uniform_strategy(k: int) -> ApproxStrategy:
         raise StrategyParameterError(f"k must be an integer, got {k!r}") from None
     if not 0 <= k <= MAX_UNIFORM_K:
         raise StrategyParameterError(f"k must be from 0 to {MAX_UNIFORM_K}, got {k}")
-    grid = tuple((j + 1) / (k + 1) for j in range(k))
+    return _uniform(k)
 
+
+@functools.lru_cache(maxsize=8)
+def _uniform(k: int) -> ApproxStrategy:
+    """The uniform strategy of a valid k: built on first use and kept, as
+    an approximated selection resolves its strategy once per row."""
+    grid = tuple((j + 1) / (k + 1) for j in range(k))
     return ApproxStrategy(f"uniform-{k}", lambda seg: grid)
 
 

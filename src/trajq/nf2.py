@@ -31,37 +31,32 @@ evaluation, a hash-join index) lives only in that run.
 Execution is linear in the rows of each operator, so compiled plans are
 linear in points per trajectory. Each relation keeps one column per
 attribute beside its rows (built on first use; ``trajectories_to_nf2``
-hands its points relations the lists it makes anyway), and three kinds of
-operator run on those columns, with no row scope per row:
+hands its points relations the lists it makes anyway). Operators (project,
+select, unnest, join, aggregate) run in the scope of their enclosing row;
+a scalar expression in one of them (a condition, a join key, a computed
+attribute) runs once over all the operator's rows, on their columns:
 
-* A selection whose condition reads only attributes of its own rows,
-  literals and invariant subexpressions (below), combined by comparisons,
-  arithmetic, AND, OR and NOT, computes one mask over the columns. It
-  keeps Python's comparisons exactly (``_COMPARE``: an int against a float
+* An attribute of the rows is their column. An attribute of an enclosing
+  row, a literal, and a relation-valued or aggregate subexpression that
+  reads none of the rows (found while it is compiled, as every name is
+  resolved then) are constants: read once per evaluation of the operator,
+  the subexpression lazily on first use and kept for that evaluation.
+* A subexpression that reads the rows runs in one scope per row, built
+  once per row and evaluation and shared by the whole expression; a
+  nested attribute of the rows used as a scalar is its column coerced.
+* Comparisons keep Python's exactly (``_COMPARE``: an int against a float
   is exact, NaN and undefined compare false), and a conjunct or disjunct
-  runs only on the rows still undecided, so an invariant that would raise
-  runs only where some row reaches it, as on rows.
+  runs only on the rows still undecided, so a part that would raise runs
+  only where some row reaches it.
 * min/max of a one-column projection of an attribute (``Col`` or ``As``)
   is Python's min/max of that column, with no projection built; count is
   the length of the relation.
-* A join whose condition is ``a = b``, with ``a`` reading no attribute of
-  the right side and ``b`` none of the left (or the reverse), is a hash
-  join; a key reads its side's columns where a selection condition could.
-  Its output order is the nested loop's (left-major, right rows in input
-  order), and an undefined or NaN key matches nothing. A segment test
-  (``SegIntersects``) reads the four columns it names.
-
-Everything else keeps the row runner, one row scope per row: a selection
-or key that reads an attribute of an enclosing row directly, coerces a
-nested attribute of its rows to a scalar, or holds a subexpression that
-reads its rows; any other join (a nested loop); projections with computed
-items. Each node gets one runner, chosen while it is compiled. In both:
-
-* A relation-valued or aggregate subexpression that reads no attribute of
-  the rows of its enclosing selection, join or projection (found while it
-  is compiled, as every name is resolved then) is invariant: it is
-  evaluated lazily on first use and kept for that one evaluation of the
-  operator, i.e. once per outer row.
+* A join on ``a = b``, with ``a`` reading no attribute of the right side
+  and ``b`` none of the left (or the reverse), is a hash join on keys
+  read from each side's columns, in the nested loop's output order
+  (left-major, right rows in input order); an undefined or NaN key matches
+  nothing. Any other join runs its condition once per left row, over the
+  right side's columns.
 * A segment test is only ever a selection's whole condition, decided for
   all its rows in one call of the evaluator's crossing code
   (``geometry.box_crossings``), closed or open as the condition asks: it
@@ -108,7 +103,7 @@ class Attribute:
     type: Union[str, "Nf2Schema"]
 
     def __post_init__(self):
-        if isinstance(self.type, str) and self.type not in _ATOMIC:
+        if not isinstance(self.type, Nf2Schema) and self.type not in _ATOMIC:
             raise TypeMismatchError(f"unknown atomic type {self.type!r}")
 
 
@@ -119,6 +114,9 @@ class Nf2Schema:
     positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        attrs = self.attributes
+        if not (isinstance(attrs, tuple) and all(isinstance(a, Attribute) for a in attrs)):
+            raise TypeMismatchError(f"a schema is a tuple of Attribute values, got {attrs!r}")
         positions = {a.name: i for i, a in enumerate(self.attributes)}
         if len(positions) != len(self.attributes):
             names = [a.name for a in self.attributes]
@@ -164,6 +162,8 @@ class Nf2Relation:
     def __post_init__(self):
         width = len(self.schema.attributes)
         for row in self.rows:
+            if not isinstance(row, tuple):
+                raise TypeMismatchError(f"a row is a tuple, got {row!r}")
             if len(row) != width:
                 raise TypeMismatchError(
                     f"row width {len(row)} does not match schema width {width}"
@@ -207,10 +207,17 @@ def _built(schema: Nf2Schema, rows: tuple) -> Nf2Relation:
 
 
 class _Undefined:
-    """Result of min/max over nothing; every comparison against it is false."""
+    """Result of min/max over nothing: every comparison against it is false,
+    and arithmetic with it is undefined too."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return "UNDEFINED"
+
+    __lt__ = __gt__ = __le__ = __ge__ = __eq__ = __ne__ = lambda self, other: False
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = lambda self, other: self
+    __hash__ = object.__hash__
 
 
 UNDEFINED = _Undefined()
@@ -231,6 +238,10 @@ class Input:
 @dataclass(frozen=True)
 class ConstRel:
     rel: Nf2Relation
+
+    def __post_init__(self):
+        if not isinstance(self.rel, Nf2Relation):
+            raise TypeMismatchError(f"a constant relation is an Nf2Relation, got {self.rel!r}")
 
 
 @dataclass(frozen=True)
@@ -366,6 +377,10 @@ class SegIntersects:
     x2: str
     y2: str
 
+    def __post_init__(self):
+        if not isinstance(self.region, Region):
+            raise TypeMismatchError(f"a segment condition needs a Region, got {self.region!r}")
+
 
 AlgebraExpr = Union[
     Input,
@@ -395,7 +410,7 @@ class _Scope:
     compiler chains rows of types, a compiled plan rows of values; the
     outermost scope of a plan holds the input relation under no name.
     ``memo`` holds the invariant subexpressions of one evaluation of the
-    operator; all its rows share it.
+    operator and the scopes of its rows; they all share it.
     """
 
     __slots__ = ("positions", "row", "parent", "memo")
@@ -433,98 +448,104 @@ def _input(s: _Scope) -> Nf2Relation:
     return s.row[0]
 
 
-def _compare(op: str, left, right):
-    """The runner of ``left op right``: false if either side is undefined."""
-    fn = _COMPARE[op]
-
-    def run(s):
-        lv, rv = left(s), right(s)
-        return lv is not UNDEFINED and rv is not UNDEFINED and fn(lv, rv)
-
-    return run
-
-
 # The subexpressions worth keeping when invariant: relations and aggregates.
 _HOISTABLE = frozenset((Project, Select, Unnest, Join, Agg))
 
-# --- column runners -----------------------------------------------------
+# --- runners of scalar expressions ----------------------------------------
 #
-# A column runner evaluates a condition, or an operand of one, on the rows
-# of one evaluation of an operator at once: ``vec(cols, live, os)``, with
-# ``cols`` the columns of the operator's relation, ``live`` the ascending
-# indices of the rows asked about, and ``os`` the scope of this evaluation
-# of the operator, whose memo keeps its invariants. A condition's runner
-# returns the indices in ``live`` of the rows that satisfy it; an
-# operand's returns its values on those rows, or UNDEFINED if it is
-# undefined on all of them. An operand with one value for every row (a
-# literal, or an invariant subexpression) is marked _CONST instead: its
-# row runner, run over ``os``, gives the value. No runner evaluates
-# anything when ``live`` is empty, so a conjunct runs only on the rows
-# still live, and an invariant only once some row reaches it.
+# A scalar expression runs on the rows of one evaluation of its operator at
+# once: ``run(rows, cols, live, os)``, with ``rows`` and ``cols`` the rows
+# and columns of the operator's relation, ``live`` the ascending indices of
+# the rows asked about, and ``os`` the scope of this evaluation of the
+# operator, whose memo keeps its invariants (None where no runner of the
+# operator reads it). A condition's runner returns the indices in ``live``
+# of the rows that satisfy it; an operand's returns its values on those
+# rows. An expression with one value for all the rows (a literal, an
+# attribute of an enclosing row, an invariant subexpression) is a constant
+# instead, whose runner is ``run(os)``. No runner evaluates anything when
+# ``live`` is empty, so a conjunct runs only on the rows still live, and an
+# invariant only once some row reaches it.
 
-_CONST = "const"
 _NO_NAMES: dict = {}  # the positions of an operator's scope, which has no row
 
 
-def _op_scope(s: _Scope, memo: dict) -> _Scope:
-    """The scope of one evaluation of an operator that runs on columns."""
-    return _Scope(_NO_NAMES, (), s, memo)
+def _op_scope(s: _Scope, scoped: bool) -> _Scope | None:
+    """The scope of one evaluation of an operator, if its runners read one."""
+    return _Scope(_NO_NAMES, (), s, {}) if scoped else None
 
 
 def _reader(i: int):
-    """The column runner of the attribute at position i of the rows."""
+    """The runner of the attribute at position i of the rows."""
 
-    def read(cols, live, os):
+    def read(rows, cols, live, os):
         col = cols[i]
         return col if len(live) == len(col) else map(col.__getitem__, live)
 
     return read
 
 
-def _values(vec, run, cols, live, os):
-    """The values of an operand on the live rows, or UNDEFINED."""
-    if vec is _CONST:
-        v = run(os)
-        return v if v is UNDEFINED else repeat(v, len(live))
-    return vec(cols, live, os)
+def _columnar(run, const: bool):
+    """The runner of a compiled operand over the live rows: a constant's
+    value repeated on each."""
+    if not const:
+        return run
+    return lambda rows, cols, live, os: repeat(run(os), len(live))
 
 
-def _compare_columns(op: str, left, lvec, right, rvec):
-    """The column runner of ``left op right``, or None if an operand has none."""
-    if lvec is None or rvec is None:
-        return None
+def _each(run, rows_t: _Scope):
+    """The runner of a subexpression that reads the rows typed by rows_t:
+    ``run`` over the scope of each live row. The scopes are built once per
+    row in one evaluation of the operator, kept in its memo, and shared by
+    every runner of it."""
+    positions = rows_t.positions
+
+    def each(rows, cols, live, os):
+        memo = os.memo
+        built = memo.get(rows_t)
+        if built is None:
+            built = memo[rows_t] = [None] * len(rows)
+        values = []
+        for i in live:
+            scope = built[i]
+            if scope is None:
+                scope = built[i] = _Scope(positions, rows[i], os, memo)
+            values.append(run(scope))
+        return values
+
+    return each
+
+
+def _compare_columns(op: str, left, right):
+    """The runner of ``left op right``: false where either side is undefined."""
     fn = _COMPARE[op]
 
-    def run(cols, live, os):
+    def run(rows, cols, live, os):
         if not live:
             return live
-        a = _values(lvec, left, cols, live, os)
-        b = _values(rvec, right, cols, live, os)
-        if a is UNDEFINED or b is UNDEFINED:
-            return []
+        a, b = left(rows, cols, live, os), right(rows, cols, live, os)
         return list(compress(live, map(fn, a, b)))
 
     return run
 
 
 def _and_columns(parts: list):
-    def run(cols, live, os):
+    def run(rows, cols, live, os):
         for part in parts:
             if not live:
                 break
-            live = part(cols, live, os)
+            live = part(rows, cols, live, os)
         return live
 
     return run
 
 
 def _or_columns(parts: list):
-    def run(cols, live, os):
+    def run(rows, cols, live, os):
         hits, rest = set(), live
         for part in parts:
             if not rest:
                 break
-            got = part(cols, rest, os)
+            got = part(rows, cols, rest, os)
             if got:
                 hits.update(got)
                 rest = [i for i in rest if i not in hits]
@@ -534,8 +555,8 @@ def _or_columns(parts: list):
 
 
 def _not_columns(child):
-    def run(cols, live, os):
-        got = set(child(cols, live, os))
+    def run(rows, cols, live, os):
+        got = set(child(rows, cols, live, os))
         return [i for i in live if i not in got]
 
     return run
@@ -548,25 +569,31 @@ def _arith_values(fn, op: str, t: str, a, b) -> list:
         values = list(map(fn, a, b))
         if t == "float":
             for v in values:
-                float(v)
+                if v is not UNDEFINED:
+                    float(v)
     except OverflowError:
         raise TypeMismatchError(f"{op} overflows a float") from None
     return values
 
 
-def _row_keys(key, positions: dict):
-    """The join keys of a relation's rows, one row scope each."""
-    return lambda rel, s, memo: [key(_Scope(positions, r, s, memo)) for r in rel.rows]
+def _sole(rel: Nf2Relation):
+    """A one-column relation as a scalar: its one value, undefined if empty."""
+    rows = rel.rows
+    if len(rows) > 1:
+        raise TypeMismatchError(f"scalar coercion of a {len(rows)}-row relation")
+    return rows[0][0] if rows else UNDEFINED
 
 
-def _column_keys(key, vec):
-    """The join keys of a relation's rows, read from its columns."""
+def _stored(name: str, run):
+    """The runner of a computed attribute, which must have a value on each row."""
 
-    def keys(rel, s, memo):
-        got = _values(vec, key, _columns(rel), range(len(rel.rows)), _op_scope(s, memo))
-        return () if got is UNDEFINED else got
+    def stored(rows, cols, live, os):
+        values = list(run(rows, cols, live, os))
+        if any(map(operator.is_, values, repeat(UNDEFINED))):
+            raise TypeMismatchError(f"projected attribute {name!r} has no storable value")
+        return values
 
-    return keys
+    return stored
 
 
 def _equal_pairs(lkeys, rkeys) -> tuple[list, list]:
@@ -588,16 +615,19 @@ def _equal_pairs(lkeys, rkeys) -> tuple[list, list]:
 
 class _Compiler:
     """Type-checks an expression and compiles it in the same pass: each
-    occurrence of a node becomes its type and a runner, a function of the
-    row scope that evaluates it. A runner holds what the check found there:
+    occurrence of a node becomes its type and a runner. An operator's runner
+    is a function of the scope it runs in; a scalar expression's runs on the
+    rows of its operator (above). A runner holds what the check found there:
     output schemas, invariance in the rows of the operator (kept in its
     memo), hash-join keys, the coercion of a one-column relation to a
-    scalar, and whether a selection or join key runs on columns."""
+    scalar, and whether an operator's scalar runners need its scope."""
 
     def __init__(self, input_schema: Nf2Schema):
         self.input_schema = input_schema
         self.own: tuple[_Scope, ...] = ()  # rows of the innermost operator
+        self.cols: tuple[_Scope, ...] = ()  # those of them its runners read as columns
         self.reads: set[_Scope] = set()  # rows the names compiled so far read
+        self.scoped = False  # whether a runner compiled so far reads the operator's scope
 
     def compile(self, e: AlgebraExpr, scope: _Scope | None):
         if type(e) not in _HOISTABLE:
@@ -623,15 +653,20 @@ class _Compiler:
         outer |= reads
         return compiled, reads
 
-    def _within(self, own: tuple, e: AlgebraExpr, scope: _Scope):
-        """Compile e to run per row of an operator whose rows are ``own``."""
-        outer, self.own = self.own, own
-        compiled = self.compile(e, scope)
-        self.own = outer
-        return compiled
+    def _over(self, own: tuple, cols: tuple, compile):
+        """``compile()`` for an operator whose rows are ``own``, of which its
+        runners read ``cols`` as columns, and whether they read its scope."""
+        saved = self.own, self.cols, self.scoped
+        self.own, self.cols, self.scoped = own, cols, False
+        compiled = compile()
+        scoped = self.scoped
+        self.own, self.cols, self.scoped = saved
+        return compiled, scoped
 
     def _resolve(self, scope: _Scope | None, name: str) -> tuple[_Scope, int]:
         """The row that provides ``name`` and its position there."""
+        if scope is None:
+            raise UnknownAttributeError(f"{name} (no row context at the top level)")
         while scope is not None:
             i = scope.positions.get(name)
             if i is not None:
@@ -641,8 +676,11 @@ class _Compiler:
         raise UnknownAttributeError(name)
 
     def _compile(self, e: AlgebraExpr, scope: _Scope | None):
-        if isinstance(e, (Attr, Lit, Cmp, BoolAnd, BoolOr, BoolNot, Arith)):
-            return self._vector(e, scope)[:2]
+        if isinstance(e, Attr):  # a relation-valued attribute as a source
+            found, i = self._resolve(scope, e.name)
+            return found.row[i].type, operator.methodcaller("lookup", e.name)
+        if isinstance(e, (Lit, Cmp, BoolAnd, BoolOr, BoolNot, Arith)):
+            return self._vector(e, scope)[0], None  # a scalar, which its callers reject
         if isinstance(e, Project):
             src_t, src = self._relation(e.src, scope)
             schema, project = self._project(src_t, e.items, scope)
@@ -673,53 +711,44 @@ class _Compiler:
         raise TypeMismatchError(f"unknown expression node {e!r}")
 
     def _vector(self, e: AlgebraExpr, scope: _Scope | None):
-        """The type, row runner and column runner of a condition, or an
-        operand of one, over the rows of the innermost operator.
-
-        The column runner is None where e reads an attribute of an
-        enclosing row directly, coerces a nested attribute of the rows to a
-        scalar, or holds a subexpression that reads the rows: each of those
-        needs a row scope.
-        """
+        """The type and runner of a condition, or an operand of one, over
+        the rows of the innermost operator, and whether it is a constant."""
         if isinstance(e, Attr):
-            if scope is None:
-                raise UnknownAttributeError(f"{e.name} (no row context at the top level)")
             found, i = self._resolve(scope, e.name)
             t = found.row[i].type
-            own = found in self.own and not isinstance(t, Nf2Schema)
-            return t, operator.methodcaller("lookup", e.name), _reader(i) if own else None
+            if found in self.cols:
+                return t, _reader(i), False
+            self.scoped = True
+            return t, operator.methodcaller("lookup", e.name), True
         if isinstance(e, Lit):
             value = e.value
-            if isinstance(value, bool) or value is None:
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
                 raise TypeMismatchError(f"unsupported literal {value!r}")
             t = "str" if isinstance(value, str) else "int" if isinstance(value, int) else "float"
-            return t, lambda s: value, _CONST
+            return t, lambda os: value, True
         if isinstance(e, Cmp):
-            lt, left, lvec = self._operand(e.left, scope)
-            rt, right, rvec = self._operand(e.right, scope)
+            (lt, *left), (rt, *right) = self._operand(e.left, scope), self._operand(e.right, scope)
             _comparable(lt, rt)
-            return "bool", _compare(e.op, left, right), _compare_columns(e.op, left, lvec, right, rvec)
+            return "bool", _compare_columns(e.op, _columnar(*left), _columnar(*right)), False
         if isinstance(e, (BoolAnd, BoolOr)):
-            runs, vecs = [], []
+            parts = []
             for part in e.parts:
-                t, run, vec = self._vector(part, scope)
+                t, run, _ = self._vector(part, scope)
                 if t != "bool":
                     raise TypeMismatchError("boolean connective over non-boolean")
-                runs.append(run)
-                vecs.append(vec)
-            conj = isinstance(e, BoolAnd)
-            every = all if conj else any
-            vec = None if None in vecs else (_and_columns if conj else _or_columns)(vecs)
-            return "bool", lambda s: every(run(s) for run in runs), vec
+                parts.append(run)
+            return "bool", (_and_columns if isinstance(e, BoolAnd) else _or_columns)(parts), False
         if isinstance(e, BoolNot):
-            t, child, vec = self._vector(e.child, scope)
+            t, child, _ = self._vector(e.child, scope)
             if t != "bool":
                 raise TypeMismatchError("NOT over non-boolean")
-            return "bool", lambda s: not child(s), None if vec is None else _not_columns(vec)
+            return "bool", _not_columns(child), False
         if isinstance(e, Arith):
             return self._arith(e, scope)
         (t, run), reads = self._reading(self.compile, e, scope)
-        return t, run, _CONST if self.own and reads.isdisjoint(self.own) else None
+        self.scoped = True
+        read = [r for r in self.cols if r in reads]
+        return (t, _each(run, read[0]), False) if read else (t, run, True)
 
     def _select(self, e: Select, scope: _Scope | None):
         src_t, src = self._relation(e.src, scope)
@@ -731,32 +760,21 @@ class _Compiler:
             at = tuple(src_t.positions[n] for n in names)
             return src_t, lambda s: _built(src_t, _segments_hitting(src(s), cond, at))
         row = _types(src_t, scope)
-        outer, self.own = self.own, (row,)
-        t, test, vec = self._vector(cond, row)
-        self.own = outer
+        (t, test, _), scoped = self._over((row,), (row,), lambda: self._vector(cond, row))
         if t != "bool":
             raise TypeMismatchError("selection condition must be boolean")
-        if vec is None:  # one row scope per row
-            positions = src_t.positions
 
-            def select(s):
-                memo = {}
-                rows = src(s).rows
-                return _built(src_t, tuple(r for r in rows if test(_Scope(positions, r, s, memo))))
-
-            return src_t, select
-
-        def select_columns(s):
+        def select(s):
             rel = src(s)
             rows = rel.rows
             if not rows:
                 return rel
-            live = vec(_columns(rel), range(len(rows)), _op_scope(s, {}))
+            live = test(rows, _columns(rel), range(len(rows)), _op_scope(s, scoped))
             if len(live) == len(rows):
                 return rel
             return _built(src_t, tuple(map(rows.__getitem__, live)))
 
-        return src_t, select_columns
+        return src_t, select
 
     def _join(self, e: Join, scope: _Scope | None):
         left_t, left = self._relation(e.left, scope)
@@ -768,44 +786,40 @@ class _Compiler:
         # resolves every name as the concatenated row would.
         lrow = _types(left_t, scope)
         rrow = _types(right_t, lrow)
-        lpos, rpos = left_t.positions, right_t.positions
+        schema = Nf2Schema(left_t.attributes + right_t.attributes)
         cond, keys = e.cond, None
         if isinstance(cond, Cmp) and cond.op == "=":
-            outer, self.own = self.own, (lrow, rrow)
-            (lt, a, avec), a_reads = self._reading(self._operand, cond.left, rrow)
-            (rt, b, bvec), b_reads = self._reading(self._operand, cond.right, rrow)
-            self.own = outer
+            sides, scoped = self._over((lrow, rrow), (lrow, rrow), lambda: [
+                self._reading(self._operand, side, rrow) for side in (cond.left, cond.right)
+            ])
+            ((lt, a, ac), a_reads), ((rt, b, bc), b_reads) = sides
             _comparable(lt, rt)
-            sides = None
             if rrow not in a_reads and lrow not in b_reads:
-                sides = ((a, avec), (b, bvec))
+                keys = _columnar(a, ac), _columnar(b, bc)
             elif lrow not in a_reads and rrow not in b_reads:
-                sides = ((b, bvec), (a, avec))
-            if sides is not None:  # a key reads its own side's columns, or a scope per row
-                keys = tuple(
-                    _row_keys(key, positions) if vec is None else _column_keys(key, vec)
-                    for (key, vec), positions in zip(sides, (lpos, rpos))
-                )
-            test = _compare("=", a, b)
-        else:
-            t, test = self._within((lrow, rrow), cond, rrow)
+                keys = _columnar(b, bc), _columnar(a, ac)
+        if keys is None:  # a nested loop: the condition over the right rows, per left row
+            (t, test, _), _ = self._over((lrow, rrow), (rrow,), lambda: self._vector(cond, rrow))
             if t != "bool":
                 raise TypeMismatchError("join condition must be boolean")
-        schema = Nf2Schema(left_t.attributes + right_t.attributes)
+        lpos = left_t.positions
 
         def join(s):
             lrel, rrel = left(s), right(s)
             lrows, rrows = lrel.rows, rrel.rows
-            memo, rows = {}, []
-            if keys is None:
-                for lr in lrows:
-                    ls = _Scope(lpos, lr, s, memo)
-                    rows.extend(lr + rr for rr in rrows if test(_Scope(rpos, rr, ls, memo)))
-            elif lrows and rrows:
-                lkeys, rkeys = keys
-                rk = rkeys(rrel, s, memo)
-                li, ri = _equal_pairs(lkeys(lrel, s, memo), rk)
+            rows = []
+            if lrows and rrows and keys is not None:  # each key reads its side's columns
+                lkey, rkey = keys
+                os = _op_scope(s, scoped)
+                rk = rkey(rrows, _columns(rrel), range(len(rrows)), os)
+                li, ri = _equal_pairs(lkey(lrows, _columns(lrel), range(len(lrows)), os), rk)
                 rows = map(operator.add, map(lrows.__getitem__, li), map(rrows.__getitem__, ri))
+            elif lrows and rrows:
+                rcols, every, memo = _columns(rrel), range(len(rrows)), {}
+                for lr in lrows:
+                    live = test(rrows, rcols, every, _Scope(lpos, lr, s, memo))
+                    rows.extend(map(lr.__add__, map(rrows.__getitem__, live)))
+                    memo.pop(rrow, None)  # the right rows' scopes, chained to this left row
             return _built(schema, tuple(rows))
 
         return schema, join
@@ -836,32 +850,20 @@ class _Compiler:
         return src_t.attributes[0].type, aggregate
 
     def _arith(self, e: Arith, scope: _Scope | None):
-        lt, left, lvec = self._operand(e.left, scope)
-        rt, right, rvec = self._operand(e.right, scope)
+        lt, left, lconst = self._operand(e.left, scope)
+        rt, right, rconst = self._operand(e.right, scope)
         if not (_numeric(lt) and _numeric(rt)):
             raise TypeMismatchError(f"arithmetic over {lt} and {rt}")
         t = "int" if lt == rt == "int" else "float"
         op, fn = e.op, _ARITH[e.op]
+        if lconst and rconst:
+            return t, lambda os: _arith_values(fn, op, t, (left(os),), (right(os),))[0], True
+        a, b = _columnar(left, lconst), _columnar(right, rconst)
 
-        def arith(s):
-            lv, rv = left(s), right(s)
-            if lv is UNDEFINED or rv is UNDEFINED:
-                return UNDEFINED
-            return _arith_values(fn, op, t, (lv,), (rv,))[0]
+        def arith(rows, cols, live, os):
+            return _arith_values(fn, op, t, a(rows, cols, live, os), b(rows, cols, live, os))
 
-        if lvec is None or rvec is None:
-            return t, arith, None
-        if lvec is _CONST and rvec is _CONST:
-            return t, arith, _CONST
-
-        def arith_columns(cols, live, os):
-            a = _values(lvec, left, cols, live, os)
-            b = _values(rvec, right, cols, live, os)
-            if a is UNDEFINED or b is UNDEFINED:
-                return UNDEFINED
-            return _arith_values(fn, op, t, a, b)
-
-        return t, arith, arith_columns
+        return t, arith, False
 
     def _relation(self, e: AlgebraExpr, scope: _Scope | None):
         t, run = self.compile(e, scope)
@@ -870,34 +872,49 @@ class _Compiler:
         return t, run
 
     def _operand(self, e: AlgebraExpr, scope: _Scope | None):
-        """Scalar type, row runner and column runner of a comparison,
-        arithmetic or join-key operand.
+        """Scalar type and runner of a comparison, arithmetic or join-key
+        operand, and whether it is a constant.
 
         A relation-valued operand is legal if it has a single atomic column:
         its runner coerces it to its sole value (or undefined if empty).
         """
-        t, run, vec = self._vector(e, scope)
+        t, run, const = self._vector(e, scope)
         if isinstance(t, Nf2Schema):
-            if len(t.attributes) == 1 and isinstance(t.attributes[0].type, str):
-
-                def sole(s):
-                    rows = run(s).rows
-                    if len(rows) > 1:
-                        raise TypeMismatchError(f"scalar coercion of a {len(rows)}-row relation")
-                    return rows[0][0] if rows else UNDEFINED
-
-                return t.attributes[0].type, sole, vec
-            raise TypeMismatchError("only single-column relations can be used as scalars")
+            if len(t.attributes) != 1 or not isinstance(t.attributes[0].type, str):
+                raise TypeMismatchError("only single-column relations can be used as scalars")
+            t = t.attributes[0].type
+            if const:
+                return t, lambda os: _sole(run(os)), True
+            return t, lambda rows, cols, live, os: map(_sole, run(rows, cols, live, os)), False
         if t == "bool":
             raise TypeMismatchError("boolean used as a scalar operand")
-        return t, run, vec
+        return t, run, const
 
     def _project(self, src: Nf2Schema, items: tuple[ProjItem, ...], scope: _Scope | None):
         """The schema of projecting rows of ``src`` on ``items``, and a
         function of (relation, scope) that projects a relation."""
         row = _types(src, scope)
+        (attrs, cells), scoped = self._over((row,), (row,), lambda: self._items(src, items, row))
+        schema = Nf2Schema(tuple(attrs))
+        if cells and all(isinstance(c, int) for c in cells):  # the rows' own values
+            pick = operator.itemgetter(*cells) if len(cells) > 1 else lambda r, i=cells[0]: (r[i],)
+            return schema, lambda rel, s: _built(schema, tuple(map(pick, rel.rows)))
+
+        def project(rel: Nf2Relation, s: _Scope | None) -> Nf2Relation:
+            rows = rel.rows
+            if not rows or not cells:
+                return _built(schema, ((),) * len(rows))
+            cols, live, os = _columns(rel), range(len(rows)), _op_scope(s, scoped)
+            values = [cols[c] if type(c) is int else c(rows, cols, live, os) for c in cells]
+            return _built(schema, tuple(zip(*values)))
+
+        return schema, project
+
+    def _items(self, src: Nf2Schema, items: tuple, row: _Scope) -> tuple[list, list]:
+        """The attributes of projection items over rows of ``src``, and per
+        item a position in the row or a runner of its values."""
         attrs: list[Attribute] = []
-        cells: list = []  # per item: a position in the row, or a runner
+        cells: list = []
         for item in items:
             if isinstance(item, (Col, As)):
                 source = item.name if isinstance(item, Col) else item.source
@@ -912,27 +929,17 @@ class _Compiler:
                 inner_t, inner = self._project(target.type, item.items, row)
                 attrs.append(Attribute(item.name, inner_t))
                 i = src.positions[item.name]
-                cells.append(lambda s, i=i, inner=inner: inner(s.row[i], s))
-            else:
-                t, value = self._within((row,), item.expr, row)
+                cells.append(_each(lambda rs, i=i, inner=inner: inner(rs.row[i], rs), row))
+                self.scoped = True
+            elif isinstance(item, Computed):
+                t, value, const = self._vector(item.expr, row)
                 if t == "bool":
                     raise TypeMismatchError("projected attribute cannot be boolean")
                 attrs.append(Attribute(item.name, t))
-                cells.append(_stored(item.name, value))
-        schema = Nf2Schema(tuple(attrs))
-        if cells and all(isinstance(c, int) for c in cells):  # no row scope needed
-            pick = operator.itemgetter(*cells) if len(cells) > 1 else lambda r, i=cells[0]: (r[i],)
-            return schema, lambda rel, s: _built(schema, tuple(map(pick, rel.rows)))
-        positions = src.positions
-
-        def project(rel: Nf2Relation, s: _Scope | None) -> Nf2Relation:
-            memo, rows = {}, []
-            for r in rel.rows:
-                rs = _Scope(positions, r, s, memo)
-                rows.append(tuple([r[c] if type(c) is int else c(rs) for c in cells]))
-            return _built(schema, tuple(rows))
-
-        return schema, project
+                cells.append(_stored(item.name, _columnar(value, const)))
+            else:
+                raise TypeMismatchError(f"unknown projection item {item!r}")
+        return attrs, cells
 
     def plan(self, e: AlgebraExpr):
         """The output schema of e and its runner over the outermost scope."""
@@ -940,18 +947,6 @@ class _Compiler:
         if not isinstance(t, Nf2Schema):
             raise TypeMismatchError(f"top-level expression is {t}, not a relation")
         return t, run
-
-
-def _stored(name: str, value):
-    """The runner of a computed attribute, which must have a value."""
-
-    def stored(s):
-        v = value(s)
-        if v is UNDEFINED:
-            raise TypeMismatchError(f"projected attribute {name!r} has no storable value")
-        return v
-
-    return stored
 
 
 def check(e: AlgebraExpr, input_schema: Nf2Schema) -> Nf2Schema:

@@ -32,6 +32,7 @@ from trajq.evaluate import (
     ApproxStrategy,
     EvalEnv,
     Strictness,
+    _uniform,
     approximated,
     eval_approximated,
     eval_relaxed,
@@ -274,6 +275,21 @@ def test_uniform_count_is_bounded():
         assert f"from 0 to {MAX_UNIFORM_K}" in str(exc.value)
     with pytest.raises(StrategyParameterError):
         evaluate(Q1, CROSSING, CROSS_ENV, approximated("uniform", 10**23))
+
+
+def test_uniform_grid_is_built_once_per_count():
+    # select_st resolves the strategy for every row it evaluates; the grid
+    # of one k is built on the first and reused by the rest.
+    rng = random.Random(17)
+    rel = TrajectoriesRelation.from_pairs([(f"t{i}", random_trajectory(rng, 2, 9)) for i in range(30)])
+    built = _uniform.cache_info
+    _uniform.cache_clear()
+    select_st(rel, Q1, CROSS_ENV, approximated("uniform", 7))
+    assert built().misses == 1
+    assert resolve_strategy("uniform", 7) is resolve_strategy("uniform", np.int64(7))
+    with pytest.raises(StrategyParameterError):  # checked before the cache is asked
+        resolve_strategy("uniform", MAX_UNIFORM_K + 1)
+    assert built().misses == 1
 
 
 def test_strategy_registry():

@@ -358,6 +358,26 @@ def test_render_of_a_constant_relation_and_a_computed_attribute():
     assert render(plan) == "PROJECT[order, w := x * 2](CONST(4 rows))"
 
 
+# Malformed parts of a plan or relation, each a TypeMismatchError where it
+# is built or, for a projection item, where the plan is checked.
+MALFORMED = {
+    "list literal": lambda: check(Select(Input(), Cmp("<", Attr("x"), Lit([1]))), POINTS_SCHEMA),
+    "list literal under =": lambda: check(Select(Input(), Cmp("=", Attr("x"), Lit([1]))), POINTS_SCHEMA),
+    "number as a type": lambda: Attribute("a", 5),
+    "name as an attribute": lambda: Nf2Schema(("a",)),
+    "name as a projection item": lambda: check(Project(Input(), ("tid",)), TRAJECTORIES_SCHEMA),
+    "text as a constant relation": lambda: ConstRel("x"),
+    "name as a region": lambda: SegIntersects("R", True, "x", "y", "x2", "y2"),
+    "number as a row": lambda: Nf2Relation(Nf2Schema((Attribute("a", "int"),)), (1,)),
+}
+
+
+@pytest.mark.parametrize("build", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_parts_are_type_mismatches(build):
+    with pytest.raises(TypeMismatchError):
+        build()
+
+
 def test_relation_conformance_checked():
     with pytest.raises(TypeMismatchError):
         Nf2Relation(POINTS_SCHEMA, ((0, "oops", 1.0, 2.0),))

@@ -11,6 +11,7 @@ of the relations its operators build (``_built``).
 
 import gc
 import math
+import operator
 import random
 import sys
 import threading
@@ -214,15 +215,11 @@ def _orders_where(cond) -> tuple:
     return tuple(o for (o,) in row[1].rows)
 
 
-def _extra_cost(cond, per_row: bool = False) -> dict:
+def _extra_cost(cond) -> dict:
     """What selecting the points on cond costs beyond a condition with no
-    subexpression that keeps the same points. With ``per_row``, cond reads
-    the points in a subexpression, so it runs with a row scope per point;
-    the base then does too, by a conjunct that reads the enclosing row."""
+    subexpression that keeps the same points (and needs no operator scope)."""
     kept = _orders_where(cond)
     plain = BoolOr(tuple(Cmp("=", Attr("order"), Lit(o)) for o in kept))
-    if per_row:
-        plain = BoolAnd((plain, Cmp("=", Attr("tid"), Attr("tid"))))
     _, cost = _run_cost(_orders_plan(cond), _outer_rel())
     _, base = _run_cost(_orders_plan(plain), _outer_rel())
     return {k: cost[k] - base[k] for k in cost}
@@ -233,8 +230,11 @@ def test_shadowing_inner_attribute_is_read_per_row():
     below_x = Agg("count", Select(C, Cmp("<", Attr("c"), Attr("x"))))
     cond = Cmp(">=", below_x, Lit(2))
     assert _orders_where(cond) == (2, 3)
-    # Each of the 4 points selects over the 3 rows of C.
-    assert _extra_cost(cond, per_row=True) == {"scopes": 4 * 3, "rows": 0 + 1 + 2 + 3}
+    # The selection over the points has an operator scope, and each of the
+    # 4 points a row scope and one selection over C, whose condition reads
+    # the point's x as a constant: one operator scope, none per row of C.
+    # They build the rows of C below x, but the last keeps all of C as it is.
+    assert _extra_cost(cond) == {"scopes": 1 + 4 + 4, "rows": 0 + 1 + 2}
 
 
 def test_inner_and_outer_names_are_read_per_row():
@@ -242,7 +242,8 @@ def test_inner_and_outer_names_are_read_per_row():
     below = Agg("count", Select(C, Cmp("<", Attr("c"), Arith("-", Attr("x"), Attr("shift")))))
     cond = Cmp("=", below, Lit(1))  # x - 1 in (1, 2]: the point x = 2.5
     assert _orders_where(cond) == (2,)
-    assert _extra_cost(cond, per_row=True) == {"scopes": 4 * 3, "rows": 0 + 0 + 1 + 2}
+    # As above: x - shift is a constant over the rows of C.
+    assert _extra_cost(cond) == {"scopes": 1 + 4 + 4, "rows": 0 + 0 + 1 + 2}
 
 
 def test_outer_only_subexpression_is_kept_per_operator():
@@ -250,14 +251,14 @@ def test_outer_only_subexpression_is_kept_per_operator():
     cond = Cmp("=", Attr("order"), last)
     assert _orders_where(cond) == (3,)
     # max reads the order column of T where it is: no projection is built
-    # (0 rows), and the selection runs on columns as its base does, one
-    # operator scope each (0 extra scopes).
-    assert _extra_cost(cond) == {"scopes": 0, "rows": 0}
-    # A computed column is projected, once and not once per point: a scope
-    # and a row per point.
+    # (0 rows), and the selection keeps it in its operator scope, the one
+    # scope its base does without.
+    assert _extra_cost(cond) == {"scopes": 1, "rows": 0}
+    # A computed column is projected once, not once per point, from the
+    # order column: a row per point and no scope.
     last = Agg("max", Project(Attr("T"), (Computed("o", Attr("order")),)))
     assert _orders_where(Cmp("=", Attr("order"), last)) == (3,)
-    assert _extra_cost(Cmp("=", Attr("order"), last)) == {"scopes": 4, "rows": 4}
+    assert _extra_cost(Cmp("=", Attr("order"), last)) == {"scopes": 1, "rows": 4}
 
 
 def test_invariant_subexpression_that_would_raise_is_not_run_early():
@@ -393,7 +394,7 @@ NM = Nf2Schema(
         Attribute("M", M_SCHEMA),
     )
 )
-# reads the enclosing row, so a condition holding it runs with a row scope each
+# reads the enclosing row; a join condition holding it is no bare `=`, so a nested loop
 ON_ROWS = Cmp("=", Attr("tid"), Attr("tid"))
 
 
@@ -461,12 +462,67 @@ def _per_outer_row(node) -> Project:
     return Project(Input(), (Col("tid"), Computed("S", node)))
 
 
+_UNDEFINED = object()  # the reference's value of min/max over nothing
+_OPERATORS = {"<": operator.lt, ">": operator.gt, "=": operator.eq,
+              "<=": operator.le, ">=": operator.ge, "!=": operator.ne,
+              "+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _operand_on_row(e, row, outer) -> tuple:
+    """The value of an NM_NUMBERS or NM_TEXTS operand on one row of N, and
+    whether it is typed float; ``outer`` maps N and M to their relations."""
+    if isinstance(e, Attr):
+        return row[N_SCHEMA.index(e.name)], e.name == "f"
+    if isinstance(e, Lit):
+        return e.value, isinstance(e.value, float)
+    if isinstance(e, Arith):
+        (a, af), (b, bf) = (_operand_on_row(side, row, outer) for side in (e.left, e.right))
+        try:
+            value = _OPERATORS[e.op](a, b)
+            if af or bf:
+                float(value)  # a float-typed result must be a float value
+        except OverflowError:
+            raise TypeMismatchError("overflow") from None
+        return value, af or bf
+    if isinstance(e, Agg) and e.fn == "count":
+        return len(outer["M"].rows), False
+    if isinstance(e, Agg):  # min or max of PROJECT[c](N) or PROJECT[c](M)
+        (item,) = e.src.items
+        column = outer[e.src.src.name].column(item.name)
+        return ((min if e.fn == "min" else max)(column) if column else _UNDEFINED), item.name in ("f", "g")
+    column = outer["M"].column("t")  # PROJECT[t](M) as a scalar
+    if len(column) > 1:
+        raise TypeMismatchError("many rows")
+    return (column[0] if column else _UNDEFINED), False
+
+
+def _holds_on_row(cond, row, outer) -> bool:
+    """An NM_CONDITIONS condition on one row of N, by Python's operators."""
+    if isinstance(cond, BoolAnd):
+        return all(_holds_on_row(part, row, outer) for part in cond.parts)
+    if isinstance(cond, BoolOr):
+        return any(_holds_on_row(part, row, outer) for part in cond.parts)
+    if isinstance(cond, nf2.BoolNot):
+        return not _holds_on_row(cond.child, row, outer)
+    (a, _), (b, _) = (_operand_on_row(side, row, outer) for side in (cond.left, cond.right))
+    return a is not _UNDEFINED and b is not _UNDEFINED and _OPERATORS[cond.op](a, b)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(nm_relations(), NM_CONDITIONS)
 def test_selection_on_columns_equals_selection_on_rows(rel, cond):
-    on_columns = _per_outer_row(Select(Attr("N"), cond))
-    on_rows = _per_outer_row(Select(Attr("N"), BoolAnd((cond, ON_ROWS))))
-    assert _outcome(on_columns, rel) == _outcome(on_rows, rel), render(cond)
+    # The reference: a plain loop over the rows of N of each outer row.
+    try:
+        want = tuple(
+            (tid, tuple(row for row in n.rows if _holds_on_row(cond, row, {"N": n, "M": m})))
+            for tid, _, n, m in rel.rows
+        )
+    except TypeMismatchError:
+        want = TypeMismatchError
+    got = _outcome(_per_outer_row(Select(Attr("N"), cond)), rel)
+    if got is not TypeMismatchError:
+        got = tuple((tid, kept.rows) for tid, kept in got.rows)
+    assert got == want, render(cond)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -520,6 +576,10 @@ def _nm(n: int) -> Nf2Relation:
 
 RUN_ON_COLUMNS = (
     Select(Attr("N"), Cmp("<", Attr("i"), Lit(3))),
+    # attributes of the enclosing row, read as constants
+    Select(Attr("N"), Cmp("=", Attr("tid"), Lit("a"))),
+    Select(Attr("N"), Cmp("<", Attr("i"), Attr("shift"))),
+    Join(Attr("N"), Attr("M"), Cmp("=", Arith("+", Attr("i"), Attr("shift")), Attr("j"))),
     Select(
         Attr("N"),
         BoolOr(
@@ -541,13 +601,9 @@ RUN_ON_COLUMNS = (
     Join(Attr("N"), Attr("M"), Cmp("=", Attr("j"), Arith("+", Attr("i"), Lit(1)))),
 )
 RUN_ON_ROWS = (
-    # an attribute of the enclosing row, read directly
-    Select(Attr("N"), Cmp("=", Attr("tid"), Lit("a"))),
-    Select(Attr("N"), Cmp("<", Attr("i"), Attr("shift"))),
-    Join(Attr("N"), Attr("M"), Cmp("=", Arith("+", Attr("i"), Attr("shift")), Attr("j"))),
     # a subexpression that reads the row
     Select(Attr("N"), Cmp(">", Agg("count", Select(Attr("M"), Cmp("<", Attr("j"), Attr("i")))), Lit(0))),
-    # a join on anything but `=`: a nested loop
+    # a join on anything but `=`: a nested loop, with a scope per left row
     Join(Attr("N"), Attr("M"), Cmp("<", Attr("i"), Attr("j"))),
 )
 
@@ -558,10 +614,10 @@ RUN_ON_ROWS = (
     ids=lambda v: render(v) if not isinstance(v, bool) else str(v),
 )
 def test_which_operators_run_on_columns(node, on_columns):
-    # On columns an operator builds a fixed number of scopes (one per
-    # evaluation, or per join key read from columns); on rows, one per row
-    # of N (and of M, for a join's keys or loop), so 36 more for 40 rows
-    # than for 4.
+    # On columns an operator builds a fixed number of scopes (at most one
+    # per evaluation); a subexpression that reads the rows runs in a scope
+    # per row of N, and a nested loop builds one per left row, so at least
+    # 36 more for 40 rows than for 4.
     plan = _per_outer_row(node)
     small, large = (_run_cost(plan, _nm(n))[1]["scopes"] for n in (4, 40))
     if on_columns:
@@ -572,14 +628,35 @@ def test_which_operators_run_on_columns(node, on_columns):
 
 @pytest.mark.parametrize("fn", ("min", "max"))
 def test_min_max_of_a_column_build_no_projection(fn):
-    # A scope for the plan and one for the outer row, and the one result
-    # row; the Computed projection builds a scope and a row per row of N.
+    # A scope for the plan, the outer projection's scope and the outer
+    # row's (the aggregate reads its N), and the one result row; the
+    # Computed projection builds a row per row of N, from N's f column.
     for n in (4, 40):
         column = Agg(fn, Project(Attr("N"), (Col("f"),)))
         projected = Agg(fn, Project(Attr("N"), (Computed("f", Attr("f")),)))
         plans = (Project(Input(), (Computed("v", agg),)) for agg in (column, projected))
         costs = [_run_cost(plan, _nm(n))[1] for plan in plans]
-        assert costs == [{"scopes": 2, "rows": 1}, {"scopes": 2 + n, "rows": 1 + n}]
+        assert costs == [{"scopes": 3, "rows": 1}, {"scopes": 3, "rows": 1 + n}]
+
+
+def test_nested_loop_runs_its_condition_once_per_left_row():
+    # j < count(SELECT[c < k](C)): with k a literal the count is invariant
+    # and selected once per join; with k = f, the left row's, once per left
+    # row (with an operator scope each, as it reads f), never per pair.
+    def cost(k, n):
+        below = Agg("count", Select(C, Cmp("<", Attr("c"), k)))
+        return _run_cost(_per_outer_row(Join(Attr("N"), Attr("M"), Cmp("<", Attr("j"), below))), _nm(n))[1]
+
+    for n in (4, 40):
+        # the plan, the outer projection and its row, a scope per left row
+        assert cost(Lit(2.5), n) == {"scopes": 3 + n, "rows": 1 + 2 * n + 2}
+        assert cost(Attr("f"), n)["scopes"] == 3 + n + n
+    # A subexpression that reads the right rows runs in a scope per pair,
+    # chained to its left row: count(SELECT[c < i + j](C)) > 1.
+    below = Agg("count", Select(C, Cmp("<", Attr("c"), Arith("+", Attr("i"), Attr("j")))))
+    pairs = Project(Join(Attr("N"), Attr("M"), Cmp(">", below, Lit(1))), (Col("i"), Col("j")))
+    ((_, got),) = execute(_per_outer_row(pairs), _nm(4)).rows
+    assert got.rows == tuple((i, j) for i in range(4) for j in range(4) if i + j > 2)
 
 
 @pytest.mark.parametrize("label", (De9imLabel.R031, De9imLabel.R223), ids=("R031", "R223"))
