@@ -414,8 +414,9 @@ def nm_relations(draw):
     )
 
 
-# Operands over the rows of N: attributes, literals, arithmetic, and
-# invariants (aggregates over M or N, a count, a scalar coercion of M).
+# Operands over the rows of N: attributes, literals, arithmetic,
+# invariants (aggregates over M or N, a count, a scalar coercion of M), and
+# aggregates over the rows of M that a comparison with N's row selects.
 NM_NUMBERS = st.one_of(
     st.sampled_from((Attr("i"), Attr("f"))),
     st.sampled_from(NM_INTS + NM_FLOATS).map(Lit),
@@ -428,6 +429,12 @@ NM_NUMBERS = st.one_of(
     st.sampled_from(
         tuple(Agg(fn, Project(Attr(rel), (Col(c),))) for fn in ("min", "max") for rel, c in (("M", "g"), ("M", "j"), ("N", "f")))
         + (Agg("count", Attr("M")),)
+    ),
+    st.sampled_from(
+        (
+            Agg("count", Select(Attr("M"), Cmp("<", Attr("j"), Attr("i")))),
+            Agg("max", Project(Select(Attr("M"), Cmp(">", Attr("g"), Attr("f"))), (Col("j"),))),
+        )
     ),
 )
 NM_TEXTS = st.one_of(
@@ -468,6 +475,13 @@ _OPERATORS = {"<": operator.lt, ">": operator.gt, "=": operator.eq,
               "+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
+def _m_rows_where(cond, row, outer) -> list:
+    """The rows of M on which ``cond``, an attribute of M compared with one
+    of N's row, holds."""
+    a, b = M_SCHEMA.index(cond.left.name), N_SCHEMA.index(cond.right.name)
+    return [m for m in outer["M"].rows if _OPERATORS[cond.op](m[a], row[b])]
+
+
 def _operand_on_row(e, row, outer) -> tuple:
     """The value of an NM_NUMBERS or NM_TEXTS operand on one row of N, and
     whether it is typed float; ``outer`` maps N and M to their relations."""
@@ -485,7 +499,11 @@ def _operand_on_row(e, row, outer) -> tuple:
             raise TypeMismatchError("overflow") from None
         return value, af or bf
     if isinstance(e, Agg) and e.fn == "count":
-        return len(outer["M"].rows), False
+        rows = outer["M"].rows if isinstance(e.src, Attr) else _m_rows_where(e.src.cond, row, outer)
+        return len(rows), False
+    if isinstance(e, Agg) and isinstance(e.src.src, Select):  # max of PROJECT[j](SELECT[g > f](M))
+        column = [m[M_SCHEMA.index("j")] for m in _m_rows_where(e.src.src.cond, row, outer)]
+        return (max(column) if column else _UNDEFINED), False
     if isinstance(e, Agg):  # min or max of PROJECT[c](N) or PROJECT[c](M)
         (item,) = e.src.items
         column = outer[e.src.src.name].column(item.name)
