@@ -113,7 +113,8 @@ class StrategyOutputError(TrajqError, ValueError):
 
 class StrategyParameterError(TrajqError, ValueError):
     """An approximation strategy was asked for with a parameter outside its
-    range, such as a negative number of points per segment."""
+    range, such as a negative number of points per segment, or a strategy,
+    strategy name or factory of the wrong type was handed over."""
 
 
 class UnsupportedStrictnessError(TrajqError, ValueError):
@@ -129,7 +130,8 @@ class DegenerateSpanError(TrajqError):
 
 
 class UnsupportedLabelError(TrajqError, KeyError):
-    """A relation label outside the set a compiler supports."""
+    """A relation label outside the set a compiler or catalog supports, or a
+    value that is no label at all."""
 
 
 # --- nested-relational engine -------------------------------------------

@@ -151,6 +151,8 @@ def uniform_strategy(k: int) -> ApproxStrategy:
     """k evenly spaced interior points per segment: lam = j/(k+1), j=1..k,
     for k from 0 to ``MAX_UNIFORM_K``."""
     try:
+        if isinstance(k, bool):  # operator.index takes True as 1
+            raise TypeError
         k = operator.index(k)
     except TypeError:
         raise StrategyParameterError(f"k must be an integer, got {k!r}") from None
@@ -174,14 +176,27 @@ DEFAULT_UNIFORM_K = 100
 
 def register_strategy(name: str, factory: Callable[[int | None], ApproxStrategy]) -> None:
     """Register a strategy factory; the factory receives the optional integer
-    parameter from the textual form ``approx:<name>[:k]``."""
+    parameter from the textual form ``approx:<name>[:k]``.
+
+    Raises:
+        StrategyParameterError: name is not a string or factory not callable.
+    """
+    if not isinstance(name, str) or not callable(factory):
+        raise StrategyParameterError(
+            f"a strategy is registered under a str with a callable factory, got {name!r}, {factory!r}"
+        )
     _STRATEGY_FACTORIES[name] = factory
 
 
 def resolve_strategy(name: str, param: int | None = None) -> ApproxStrategy:
+    """The strategy the factory registered under name makes for param.
+
+    Raises:
+        UnknownStrategyError: no factory is registered under name.
+    """
     try:
         factory = _STRATEGY_FACTORIES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         known = ", ".join(sorted(_STRATEGY_FACTORIES)) or "none"
         raise UnknownStrategyError(
             f"no approximation strategy named {name!r} (registered: {known})"
@@ -522,7 +537,13 @@ def eval_approximated(
     ast: Predicate, t: Trajectory, env: EvalEnv, strategy: ApproxStrategy
 ) -> bool:
     """Strict evaluation over the trajectory plus strategy-generated points;
-    ground clauses and the TFL domain ignore how many a strategy adds."""
+    ground clauses and the TFL domain ignore how many a strategy adds.
+
+    Raises:
+        StrategyParameterError: strategy is not an ApproxStrategy.
+    """
+    if not isinstance(strategy, ApproxStrategy):
+        raise StrategyParameterError(f"a strategy is an ApproxStrategy, got {strategy!r}")
     return _decide(ast, t, env, functools.partial(_approximated_sites, strategy))
 
 

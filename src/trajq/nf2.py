@@ -41,9 +41,10 @@ attribute) runs once over all the operator's rows, on their columns:
   reads none of the rows (found while it is compiled, as every name is
   resolved then) are constants: read once per evaluation of the operator,
   the subexpression lazily on first use and kept for that evaluation.
-* A subexpression that reads the rows runs in one scope per row, built
-  once per row and evaluation and shared by the whole expression; a
-  nested attribute of the rows used as a scalar is its column coerced.
+* A subexpression that reads the rows runs once per row in the scope of
+  the operator's evaluation, which is moved to each row in turn, so no
+  scope is built per row; a nested attribute of the rows used as a scalar
+  is its column coerced.
 * Comparisons keep Python's exactly (``_COMPARE``: an int against a float
   is exact, NaN and undefined compare false), and a conjunct or disjunct
   runs only on the rows still undecided, so a part that would raise runs
@@ -404,13 +405,14 @@ AlgebraExpr = Union[
 
 
 class _Scope:
-    """One row of an operator, chained to the rows enclosing it.
+    """The row an operator is at, chained to the rows enclosing it.
 
     ``positions`` maps an attribute name to its place in ``row``. The
     compiler chains rows of types, a compiled plan rows of values; the
-    outermost scope of a plan holds the input relation under no name.
-    ``memo`` holds the invariant subexpressions of one evaluation of the
-    operator and the scopes of its rows; they all share it.
+    outermost scope of a plan holds the input relation under no name. A
+    plan builds a scope per evaluation of an operator whose runners read
+    one (a join one per side) and moves its ``row`` over the operator's
+    rows; ``memo`` holds the invariant subexpressions of that evaluation.
     """
 
     __slots__ = ("positions", "row", "parent", "memo")
@@ -461,17 +463,16 @@ _HOISTABLE = frozenset((Project, Select, Unnest, Join, Agg))
 # operator reads it). A condition's runner returns the indices in ``live``
 # of the rows that satisfy it; an operand's returns its values on those
 # rows. An expression with one value for all the rows (a literal, an
-# attribute of an enclosing row, an invariant subexpression) is a constant
-# instead, whose runner is ``run(os)``. No runner evaluates anything when
-# ``live`` is empty, so a conjunct runs only on the rows still live, and an
-# invariant only once some row reaches it.
-
-_NO_NAMES: dict = {}  # the positions of an operator's scope, which has no row
+# attribute of an enclosing row, an invariant subexpression) reads it once
+# per call and repeats it. No runner evaluates anything when ``live`` is
+# empty, so a conjunct runs only on the rows still live, and an invariant
+# only once some row reaches it.
 
 
-def _op_scope(s: _Scope, scoped: bool) -> _Scope | None:
-    """The scope of one evaluation of an operator, if its runners read one."""
-    return _Scope(_NO_NAMES, (), s, {}) if scoped else None
+def _op_scope(s: _Scope, positions: dict, scoped: bool) -> _Scope | None:
+    """The scope of one evaluation of an operator over rows with
+    ``positions``, if its runners read one."""
+    return _Scope(positions, None, s, {}) if scoped else None
 
 
 def _reader(i: int):
@@ -484,32 +485,21 @@ def _reader(i: int):
     return read
 
 
-def _columnar(run, const: bool):
-    """The runner of a compiled operand over the live rows: a constant's
-    value repeated on each."""
-    if not const:
-        return run
-    return lambda rows, cols, live, os: repeat(run(os), len(live))
+def _constant(get):
+    """The runner of an expression with one value on all the rows:
+    ``get(os)`` repeated on each live row."""
+    return lambda rows, cols, live, os: repeat(get(os), len(live))
 
 
-def _each(run, rows_t: _Scope):
-    """The runner of a subexpression that reads the rows typed by rows_t:
-    ``run`` over the scope of each live row. The scopes are built once per
-    row in one evaluation of the operator, kept in its memo, and shared by
-    every runner of it."""
-    positions = rows_t.positions
+def _each(run):
+    """The runner of a subexpression that reads the rows: ``run`` in the
+    operator's scope, at each live row in turn."""
 
     def each(rows, cols, live, os):
-        memo = os.memo
-        built = memo.get(rows_t)
-        if built is None:
-            built = memo[rows_t] = [None] * len(rows)
         values = []
         for i in live:
-            scope = built[i]
-            if scope is None:
-                scope = built[i] = _Scope(positions, rows[i], os, memo)
-            values.append(run(scope))
+            os.row = rows[i]
+            values.append(run(os))
         return values
 
     return each
@@ -712,43 +702,42 @@ class _Compiler:
 
     def _vector(self, e: AlgebraExpr, scope: _Scope | None):
         """The type and runner of a condition, or an operand of one, over
-        the rows of the innermost operator, and whether it is a constant."""
+        the rows of the innermost operator."""
         if isinstance(e, Attr):
             found, i = self._resolve(scope, e.name)
             t = found.row[i].type
             if found in self.cols:
-                return t, _reader(i), False
+                return t, _reader(i)
             self.scoped = True
-            return t, operator.methodcaller("lookup", e.name), True
+            return t, _constant(operator.methodcaller("lookup", e.name))
         if isinstance(e, Lit):
             value = e.value
             if isinstance(value, bool) or not isinstance(value, (str, int, float)):
                 raise TypeMismatchError(f"unsupported literal {value!r}")
             t = "str" if isinstance(value, str) else "int" if isinstance(value, int) else "float"
-            return t, lambda os: value, True
+            return t, _constant(lambda os: value)
         if isinstance(e, Cmp):
-            (lt, *left), (rt, *right) = self._operand(e.left, scope), self._operand(e.right, scope)
+            (lt, left), (rt, right) = self._operand(e.left, scope), self._operand(e.right, scope)
             _comparable(lt, rt)
-            return "bool", _compare_columns(e.op, _columnar(*left), _columnar(*right)), False
+            return "bool", _compare_columns(e.op, left, right)
         if isinstance(e, (BoolAnd, BoolOr)):
             parts = []
             for part in e.parts:
-                t, run, _ = self._vector(part, scope)
+                t, run = self._vector(part, scope)
                 if t != "bool":
                     raise TypeMismatchError("boolean connective over non-boolean")
                 parts.append(run)
-            return "bool", (_and_columns if isinstance(e, BoolAnd) else _or_columns)(parts), False
+            return "bool", (_and_columns if isinstance(e, BoolAnd) else _or_columns)(parts)
         if isinstance(e, BoolNot):
-            t, child, _ = self._vector(e.child, scope)
+            t, child = self._vector(e.child, scope)
             if t != "bool":
                 raise TypeMismatchError("NOT over non-boolean")
-            return "bool", _not_columns(child), False
+            return "bool", _not_columns(child)
         if isinstance(e, Arith):
             return self._arith(e, scope)
         (t, run), reads = self._reading(self.compile, e, scope)
         self.scoped = True
-        read = [r for r in self.cols if r in reads]
-        return (t, _each(run, read[0]), False) if read else (t, run, True)
+        return t, (_constant(run) if reads.isdisjoint(self.cols) else _each(run))
 
     def _select(self, e: Select, scope: _Scope | None):
         src_t, src = self._relation(e.src, scope)
@@ -760,16 +749,17 @@ class _Compiler:
             at = tuple(src_t.positions[n] for n in names)
             return src_t, lambda s: _built(src_t, _segments_hitting(src(s), cond, at))
         row = _types(src_t, scope)
-        (t, test, _), scoped = self._over((row,), (row,), lambda: self._vector(cond, row))
+        (t, test), scoped = self._over((row,), (row,), lambda: self._vector(cond, row))
         if t != "bool":
             raise TypeMismatchError("selection condition must be boolean")
+        positions = src_t.positions
 
         def select(s):
             rel = src(s)
             rows = rel.rows
             if not rows:
                 return rel
-            live = test(rows, _columns(rel), range(len(rows)), _op_scope(s, scoped))
+            live = test(rows, _columns(rel), range(len(rows)), _op_scope(s, positions, scoped))
             if len(live) == len(rows):
                 return rel
             return _built(src_t, tuple(map(rows.__getitem__, live)))
@@ -792,17 +782,17 @@ class _Compiler:
             sides, scoped = self._over((lrow, rrow), (lrow, rrow), lambda: [
                 self._reading(self._operand, side, rrow) for side in (cond.left, cond.right)
             ])
-            ((lt, a, ac), a_reads), ((rt, b, bc), b_reads) = sides
+            ((lt, a), a_reads), ((rt, b), b_reads) = sides
             _comparable(lt, rt)
             if rrow not in a_reads and lrow not in b_reads:
-                keys = _columnar(a, ac), _columnar(b, bc)
+                keys = a, b
             elif lrow not in a_reads and rrow not in b_reads:
-                keys = _columnar(b, bc), _columnar(a, ac)
+                keys = b, a
         if keys is None:  # a nested loop: the condition over the right rows, per left row
-            (t, test, _), _ = self._over((lrow, rrow), (rrow,), lambda: self._vector(cond, rrow))
+            (t, test), _ = self._over((lrow, rrow), (rrow,), lambda: self._vector(cond, rrow))
             if t != "bool":
                 raise TypeMismatchError("join condition must be boolean")
-        lpos = left_t.positions
+        lpos, rpos = left_t.positions, right_t.positions
 
         def join(s):
             lrel, rrel = left(s), right(s)
@@ -810,16 +800,19 @@ class _Compiler:
             rows = []
             if lrows and rrows and keys is not None:  # each key reads its side's columns
                 lkey, rkey = keys
-                os = _op_scope(s, scoped)
-                rk = rkey(rrows, _columns(rrel), range(len(rrows)), os)
-                li, ri = _equal_pairs(lkey(lrows, _columns(lrel), range(len(lrows)), os), rk)
+                rk = rkey(rrows, _columns(rrel), range(len(rrows)), _op_scope(s, rpos, scoped))
+                lk = lkey(lrows, _columns(lrel), range(len(lrows)), _op_scope(s, lpos, scoped))
+                li, ri = _equal_pairs(lk, rk)
                 rows = map(operator.add, map(lrows.__getitem__, li), map(rrows.__getitem__, ri))
             elif lrows and rrows:
-                rcols, every, memo = _columns(rrel), range(len(rrows)), {}
+                # The right rows' scope, chained to the left row's: both move.
+                rcols, every = _columns(rrel), range(len(rrows))
+                ls = _Scope(lpos, None, s)
+                rs = _Scope(rpos, None, ls, {})
                 for lr in lrows:
-                    live = test(rrows, rcols, every, _Scope(lpos, lr, s, memo))
+                    ls.row = lr
+                    live = test(rrows, rcols, every, rs)
                     rows.extend(map(lr.__add__, map(rrows.__getitem__, live)))
-                    memo.pop(rrow, None)  # the right rows' scopes, chained to this left row
             return _built(schema, tuple(rows))
 
         return schema, join
@@ -850,20 +843,17 @@ class _Compiler:
         return src_t.attributes[0].type, aggregate
 
     def _arith(self, e: Arith, scope: _Scope | None):
-        lt, left, lconst = self._operand(e.left, scope)
-        rt, right, rconst = self._operand(e.right, scope)
+        lt, left = self._operand(e.left, scope)
+        rt, right = self._operand(e.right, scope)
         if not (_numeric(lt) and _numeric(rt)):
             raise TypeMismatchError(f"arithmetic over {lt} and {rt}")
         t = "int" if lt == rt == "int" else "float"
         op, fn = e.op, _ARITH[e.op]
-        if lconst and rconst:
-            return t, lambda os: _arith_values(fn, op, t, (left(os),), (right(os),))[0], True
-        a, b = _columnar(left, lconst), _columnar(right, rconst)
 
         def arith(rows, cols, live, os):
-            return _arith_values(fn, op, t, a(rows, cols, live, os), b(rows, cols, live, os))
+            return _arith_values(fn, op, t, left(rows, cols, live, os), right(rows, cols, live, os))
 
-        return t, arith, False
+        return t, arith
 
     def _relation(self, e: AlgebraExpr, scope: _Scope | None):
         t, run = self.compile(e, scope)
@@ -873,29 +863,27 @@ class _Compiler:
 
     def _operand(self, e: AlgebraExpr, scope: _Scope | None):
         """Scalar type and runner of a comparison, arithmetic or join-key
-        operand, and whether it is a constant.
+        operand.
 
         A relation-valued operand is legal if it has a single atomic column:
         its runner coerces it to its sole value (or undefined if empty).
         """
-        t, run, const = self._vector(e, scope)
+        t, run = self._vector(e, scope)
         if isinstance(t, Nf2Schema):
             if len(t.attributes) != 1 or not isinstance(t.attributes[0].type, str):
                 raise TypeMismatchError("only single-column relations can be used as scalars")
             t = t.attributes[0].type
-            if const:
-                return t, lambda os: _sole(run(os)), True
-            return t, lambda rows, cols, live, os: map(_sole, run(rows, cols, live, os)), False
+            return t, lambda rows, cols, live, os: map(_sole, run(rows, cols, live, os))
         if t == "bool":
             raise TypeMismatchError("boolean used as a scalar operand")
-        return t, run, const
+        return t, run
 
     def _project(self, src: Nf2Schema, items: tuple[ProjItem, ...], scope: _Scope | None):
         """The schema of projecting rows of ``src`` on ``items``, and a
         function of (relation, scope) that projects a relation."""
         row = _types(src, scope)
         (attrs, cells), scoped = self._over((row,), (row,), lambda: self._items(src, items, row))
-        schema = Nf2Schema(tuple(attrs))
+        schema, positions = Nf2Schema(tuple(attrs)), src.positions
         if cells and all(isinstance(c, int) for c in cells):  # the rows' own values
             pick = operator.itemgetter(*cells) if len(cells) > 1 else lambda r, i=cells[0]: (r[i],)
             return schema, lambda rel, s: _built(schema, tuple(map(pick, rel.rows)))
@@ -904,7 +892,7 @@ class _Compiler:
             rows = rel.rows
             if not rows or not cells:
                 return _built(schema, ((),) * len(rows))
-            cols, live, os = _columns(rel), range(len(rows)), _op_scope(s, scoped)
+            cols, live, os = _columns(rel), range(len(rows)), _op_scope(s, positions, scoped)
             values = [cols[c] if type(c) is int else c(rows, cols, live, os) for c in cells]
             return _built(schema, tuple(zip(*values)))
 
@@ -929,14 +917,14 @@ class _Compiler:
                 inner_t, inner = self._project(target.type, item.items, row)
                 attrs.append(Attribute(item.name, inner_t))
                 i = src.positions[item.name]
-                cells.append(_each(lambda rs, i=i, inner=inner: inner(rs.row[i], rs), row))
+                cells.append(_each(lambda rs, i=i, inner=inner: inner(rs.row[i], rs)))
                 self.scoped = True
             elif isinstance(item, Computed):
-                t, value, const = self._vector(item.expr, row)
+                t, value = self._vector(item.expr, row)
                 if t == "bool":
                     raise TypeMismatchError("projected attribute cannot be boolean")
                 attrs.append(Attribute(item.name, t))
-                cells.append(_stored(item.name, _columnar(value, const)))
+                cells.append(_stored(item.name, value))
             else:
                 raise TypeMismatchError(f"unknown projection item {item!r}")
         return attrs, cells
@@ -1162,8 +1150,8 @@ def compile_spatial(label: De9imLabel, r: Region, s: Strictness) -> AlgebraExpr:
     R223 is pf outside, pl outside, some point inside; R247 is pf inside,
     pl inside, some point outside the closed rectangle; R255 is pf inside,
     pl outside. The whole-path tests of R179 and of R247's escape
-    stay min/max aggregates over the columns of T: they project without a
-    row scope per point, where a selection builds one.
+    stay min/max aggregates, read off the columns of T with no projection
+    built.
 
     Strict and relaxed produce the same expression for R179, R247, and R255;
     for R031 and R223 the relaxed expression additionally tests the segments

@@ -27,7 +27,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import DegenerateSpanError, PredicateTypeError
+from .errors import DegenerateSpanError, PredicateTypeError, UnsupportedLabelError
 # evaluate stays importable here: tracing wraps the names modules look up.
 from .evaluate import RegionSignature, Strictness, evaluate, holds_on_signature
 from .evaluate import region_signature as de9im_signature
@@ -225,16 +225,32 @@ _ALLEN_TABLE: dict[AllenLabel, tuple[str, str]] = {
 }
 
 
-@lru_cache(maxsize=None)
 def de9im_predicate(label: De9imLabel) -> Predicate:
-    """The catalog formula of one area relation, as a parsed predicate."""
-    return parse_predicate(_DE9IM_TABLE[label][0])
+    """The catalog formula of one area relation, as a parsed predicate.
+
+    Raises:
+        UnsupportedLabelError: label is not a De9imLabel.
+    """
+    if not isinstance(label, De9imLabel):
+        raise UnsupportedLabelError(f"an area relation label is a De9imLabel, got {label!r}")
+    return _catalog_formula(_DE9IM_TABLE[label][0])
+
+
+def allen_predicate(label: AllenLabel) -> Predicate:
+    """The catalog formula of one interval relation, as a parsed predicate.
+
+    Raises:
+        UnsupportedLabelError: label is not an AllenLabel.
+    """
+    if not isinstance(label, AllenLabel):
+        raise UnsupportedLabelError(f"an interval relation label is an AllenLabel, got {label!r}")
+    return _catalog_formula(_ALLEN_TABLE[label][0])
 
 
 @lru_cache(maxsize=None)
-def allen_predicate(label: AllenLabel) -> Predicate:
-    """The catalog formula of one interval relation, as a parsed predicate."""
-    return parse_predicate(_ALLEN_TABLE[label][0])
+def _catalog_formula(text: str) -> Predicate:
+    """A catalog formula's text parsed once, so each label has one Predicate."""
+    return parse_predicate(text)
 
 
 def de9im_catalog() -> tuple[tuple[De9imLabel, str, str], ...]:

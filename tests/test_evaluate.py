@@ -277,6 +277,29 @@ def test_uniform_count_is_bounded():
         evaluate(Q1, CROSSING, CROSS_ENV, approximated("uniform", 10**23))
 
 
+def test_bool_count_is_a_parameter_error():
+    with pytest.raises(StrategyParameterError, match="got True"):
+        evaluate(Q1, CROSSING, CROSS_ENV, approximated("uniform", True))
+
+
+def test_strategy_that_is_no_approx_strategy_is_a_parameter_error():
+    with pytest.raises(StrategyParameterError, match="got 5"):
+        eval_approximated(Q1, CROSSING, CROSS_ENV, 5)
+
+
+@pytest.mark.parametrize("name, factory", [(5, None), ("n", None), (5, uniform_strategy), ("n", 5)])
+def test_registering_a_bad_name_or_factory_is_a_parameter_error(name, factory):
+    with pytest.raises(StrategyParameterError):
+        register_strategy(name, factory)
+    with pytest.raises(UnknownStrategyError):  # nothing was registered
+        evaluate(Q1, CROSSING, CROSS_ENV, approximated(name))
+
+
+def test_unhashable_strategy_name_is_unknown():
+    with pytest.raises(UnknownStrategyError):
+        evaluate(Q1, CROSSING, CROSS_ENV, approximated(["uniform"]))
+
+
 def test_uniform_grid_is_built_once_per_count():
     # select_st resolves the strategy for every row it evaluates; the grid
     # of one k is built on the first and reused by the rest.

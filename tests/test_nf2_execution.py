@@ -5,8 +5,9 @@ compiled plan per plan object and input schema, reused by later runs.
 Each property is checked against a plan the executor cannot shortcut
 (the same join under a condition that is not a bare ``=``) or against
 answers worked out by hand on small relations. Costs are observed as
-counts: the row scopes (``_Scope`` objects) a plan builds, and the rows
-of the relations its operators build (``_built``).
+counts: the scopes (``_Scope`` objects) a plan builds, each moved over
+the rows of one operator evaluation; the rows bound to scopes; and the
+rows of the relations its operators build (``_built``).
 """
 
 import gc
@@ -48,13 +49,14 @@ from trajq.nf2 import (
     Nf2Schema,
     Project,
     Select,
+    Sub,
     compile_spatial,
     compile_temporal,
     execute,
     render,
     trajectories_to_nf2,
 )
-from trajq.relations import De9imLabel
+from trajq.relations import AllenLabel, De9imLabel
 
 # --- hash join = nested loop ------------------------------------------------
 
@@ -141,7 +143,7 @@ def test_hash_join_equals_nested_loop(lr):
         want = execute(looped, dummy)
         assert got.schema == want.schema
         assert got.rows == want.rows, cond
-        # A scope per row of each side and one for the plan, none per pair.
+        # At most a scope per row of each side and one for the plan, none per pair.
         assert cost["scopes"] <= len(left) + len(right) + 1, cond
 
 
@@ -230,11 +232,11 @@ def test_shadowing_inner_attribute_is_read_per_row():
     below_x = Agg("count", Select(C, Cmp("<", Attr("c"), Attr("x"))))
     cond = Cmp(">=", below_x, Lit(2))
     assert _orders_where(cond) == (2, 3)
-    # The selection over the points has an operator scope, and each of the
-    # 4 points a row scope and one selection over C, whose condition reads
-    # the point's x as a constant: one operator scope, none per row of C.
-    # They build the rows of C below x, but the last keeps all of C as it is.
-    assert _extra_cost(cond) == {"scopes": 1 + 4 + 4, "rows": 0 + 1 + 2}
+    # The selection over the points has an operator scope, which moves over
+    # the 4 points, and each point one selection over C, whose condition
+    # reads the point's x as a constant: one operator scope, none per row of
+    # C. They build the rows of C below x, but the last keeps all of C as it is.
+    assert _extra_cost(cond) == {"scopes": 1 + 4, "rows": 0 + 1 + 2}
 
 
 def test_inner_and_outer_names_are_read_per_row():
@@ -243,7 +245,7 @@ def test_inner_and_outer_names_are_read_per_row():
     cond = Cmp("=", below, Lit(1))  # x - 1 in (1, 2]: the point x = 2.5
     assert _orders_where(cond) == (2,)
     # As above: x - shift is a constant over the rows of C.
-    assert _extra_cost(cond) == {"scopes": 1 + 4 + 4, "rows": 0 + 0 + 1 + 2}
+    assert _extra_cost(cond) == {"scopes": 1 + 4, "rows": 0 + 0 + 1 + 2}
 
 
 def test_outer_only_subexpression_is_kept_per_operator():
@@ -366,10 +368,11 @@ def test_endpoint_clauses_select_each_endpoint_once(mode):
         for name, rel in (("in-out-in", in_out_in), ("in-out", in_out)):
             result, cost = _run_cost(plan, rel)
             assert (result.column("tid") == ("w",)) == (name in holds_on), (label, name)
-            # No scope per point: one for the plan, one for the walk's row,
-            # and one per selection over the points that runs (each on
-            # columns): an endpoint, then its test, for at most two
-            # endpoints. R223's first clause fails on pf, which is inside.
+            # No scope per point: one for the plan, one for the selection
+            # over the walks, and one per selection over the points that
+            # runs (each on columns): an endpoint, then its test, for at
+            # most two endpoints. R223's first clause fails on pf, which is
+            # inside.
             assert cost["scopes"] <= 1 + 1 + 2 * 2, (label, name, cost)
 
 
@@ -621,9 +624,27 @@ RUN_ON_COLUMNS = (
 RUN_ON_ROWS = (
     # a subexpression that reads the row
     Select(Attr("N"), Cmp(">", Agg("count", Select(Attr("M"), Cmp("<", Attr("j"), Attr("i")))), Lit(0))),
-    # a join on anything but `=`: a nested loop, with a scope per left row
+    # a join on anything but `=`: a nested loop, its condition run per left row
     Join(Attr("N"), Attr("M"), Cmp("<", Attr("i"), Attr("j"))),
 )
+
+
+def _rows_bound(plan, rel: Nf2Relation) -> int:
+    """How many times running plan over rel, after a first run, binds a row
+    to a scope: once per scope built and once per row a scope moves to."""
+    execute(plan, rel)
+    slot, bound = nf2._Scope.row, [0]
+
+    def bind(scope, row):
+        bound[0] += 1
+        slot.__set__(scope, row)
+
+    nf2._Scope.row = property(slot.__get__, bind)
+    try:
+        execute(plan, rel)
+    finally:
+        nf2._Scope.row = slot
+    return bound[0]
 
 
 @pytest.mark.parametrize(
@@ -632,12 +653,12 @@ RUN_ON_ROWS = (
     ids=lambda v: render(v) if not isinstance(v, bool) else str(v),
 )
 def test_which_operators_run_on_columns(node, on_columns):
-    # On columns an operator builds a fixed number of scopes (at most one
-    # per evaluation); a subexpression that reads the rows runs in a scope
-    # per row of N, and a nested loop builds one per left row, so at least
+    # On columns an operator binds a fixed number of rows to scopes (at most
+    # one scope per evaluation, bound once); a subexpression that reads the
+    # rows binds each row of N, and a nested loop each left row, so at least
     # 36 more for 40 rows than for 4.
     plan = _per_outer_row(node)
-    small, large = (_run_cost(plan, _nm(n))[1]["scopes"] for n in (4, 40))
+    small, large = (_rows_bound(plan, _nm(n)) for n in (4, 40))
     if on_columns:
         assert small == large, (small, large)
     else:
@@ -646,35 +667,58 @@ def test_which_operators_run_on_columns(node, on_columns):
 
 @pytest.mark.parametrize("fn", ("min", "max"))
 def test_min_max_of_a_column_build_no_projection(fn):
-    # A scope for the plan, the outer projection's scope and the outer
-    # row's (the aggregate reads its N), and the one result row; the
-    # Computed projection builds a row per row of N, from N's f column.
+    # A scope for the plan and the outer projection's (the aggregate reads
+    # the outer row's N), and the one result row; the Computed projection
+    # builds a row per row of N, from N's f column.
     for n in (4, 40):
         column = Agg(fn, Project(Attr("N"), (Col("f"),)))
         projected = Agg(fn, Project(Attr("N"), (Computed("f", Attr("f")),)))
         plans = (Project(Input(), (Computed("v", agg),)) for agg in (column, projected))
         costs = [_run_cost(plan, _nm(n))[1] for plan in plans]
-        assert costs == [{"scopes": 3, "rows": 1}, {"scopes": 3, "rows": 1 + n}]
+        assert costs == [{"scopes": 2, "rows": 1}, {"scopes": 2, "rows": 1 + n}]
 
 
 def test_nested_loop_runs_its_condition_once_per_left_row():
     # j < count(SELECT[c < k](C)): with k a literal the count is invariant
     # and selected once per join; with k = f, the left row's, once per left
-    # row (with an operator scope each, as it reads f), never per pair.
+    # row (with an operator scope each, as it reads f), never per pair. The
+    # join itself builds one scope for its left rows and one for its right.
     def cost(k, n):
         below = Agg("count", Select(C, Cmp("<", Attr("c"), k)))
         return _run_cost(_per_outer_row(Join(Attr("N"), Attr("M"), Cmp("<", Attr("j"), below))), _nm(n))[1]
 
     for n in (4, 40):
-        # the plan, the outer projection and its row, a scope per left row
-        assert cost(Lit(2.5), n) == {"scopes": 3 + n, "rows": 1 + 2 * n + 2}
-        assert cost(Attr("f"), n)["scopes"] == 3 + n + n
-    # A subexpression that reads the right rows runs in a scope per pair,
-    # chained to its left row: count(SELECT[c < i + j](C)) > 1.
+        # the plan, the outer projection, the join's two
+        assert cost(Lit(2.5), n) == {"scopes": 4, "rows": 1 + 2 * n + 2}
+        assert cost(Attr("f"), n)["scopes"] == 4 + n
+    # A subexpression that reads the right rows runs at each pair, in the
+    # right rows' scope chained to the left row's: count(SELECT[c < i + j](C)) > 1.
     below = Agg("count", Select(C, Cmp("<", Attr("c"), Arith("+", Attr("i"), Attr("j")))))
     pairs = Project(Join(Attr("N"), Attr("M"), Cmp(">", below, Lit(1))), (Col("i"), Col("j")))
     ((_, got),) = execute(_per_outer_row(pairs), _nm(4)).rows
     assert got.rows == tuple((i, j) for i in range(4) for j in range(4) if i + j > 2)
+
+
+def _walks(count: int) -> Nf2Relation:
+    """count two-point walks, the k-th over the time span [k, k + 0.5]."""
+    pairs = [(f"w{k}", build_trajectory([(0.0, 0.0, k), (1.0, 1.0, k + 0.5)])) for k in range(count)]
+    return trajectories_to_nf2(TrajectoriesRelation.from_pairs(pairs))
+
+
+@pytest.mark.parametrize(
+    "plan",
+    (
+        compile_temporal(AllenLabel.PRECEDES, Interval(10.0, 20.0)),
+        compile_temporal(AllenLabel.PRECEDED_BY, Interval(10.0, 20.0)),
+        Project(Input(), (Col("tid"), Sub("T", (Col("x"), Col("y"))))),
+    ),
+    ids=render,
+)
+def test_subexpressions_per_walk_build_no_scope_per_walk(plan):
+    # The operator over the walks builds one scope, which moves from walk to
+    # walk; the subexpression over each walk's points runs on its columns.
+    scopes = [_run_cost(plan, _walks(n))[1]["scopes"] for n in (4, 40)]
+    assert scopes[0] == scopes[1], scopes
 
 
 @pytest.mark.parametrize("label", (De9imLabel.R031, De9imLabel.R223), ids=("R031", "R223"))

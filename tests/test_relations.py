@@ -18,7 +18,7 @@ from helpers import (
     random_region,
     witness_path,
 )
-from trajq.errors import DegenerateSpanError, PredicateTypeError
+from trajq.errors import DegenerateSpanError, PredicateTypeError, UnsupportedLabelError
 from trajq.evaluate import RELAXED, STRICT, EvalEnv, evaluate
 from trajq.geometry import Interval, Region
 from trajq.model import build_trajectory
@@ -163,6 +163,17 @@ def test_allen_formulas_parse():
         assert allen_predicate(label).clauses
     for label in De9imLabel:
         assert de9im_predicate(label).clauses
+
+
+@pytest.mark.parametrize(
+    "lookup, label",
+    [(de9im_predicate, 5), (de9im_predicate, [1]), (de9im_predicate, "R031"), (de9im_predicate, AllenLabel.MEETS),
+     (allen_predicate, "x"), (allen_predicate, De9imLabel.R031)],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_catalog_formula_of_what_is_no_label_is_a_label_error(lookup, label):
+    with pytest.raises(UnsupportedLabelError):
+        lookup(label)
 
 
 def test_degenerate_span_rejected():
