@@ -3,7 +3,8 @@
 A dataset lives in up to three sibling files sharing one stem:
 
 * ``<stem>.csv`` with header ``tid,order,x,y,tau``, one row per recorded
-  point, in any row order (rows are sorted by (tid, order) on load);
+  point, in any row order (see below for how rows are put in (tid, order)
+  order on load);
 * ``<stem>.props.csv`` with header ``tid,<name>,...``, one optional row
   per trajectory carrying trajectory-level property values;
 * ``<stem>.pprops.csv`` with header ``tid,order,<name>,...``, one optional
@@ -21,11 +22,16 @@ float), quotes every cell holding a CR or LF, and uses LF line endings, so
 exporting a freshly ingested file reproduces it byte for byte.
 
 Ingest and export work a column at a time: a file is split into columns
-once (``_columns``), each column is checked and converted in one pass, and
-the rows are sorted by key once. Only when a check fails, a row's width
-included, is the file read again row by row, in file order, to raise the
-first fault with its line and field. The trajectories are built in one
-batch from the sorted columns (``Trajectory.from_runs``).
+once (``_columns``) and each column is checked and converted in one pass.
+A points file in the layout ``export_csv`` writes, rows grouped by tid in
+ascending tid order and each tid's orders written ``0``, ``1``, ... in
+order, is recognised by one comparison of its tid and order cells with the
+cells that layout implies; its orders need no parse and its rows no sort.
+Any other points file has its orders parsed and its rows sorted by key
+once. Only when a check fails, a row's width included, is the file read
+again row by row, in file order, to raise the first fault with its line and
+field. The trajectories are built in one batch from the columns in (tid,
+order) order (``Trajectory.from_runs``).
 
 Both property siblings are read and written by one keyed reader and one
 writer, parameterised by the key columns: ``tid,order`` for point
@@ -33,7 +39,11 @@ properties, ``tid`` alone for trajectory properties, whose rows are read
 as order 0 of a trajectory with one order. A sibling is read in two steps:
 a check, which raises every fault of the file, and a build, which types
 the cells and groups them per trajectory as (order, value) pairs and
-cannot fail; a trajectory property's value is its one pair's value.
+cannot fail; a trajectory property's value is its one pair's value. The
+points file's keys are checked once: a sibling whose key cells repeat them
+row for row (for trajectory properties, the trajectories' tids in tid
+order) needs no key check of its own and shares the points' tid codes,
+orders and sort; its width and its value cells are still checked.
 ``ingest_csv`` runs both; ``load_trajectories``, for callers that read no
 properties, runs only the checks, so it rejects exactly the files
 ``ingest_csv`` rejects, with the same errors.
@@ -44,8 +54,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import re
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, islice, repeat
 from pathlib import Path
@@ -55,7 +67,13 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, 
 import numpy as np
 
 from ._fmt import format_float
-from .errors import CsvParseError, DuplicateKeyError, InvariantViolationError, NonMonotoneTimeError
+from .errors import (
+    CsvParseError,
+    DuplicateKeyError,
+    InvariantViolationError,
+    NonMonotoneTimeError,
+    PredicateTypeError,
+)
 from .model import (
     PropertyRelation,
     PropertyValue,
@@ -125,9 +143,17 @@ def _long_int(cell: str) -> bool:
 
 def _has_long_int(text: str, columns: Iterable[Sequence[str]]) -> bool:
     """Whether a property cell of the columns, read from text, cannot be
-    typed; only a cell longer than the digit limit can be one."""
-    limit = sys.get_int_max_str_digits() or math.inf
-    return len(text) > limit and any(
+    typed. Such a cell holds more than ``limit`` characters and no LF, so it
+    covers one of the stretches ``text[i : i + half]``, i a multiple of
+    ``half = limit // 2 + 1``: the cells are read only if one has no LF."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:  # no limit: int converts every literal
+        return False
+    half = limit // 2 + 1
+    stretches = range(0, len(text) - half + 1, half)
+    if all(text.find("\n", i, i + half) >= 0 for i in stretches):
+        return False
+    return any(
         max(map(len, column)) > limit and any(map(_long_int, column)) for column in columns
     )
 
@@ -263,7 +289,42 @@ def _all_ints(cells: Sequence[str]) -> bool:
     return joined.count(",") == len(cells) - 1 and _INTS_RE.match(joined) is not None
 
 
-def _ingest_points(path: Path) -> TrajectoriesRelation:
+class _Keys(NamedTuple):
+    """The keys of a checked points file: the tid and order cell of each row,
+    each trajectory's size in tid order, each row's tid code (its index in
+    that order) and order, and the rows sorted by (tid, order)."""
+
+    tids: list[str]
+    orders: list[str]
+    sizes: dict[str, int]
+    codes: np.ndarray
+    order_col: np.ndarray
+    perm: np.ndarray
+
+
+_NO_KEYS = _Keys([], [], {}, *(np.zeros(0, np.int64) for _ in range(3)))
+
+
+def _canonical_runs(tids: list[str], orders: list[str]) -> tuple[list[int], list[int]] | None:
+    """Where each trajectory's rows start and how many there are, if the key
+    cells are laid out as ``export_csv`` writes them: rows grouped by tid in
+    ascending tid order, and each tid's orders written ``0``, ``1``, ... in
+    order. None otherwise."""
+    if tids != sorted(tids):
+        return None
+    starts: list[int] = []
+    i = 0
+    while i < len(tids):  # one step per trajectory
+        starts.append(i)
+        i = bisect_right(tids, tids[i], i)
+    sizes = list(map(operator.sub, [*starts[1:], len(tids)], starts))
+    digits = list(map(str, range(max(sizes))))
+    if orders != list(chain.from_iterable(map(digits.__getitem__, map(slice, sizes)))):
+        return None
+    return starts, sizes
+
+
+def _ingest_points(path: Path) -> tuple[TrajectoriesRelation, _Keys]:
     text = _read_text(path)
     header, columns = _columns(text)
     if len(_check_header(header, POINTS_HEADER, path)) != 5:
@@ -273,38 +334,47 @@ def _ingest_points(path: Path) -> TrajectoriesRelation:
     tids, orders, *coords = columns
     n = len(tids)
     if not n:
-        return TrajectoriesRelation(())
-    if "" in tids or not _all_ints(orders):
+        return TrajectoriesRelation(()), _NO_KEYS
+    if "" in tids:
         _raise_points_fault(text)
     try:
         values = np.fromiter(map(float, chain.from_iterable(coords)), np.float64, 3 * n)
     except ValueError:
         _raise_points_fault(text)
-    order_col = _int_column(orders)
-    if (
-        order_col is None
-        or not np.isfinite(values).all()
-        or order_col.min() < 0
-        or order_col.max() >= n
-    ):
+    if not np.isfinite(values).all():
         _raise_points_fault(text)
+    values = values.reshape(3, n)
 
-    names = sorted(set(tids))
-    code = {tid: i for i, tid in enumerate(names)}
-    codes = np.fromiter(map(code.__getitem__, tids), np.int64, n)
-    perm = np.argsort(codes * n + order_col, kind="stable")
-    counts = np.bincount(codes, minlength=len(names))
-    starts = np.cumsum(counts) - counts
-    # Sorted, each trajectory's orders must read 0, 1, ..., count - 1, so
-    # none repeats and none is missing.
-    contiguous = np.array_equal(order_col[perm], np.arange(n) - np.repeat(starts, counts))
-    if not contiguous:
-        _raise_points_fault(text)
+    runs = _canonical_runs(tids, orders)
+    if runs is not None:  # the layout export_csv writes: nothing to sort
+        starts, counts = runs
+        names = [tids[i] for i in starts]
+        codes = np.repeat(np.arange(len(names)), counts)
+        order_col = np.arange(n) - np.repeat(starts, counts)
+        perm = np.arange(n)
+    else:
+        order_col = _int_column(orders) if _all_ints(orders) else None
+        if order_col is None or order_col.min() < 0 or order_col.max() >= n:
+            _raise_points_fault(text)
+        names = sorted(set(tids))
+        code = {tid: i for i, tid in enumerate(names)}
+        codes = np.fromiter(map(code.__getitem__, tids), np.int64, n)
+        perm = np.argsort(codes * n + order_col, kind="stable")
+        counts = np.bincount(codes, minlength=len(names)).tolist()
+        starts = np.cumsum(counts) - counts
+        # Sorted, each trajectory's orders must read 0, 1, ..., count - 1, so
+        # none repeats and none is missing.
+        contiguous = np.array_equal(order_col[perm], np.arange(n) - np.repeat(starts, counts))
+        if not contiguous:
+            _raise_points_fault(text)
+        values = values[:, perm]
     try:  # the model checks that time increases
-        built = Trajectory.from_runs(*values.reshape(3, n)[:, perm], starts)
+        built = Trajectory.from_runs(*values, starts)
     except NonMonotoneTimeError:
         _raise_points_fault(text)
-    return TrajectoriesRelation(tuple(zip(names, built)))
+    sizes = dict(zip(names, counts))
+    keys = _Keys(tids, orders, sizes, codes, order_col, perm)
+    return TrajectoriesRelation(tuple(zip(names, built))), keys
 
 
 def _raise_points_fault(text: str) -> NoReturn:
@@ -358,38 +428,61 @@ class _Cells(NamedTuple):
     perm: np.ndarray
 
 
-def _check_keyed(path: Path, keys: tuple[str, ...], sizes: Mapping[str, int]) -> _Cells | None:
-    """Check a property file keyed by ``keys`` against the trajectories' tids
-    and sizes; a file keyed by tid alone holds order 0 of each trajectory.
-    None for a file that is absent or has no row."""
+def _sorted_keys(
+    tids: list[str], orders: list[str], sizes: Mapping[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The code and order of each row of a property file and its rows sorted
+    by (tid, order), or None if a tid is unknown, an order is no integer or
+    out of its trajectory's range, or a key repeats."""
+    known = sizes.keys() >= set(tids) and _all_ints(orders)
+    order_col = _int_column(orders) if known else None
+    if order_col is None:
+        return None
+    code = {tid: i for i, tid in enumerate(sizes)}
+    codes = np.fromiter(map(code.__getitem__, tids), np.int64, len(tids))
+    if not ((order_col >= 0) & (order_col < np.array(list(sizes.values()))[codes])).all():
+        return None
+    key_col = codes * max(sizes.values()) + order_col
+    perm = np.argsort(key_col, kind="stable")
+    sorted_keys = key_col[perm]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        return None
+    return codes, order_col, perm
+
+
+def _check_keyed(path: Path, keys: tuple[str, ...], points: _Keys) -> _Cells | None:
+    """Check a property file keyed by ``keys`` against the points file's
+    keys; a file keyed by tid alone holds order 0 of each trajectory. A file
+    whose keys are the points file's, row for row (the trajectories' tids in
+    order, if keyed by tid alone), needs no key check and shares the points'
+    codes, orders and sort. None for a file that is absent or has no row."""
     try:
         text = _read_text(path)
     except FileNotFoundError:  # the file is optional
         return None
     header, body = _columns(text)
     header = _check_header(header, keys, path)
-    if len(keys) == 1:
-        sizes = dict.fromkeys(sizes, 1)
+    sizes = points.sizes if len(keys) > 1 else dict.fromkeys(points.sizes, 1)
     if body is None:
         _raise_keyed_fault(text, path, header, keys, sizes)
     tids, *columns = body
     if not tids:
         return None
-    orders = columns.pop(0) if len(keys) > 1 else ["0"] * len(tids)
-    known = sizes.keys() >= set(tids) and _all_ints(orders)
-    order_col = _int_column(orders) if known else None
-    if order_col is None:
+    if len(keys) > 1:
+        orders = columns.pop(0)
+        same = tids == points.tids and orders == points.orders
+        if same:
+            sorted_keys = points.codes, points.order_col, points.perm
+        else:
+            sorted_keys = _sorted_keys(tids, orders, sizes)
+    elif tids == list(sizes):
+        rows = np.arange(len(tids))
+        sorted_keys = rows, np.zeros_like(rows), rows
+    else:
+        sorted_keys = _sorted_keys(tids, ["0"] * len(tids), sizes)
+    if sorted_keys is None or _has_long_int(text, columns):
         _raise_keyed_fault(text, path, header, keys, sizes)
-    code = {tid: i for i, tid in enumerate(sizes)}
-    codes = np.fromiter(map(code.__getitem__, tids), np.int64, len(tids))
-    if not ((order_col >= 0) & (order_col < np.array(list(sizes.values()))[codes])).all():
-        _raise_keyed_fault(text, path, header, keys, sizes)
-    key_col = codes * max(sizes.values()) + order_col
-    perm = np.argsort(key_col, kind="stable")
-    sorted_keys = key_col[perm]
-    if (sorted_keys[1:] == sorted_keys[:-1]).any() or _has_long_int(text, columns):
-        _raise_keyed_fault(text, path, header, keys, sizes)
-    return _Cells(header[len(keys) :], tids, columns, codes, order_col, perm)
+    return _Cells(header[len(keys) :], tids, columns, *sorted_keys)
 
 
 def _raise_keyed_fault(
@@ -451,10 +544,18 @@ def _siblings(path: Path) -> list[tuple[Path, tuple[str, ...]]]:
     return [(path.with_name(path.stem + suffix), keys) for suffix, keys in _SIBLINGS]
 
 
-def _check_siblings(path: Path, trajectories: TrajectoriesRelation) -> list[_Cells | None]:
+def _check_siblings(path: Path, points: _Keys) -> list[_Cells | None]:
     """Check the property files beside a points file, if they exist."""
-    sizes = {tid: len(t) for tid, t in trajectories}
-    return [_check_keyed(sibling, keys, sizes) for sibling, keys in _siblings(path)]
+    return [_check_keyed(sibling, keys, points) for sibling, keys in _siblings(path)]
+
+
+def _require_path(path: Union[str, Path]) -> Path:
+    try:
+        return Path(path)
+    except TypeError:
+        raise PredicateTypeError(
+            f"a data file is named by a str or path, got {type(path).__name__}"
+        ) from None
 
 
 def load_trajectories(path: Union[str, Path]) -> TrajectoriesRelation:
@@ -466,9 +567,9 @@ def load_trajectories(path: Union[str, Path]) -> TrajectoriesRelation:
     Raises:
         as ``ingest_csv``.
     """
-    path = Path(path)
-    trajectories = _ingest_points(path)
-    _check_siblings(path, trajectories)
+    path = _require_path(path)
+    trajectories, keys = _ingest_points(path)
+    _check_siblings(path, keys)
     return trajectories
 
 
@@ -476,6 +577,9 @@ def ingest_csv(path: Union[str, Path]) -> Dataset:
     """Load a dataset from a points CSV and its optional property siblings.
 
     Raises:
+        PredicateTypeError: path is no str or path.
+        OSError: the points file, or a property file that exists, cannot be
+            read (missing, a directory, no permission).
         CsvParseError: malformed header or cell, a cell longer than
             ``csv.field_size_limit()``, or an integer with more digits than
             ``int`` converts (``sys.get_int_max_str_digits()``).
@@ -483,10 +587,10 @@ def ingest_csv(path: Union[str, Path]) -> Dataset:
         InvariantViolationError: orders not contiguous, time not strictly
             increasing, or a property row referencing an unknown id.
     """
-    path = Path(path)
-    trajectories = _ingest_points(path)
+    path = _require_path(path)
+    trajectories, keys = _ingest_points(path)
     tids = trajectories.tids()
-    props, pprops = (_build_keyed(c, tids) for c in _check_siblings(path, trajectories))
+    props, pprops = (_build_keyed(c, tids) for c in _check_siblings(path, keys))
     values = {tid: {n: pairs[0][1] for n, pairs in per.items()} for tid, per in props.items()}
     return Dataset(
         trajectories,
@@ -548,8 +652,14 @@ def export_csv(d: Dataset, path: Union[str, Path]) -> None:
     sibling left by an earlier export is not read back with these points.
     Rows are sorted by (tid, order) and property columns by name, so
     exporting a freshly ingested file reproduces it byte for byte.
+
+    Raises:
+        PredicateTypeError: d is no Dataset, or path no str or path.
+        OSError: a file cannot be written or a stale sibling deleted.
     """
-    path = Path(path)
+    if not isinstance(d, Dataset):
+        raise PredicateTypeError(f"a dataset is a Dataset, got {type(d).__name__}")
+    path = _require_path(path)
     rel = d.trajectories
     columns = [
         map(format_float, np.concatenate(c).tolist())

@@ -87,7 +87,10 @@ class UnknownNameError(TrajqError, KeyError):
 
 
 class PredicateTypeError(TrajqError):
-    """A predicate applies a temporal operator to a region, or similar kind mismatch."""
+    """An argument of the wrong kind: a predicate that applies a temporal
+    operator to a region, or a value handed over where another kind belongs
+    (a predicate or its text, an environment, a trajectory, a region or an
+    interval, a relation, labels, a dataset or a data file's path)."""
 
 
 # --- evaluation ---------------------------------------------------------

@@ -134,10 +134,19 @@ class ApproxStrategy:
     The generator must return parameters within [0, 1] in ascending order;
     0 and 1 are tolerated and ignored (the segment endpoints are already
     recorded points).
+
+    Raises:
+        StrategyParameterError: point_generator is not callable.
     """
 
     name: str
     point_generator: Callable[[Segment], Sequence[float]]
+
+    def __post_init__(self):
+        if not callable(self.point_generator):
+            raise StrategyParameterError(
+                f"a strategy's point generator is callable, got {self.point_generator!r}"
+            )
 
 
 # The most points ``uniform`` inserts per segment. Its grid takes time and
@@ -193,6 +202,8 @@ def resolve_strategy(name: str, param: int | None = None) -> ApproxStrategy:
 
     Raises:
         UnknownStrategyError: no factory is registered under name.
+        StrategyParameterError: the factory refuses param, or returns no
+            ApproxStrategy.
     """
     try:
         factory = _STRATEGY_FACTORIES[name]
@@ -201,7 +212,12 @@ def resolve_strategy(name: str, param: int | None = None) -> ApproxStrategy:
         raise UnknownStrategyError(
             f"no approximation strategy named {name!r} (registered: {known})"
         ) from None
-    return factory(param)
+    strategy = factory(param)
+    if not isinstance(strategy, ApproxStrategy):
+        raise StrategyParameterError(
+            f"the factory registered as {name!r} returned {strategy!r}, not an ApproxStrategy"
+        )
+    return strategy
 
 
 register_strategy(

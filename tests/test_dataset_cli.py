@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 from trajq.cli import main
-from trajq.dataset import Dataset, export_csv, ingest_csv
+from trajq.dataset import Dataset, export_csv, ingest_csv, load_trajectories
 from trajq.errors import (
     CsvParseError,
     DuplicateKeyError,
     InvariantViolationError,
+    PredicateTypeError,
     UnknownPropertyError,
 )
 from trajq.model import segment_property_view
@@ -229,6 +230,30 @@ def test_model_invariants_reported_per_trajectory(tmp_path):
     with pytest.raises(InvariantViolationError) as exc:
         ingest_csv(stuck)
     assert "non-monotone time" in str(exc.value)
+
+
+def test_ingest_of_a_number_is_a_type_error():
+    with pytest.raises(PredicateTypeError, match="got int"):
+        ingest_csv(5)
+
+
+def test_load_of_none_is_a_type_error():
+    with pytest.raises(PredicateTypeError, match="got NoneType"):
+        load_trajectories(None)
+
+
+def test_export_of_a_number_is_a_type_error(tmp_path):
+    with pytest.raises(PredicateTypeError, match="got int"):
+        export_csv(5, tmp_path / "d.csv")
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("load", [ingest_csv, load_trajectories])
+@pytest.mark.parametrize("name", ["missing.csv", "a-directory"])
+def test_an_unreadable_data_file_is_an_os_error(load, name, tmp_path):
+    (tmp_path / "a-directory").mkdir()
+    with pytest.raises(OSError):
+        load(tmp_path / name)
 
 
 def test_property_files_validated_against_points(tmp_path):

@@ -7,6 +7,7 @@ of it). Randomized tests pin the mode-ordering and duality laws and the
 convergence of dense uniform sampling to the exact relaxed result.
 """
 
+import importlib
 import math
 import random
 
@@ -53,6 +54,9 @@ from trajq.geometry import (
 )
 from trajq.model import Segment, TrajectoriesRelation, build_trajectory
 from trajq.predicate import parse_predicate
+
+# The package's function ``evaluate`` shadows its submodule of that name.
+evaluation = importlib.import_module("trajq.evaluate")
 
 CROSSING = build_trajectory(
     [(0.5, 1.5, 100), (2.2, 0.9, 110), (3.5, 0.35, 120), (5.4, 0.25, 130)]
@@ -293,6 +297,18 @@ def test_registering_a_bad_name_or_factory_is_a_parameter_error(name, factory):
         register_strategy(name, factory)
     with pytest.raises(UnknownStrategyError):  # nothing was registered
         evaluate(Q1, CROSSING, CROSS_ENV, approximated(name))
+
+
+def test_strategy_with_no_callable_generator_is_a_parameter_error():
+    with pytest.raises(StrategyParameterError, match="got None"):
+        ApproxStrategy("x", None)
+
+
+def test_factory_that_returns_no_approx_strategy_is_a_parameter_error(monkeypatch):
+    monkeypatch.setattr(evaluation, "_STRATEGY_FACTORIES", dict(evaluation._STRATEGY_FACTORIES))
+    register_strategy("junk", lambda param: (0.5,))
+    with pytest.raises(StrategyParameterError, match="returned \\(0.5,\\)"):
+        evaluate(Q1, CROSSING, CROSS_ENV, approximated("junk"))
 
 
 def test_unhashable_strategy_name_is_unknown():

@@ -10,19 +10,26 @@ the same text, line and field; export must write the same bytes.
 ``load_trajectories``, which checks the property files without building
 them, must give the same trajectories or the same exception, and every CLI
 command that loads data the same exit code and error line as ``validate``.
+The same holds for each generated dataset rewritten into the layout
+``export_csv`` writes, which ingest recognises and does not sort, and with
+property files whose keys repeat the points file's, whose key checks ingest
+skips.
 """
 
 import contextlib
 import csv
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trajq.dataset
 from trajq._fmt import format_float
 from trajq.cli import main
 from trajq.dataset import (
@@ -32,6 +39,7 @@ from trajq.dataset import (
     _parse_int,
     _parse_value,
     _columns,
+    _has_long_int,
     export_csv,
     ingest_csv,
     load_trajectories,
@@ -437,6 +445,87 @@ def test_column_ingest_matches_the_row_loop(files, terminator):
 
 
 
+def _canonical_points(files: dict) -> dict:
+    """The files with the points' rows sorted by tid, then by order, each
+    integer order cell written as ``export_csv`` writes it; rows with no
+    integer order, of any width, follow their tid's."""
+
+    def key(row):
+        order = row[1] if len(row) > 1 else ""
+        if re.fullmatch(r"[+-]?[0-9]{1,100}", order):
+            row[1] = str(int(order))
+            return row[0], 0, int(order)
+        return (row[0] if row else ""), 1, 0
+
+    header, *rows = files[".csv"]
+    return {**files, ".csv": [header, *sorted(map(list, rows), key=key)]}
+
+
+def _repeated_keys(files: dict) -> dict:
+    """The files with each property file's key cells rewritten to repeat the
+    points file's keys: a ``.pprops.csv`` row per points row with that row's
+    tid and order cells, a ``.props.csv`` row per tid of the points, in tid
+    order. Row i keeps the property cells of the file's row i, if any."""
+    points = files[".csv"][1:]
+    keys = {
+        ".pprops.csv": [row[:2] for row in points],
+        ".props.csv": [[tid] for tid in sorted({row[0] for row in points if row})],
+    }
+    out = dict(files)
+    for suffix, new_keys in keys.items():
+        if suffix in files:
+            header, *rows = files[suffix]
+            width = len(header) - len(new_keys[0]) if new_keys else 0
+            cells = [row[len(key) :] for row, key in zip(rows, new_keys)]
+            cells += [[""] * width] * (len(new_keys) - len(cells))
+            out[suffix] = [header, *map(list.__add__, new_keys, cells)]
+    return out
+
+
+# Points files near the layout export_csv writes, each read as the row loop
+# reads it: runs that look canonical but are not in tid order, a repeated
+# run, orders written otherwise, and the layout itself.
+NEAR_CANONICAL = [
+    "tid,order,x,y,tau\nB,0,0,0,0\nC,0,1,1,1\nB,1,2,2,2\n",
+    "tid,order,x,y,tau\nA,0,0,0,0\nC,0,1,1,1\nB,1,2,2,2\n",
+    "tid,order,x,y,tau\nB,0,0,0,0\nA,0,1,1,1\n",
+    "tid,order,x,y,tau\nA,0,0,0,0\nB,0,1,1,1\nA,1,2,2,2\n",
+    "tid,order,x,y,tau\nA,0,0,0,0\nA,01,1,1,1\nB,+0,2,2,2\n",
+    "tid,order,x,y,tau\nA,0,0,0,0\nA,1,1,1,1\nA,1,2,2,2\n",
+    "tid,order,x,y,tau\nA,0,0,0,0\nA,1,1,1,0\nB,0,2,2,2\n",
+    "tid,order,x,y,tau\nA,0,0,0,0\nA,1,1,1,1\nB,0,2,2,2\n",
+]
+
+
+@pytest.mark.parametrize("points", NEAR_CANONICAL)
+def test_a_points_file_near_the_canonical_layout_is_read_as_the_row_loop_reads_it(
+    points, tmp_path
+):
+    path = _write_files(tmp_path, {".csv": points, ".pprops.csv": "tid,order,s\nA,0,x\n"})
+    want = _outcome(reference_ingest, path)
+    assert _outcome(ingest_csv, path) == want
+    if not isinstance(want[0], type):  # loaded: the typed trajectories and the relation
+        want = want[0][0], want[1].trajectories
+    assert _loaded(path) == want
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(dataset_files(), st.sampled_from(["\n", "\r\n"]))
+def test_canonical_files_and_repeated_keys_match_the_row_loop(files, terminator):
+    canonical = _canonical_points(files)
+    for variant in (canonical, _repeated_keys(files), _repeated_keys(canonical)):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write_files(Path(tmp), variant, terminator)
+            got, want = _outcome(ingest_csv, path), _outcome(reference_ingest, path)
+            loaded = _loaded(path)
+        assert got[0] == want[0]
+        if isinstance(got[0], type):
+            assert got == want == loaded
+        else:
+            assert got[1] == want[1]
+            assert loaded == (got[0][0], got[1].trajectories)
+
+
 # --- which path reads a file ----------------------------------------------
 
 
@@ -521,6 +610,48 @@ def test_a_fault_is_raised_alike_on_either_path(suffix, row, edit, tmp_path):
     assert _outcome(ingest_csv, quoted) == _outcome(ingest_csv, plain) == want
 
 
+@pytest.mark.parametrize("layout", ["canonical", "reversed"])
+@pytest.mark.parametrize("suffix,row,edit", DEPOT_FAULTS)
+def test_a_depot_fault_is_the_row_loops(suffix, row, edit, layout, tmp_path):
+    files = _depot()
+    files[suffix][row] = edit(files[suffix][row])
+    if layout == "reversed":  # not canonical; the point properties still repeat its keys
+        files = {suffix: [rows[0], *rows[:0:-1]] for suffix, rows in files.items()}
+    path = _write_depot(tmp_path / "depot", files, quoted=False)
+    want = _outcome(reference_ingest, path)
+    assert isinstance(want[0], type) and issubclass(want[0], TrajqError)
+    assert _outcome(ingest_csv, path) == want
+    assert _loaded(path) == want
+
+
+class _KeyWorkDone(Exception):
+    pass
+
+
+def _key_work(*args, **kwargs):
+    raise _KeyWorkDone
+
+
+def test_a_canonical_depot_checks_its_keys_once(tmp_path, monkeypatch):
+    path = _write_depot(tmp_path / "depot", _depot(), quoted=False)
+    want = reference_ingest(path)
+    with monkeypatch.context() as patch:
+        for module, name in (
+            (trajq.dataset, "_all_ints"),
+            (trajq.dataset, "_int_column"),
+            (np, "argsort"),
+        ):
+            patch.setattr(module, name, _key_work)
+        loaded = load_trajectories(path)
+        dataset = ingest_csv(path)
+        files = _depot()  # the key checks run once a sibling's keys differ
+        del files[".pprops.csv"][7]
+        with pytest.raises(_KeyWorkDone):
+            ingest_csv(_write_depot(tmp_path / "fewer", files, quoted=False))
+    assert dataset == want and _typed(dataset) == _typed(want)
+    assert loaded == want.trajectories
+
+
 # --- what only the check-only path and the CLI add ----------------------
 
 
@@ -549,6 +680,18 @@ def test_an_integer_with_too_many_digits_is_a_positioned_parse_error(
     assert _outcome(reference_ingest, path) == want
     for command in _commands(str(path)):
         assert _cli(command) == (1, "", f"error: {want[1]}\n"), command[0]
+
+
+def test_a_long_integer_is_found_wherever_its_line_starts():
+    # The check reads the cells only if one of the stretches it probes for a
+    # line break has none; a cell one digit too long must be found at every
+    # offset of its line against those stretches.
+    limit = sys.get_int_max_str_digits()
+    cell = "1" * (limit + 1)
+    for offset in range(limit // 2 + 2):
+        text = "tid,n\n" + "x" * offset + "\n" + cell + "\nA,1\n"
+        assert _has_long_int(text, [["2", cell, "1"]]), offset
+        assert not _has_long_int(text, [["2", cell[1:], "1"]]), offset
 
 
 def _commands(data: str) -> list[list[str]]:
