@@ -43,7 +43,9 @@ cannot fail; a trajectory property's value is its one pair's value. The
 points file's keys are checked once: a sibling whose key cells repeat them
 row for row (for trajectory properties, the trajectories' tids in tid
 order) needs no key check of its own and shares the points' tid codes,
-orders and sort; its width and its value cells are still checked.
+orders and sort; its width and its value cells are still checked. Codes,
+orders and sort are arrays only a build reads, so a file that needed no
+sort (the canonical layout, or such a sibling) has them made on first use.
 ``ingest_csv`` runs both; ``load_trajectories``, for callers that read no
 properties, runs only the checks, so it rejects exactly the files
 ``ingest_csv`` rejects, with the same errors.
@@ -59,10 +61,11 @@ import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence, Union
 
 import numpy as np
 
@@ -289,20 +292,35 @@ def _all_ints(cells: Sequence[str]) -> bool:
     return joined.count(",") == len(cells) - 1 and _INTS_RE.match(joined) is not None
 
 
+# Each row's tid code (the index of its tid among the trajectories in tid
+# order) and order, and the rows sorted by (tid, order), as a function
+# that makes or returns them: only a property build reads them.
+_SortedKeys = Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 class _Keys(NamedTuple):
     """The keys of a checked points file: the tid and order cell of each row,
-    each trajectory's size in tid order, each row's tid code (its index in
-    that order) and order, and the rows sorted by (tid, order)."""
+    each trajectory's size in tid order, and its sorted keys."""
 
     tids: list[str]
     orders: list[str]
     sizes: dict[str, int]
-    codes: np.ndarray
-    order_col: np.ndarray
-    perm: np.ndarray
+    sort: _SortedKeys
 
 
-_NO_KEYS = _Keys([], [], {}, *(np.zeros(0, np.int64) for _ in range(3)))
+def _run_keys(starts: Sequence[int], counts: list[int]) -> tuple[np.ndarray, ...]:
+    """The sorted keys of rows already in (tid, order) order: code i's run
+    starts at row ``starts[i]`` and holds orders 0 to ``counts[i] - 1``."""
+    rows = np.arange(sum(counts))
+    return np.repeat(np.arange(len(counts)), counts), rows - np.repeat(starts, counts), rows
+
+
+def _sort_of(sorted_keys: tuple[np.ndarray, ...] | None) -> _SortedKeys | None:
+    """Sorted keys already made, as a ``_SortedKeys``; None for None."""
+    return None if sorted_keys is None else lambda: sorted_keys
+
+
+_NO_KEYS = _Keys([], [], {}, _sort_of((np.zeros(0, np.int64),) * 3))
 
 
 def _canonical_runs(tids: list[str], orders: list[str]) -> tuple[list[int], list[int]] | None:
@@ -349,9 +367,7 @@ def _ingest_points(path: Path) -> tuple[TrajectoriesRelation, _Keys]:
     if runs is not None:  # the layout export_csv writes: nothing to sort
         starts, counts = runs
         names = [tids[i] for i in starts]
-        codes = np.repeat(np.arange(len(names)), counts)
-        order_col = np.arange(n) - np.repeat(starts, counts)
-        perm = np.arange(n)
+        sort = partial(_run_keys, starts, counts)
     else:
         order_col = _int_column(orders) if _all_ints(orders) else None
         if order_col is None or order_col.min() < 0 or order_col.max() >= n:
@@ -368,12 +384,13 @@ def _ingest_points(path: Path) -> tuple[TrajectoriesRelation, _Keys]:
         if not contiguous:
             _raise_points_fault(text)
         values = values[:, perm]
+        sort = _sort_of((codes, order_col, perm))
     try:  # the model checks that time increases
         built = Trajectory.from_runs(*values, starts)
     except NonMonotoneTimeError:
         _raise_points_fault(text)
     sizes = dict(zip(names, counts))
-    keys = _Keys(tids, orders, sizes, codes, order_col, perm)
+    keys = _Keys(tids, orders, sizes, sort)
     return TrajectoriesRelation(tuple(zip(names, built))), keys
 
 
@@ -416,16 +433,13 @@ _SIBLINGS = ((".props.csv", ("tid",)), (".pprops.csv", ("tid", "order")))
 
 class _Cells(NamedTuple):
     """A checked property file whose cells are not yet typed: the property
-    names, the tid of each row, a column of cells per name, the code of each
-    row's tid (its index among the trajectories), each row's order and the
-    rows sorted by (tid, order)."""
+    names, the tid of each row, a column of cells per name and its sorted
+    keys."""
 
     names: list[str]
     tids: list[str]
     columns: list[list[str]]
-    codes: np.ndarray
-    orders: np.ndarray
-    perm: np.ndarray
+    sort: _SortedKeys
 
 
 def _sorted_keys(
@@ -471,18 +485,14 @@ def _check_keyed(path: Path, keys: tuple[str, ...], points: _Keys) -> _Cells | N
     if len(keys) > 1:
         orders = columns.pop(0)
         same = tids == points.tids and orders == points.orders
-        if same:
-            sorted_keys = points.codes, points.order_col, points.perm
-        else:
-            sorted_keys = _sorted_keys(tids, orders, sizes)
+        sort = points.sort if same else _sort_of(_sorted_keys(tids, orders, sizes))
     elif tids == list(sizes):
-        rows = np.arange(len(tids))
-        sorted_keys = rows, np.zeros_like(rows), rows
+        sort = partial(_run_keys, range(len(tids)), [1] * len(tids))
     else:
-        sorted_keys = _sorted_keys(tids, ["0"] * len(tids), sizes)
-    if sorted_keys is None or _has_long_int(text, columns):
+        sort = _sort_of(_sorted_keys(tids, ["0"] * len(tids), sizes))
+    if sort is None or _has_long_int(text, columns):
         _raise_keyed_fault(text, path, header, keys, sizes)
-    return _Cells(header[len(keys) :], tids, columns, *sorted_keys)
+    return _Cells(header[len(keys) :], tids, columns, sort)
 
 
 def _raise_keyed_fault(
@@ -521,10 +531,11 @@ def _build_keyed(
     out: dict[str, dict[str, tuple[tuple[int, PropertyValue], ...]]] = {tid: {} for tid in tids}
     if not cells:
         return out
-    perm = cells.perm.tolist()
-    sorted_orders = cells.orders[cells.perm].tolist()
+    codes, orders, sort = cells.sort()
+    perm = sort.tolist()
+    sorted_orders = orders[sort].tolist()
     # The last row of each tid in (tid, order) order.
-    last = [*np.flatnonzero(np.diff(cells.codes[cells.perm])).tolist(), len(perm) - 1]
+    last = [*np.flatnonzero(np.diff(codes[sort])).tolist(), len(perm) - 1]
     last_tids = [cells.tids[perm[i]] for i in last]
     for name, column in zip(cells.names, cells.columns):
         parsed = {cell: _parse_value(cell) for cell in set(column) if cell}  # typed once

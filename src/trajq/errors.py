@@ -90,7 +90,8 @@ class PredicateTypeError(TrajqError):
     """An argument of the wrong kind: a predicate that applies a temporal
     operator to a region, or a value handed over where another kind belongs
     (a predicate or its text, an environment, a trajectory, a region or an
-    interval, a relation, labels, a dataset or a data file's path)."""
+    interval, a relation or the pairs it is built from, a property relation,
+    labels, a dataset or a data file's path)."""
 
 
 # --- evaluation ---------------------------------------------------------

@@ -37,6 +37,13 @@ still collapse or overflow, and a box decision would hide the
 ``CrossingOverflowError`` raised for them. Approximated sites are computed
 as (1 - λ)·a + λ·b and can round to just outside the box of the vertices.
 
+An approximated strategy sees one ``Segment`` record per segment, in
+order, and returns its parameters λ for it (``_augmented_arrays``). The
+records are built by ``model.segments`` on each evaluation, straight from
+the trajectory's cached point records and without the dataclass
+constructor; they are equal to, hash and print as constructed ones, so
+that protocol is unchanged.
+
 Relaxed sites come from one vectorised pass over all segments of a
 trajectory. Every atom tests a box: a region's bounds, an interval, or for
 BEFORE and AFTER the half-line before or after it. On one segment the
@@ -515,19 +522,30 @@ def _not_reals(strategy: ApproxStrategy) -> StrategyOutputError:
 def _augmented_arrays(
     t: Trajectory, strategy: ApproxStrategy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of t with the strategy's points inserted. The strategy
+    is called once per segment, in order, with that segment's ``Segment``
+    record (:func:`segments` builds them without the dataclass
+    ``__init__``, equal to records built with it), and its output is
+    checked as a whole: real numbers, within [0, 1], ascending per segment.
+
+    Raises:
+        StrategyOutputError: the output fails a check.
+    """
+    generate = strategy.point_generator
     lams: list[float] = []
     counts: list[int] = []
+    extend, count = lams.extend, counts.append
     for seg in segments(t):
-        out = strategy.point_generator(seg)
+        out = generate(seg)
         before = len(lams)
         try:
-            lams.extend(out)
+            extend(out)
         except TypeError as exc:  # not iterable
             raise _not_reals(strategy) from exc
-        counts.append(len(lams) - before)
+        count(len(lams) - before)
     try:
         lam = np.array(lams, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged, or items no float takes
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, or items no float takes
         raise _not_reals(strategy) from exc
     if lam.ndim != 1:
         raise _not_reals(strategy)

@@ -12,6 +12,11 @@ float64 columns, which is what evaluation, export and the nested-relational
 engine read. ``t.points`` is a view of the same data as ``TrajectoryPoint``
 records, built on first use, and ``t.box`` the box that bounds them;
 ``build_trajectory`` turns (x, y, tau) samples into the columns.
+``segments(t)`` builds the n - 1 ``Segment`` records from those points on
+each call. Both kinds of record are made from parts already checked,
+without the frozen dataclass constructor (``_point_records``), and are
+still frozen dataclass instances with the dataclass's equality, hash and
+repr.
 ``Trajectory.from_runs`` builds many trajectories from
 concatenated columns, checked once by the constructor's rule, without
 copying them.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -35,6 +41,7 @@ from .errors import (
     NonFiniteValueError,
     NonMonotoneTimeError,
     PointOrderError,
+    PredicateTypeError,
     RelationOrderError,
     UnknownPropertyError,
     UnknownTidError,
@@ -78,6 +85,27 @@ class Segment:
     @property
     def index(self) -> int:
         return self.start.order
+
+
+_new = object.__new__
+
+
+def _point_records(xs: list, ys: list, taus: list) -> tuple[TrajectoryPoint, ...]:
+    """One ``TrajectoryPoint`` per row of checked columns, point i with order
+    i. The records are made as unpickling makes them: ``object.__new__``,
+    then the fields written into the instance dict in field order, without
+    the frozen dataclass ``__init__`` and its ``object.__setattr__`` per
+    field, which check nothing (neither record class has a
+    ``__post_init__``). Type, fields, equality, hash, repr and immutability
+    are the dataclass's."""
+    out = tuple(map(_new, repeat(TrajectoryPoint, len(taus))))
+    for point, order, x, y, tau in zip(out, count(), xs, ys, taus):
+        fields = point.__dict__
+        fields["order"] = order
+        fields["x"] = x
+        fields["y"] = y
+        fields["tau"] = tau
+    return out
 
 
 def _float_columns(xs, ys, taus, copy: bool) -> list[np.ndarray]:
@@ -241,9 +269,9 @@ class Trajectory:
 
     @cached_property
     def points(self) -> tuple[TrajectoryPoint, ...]:
-        """The points as records, built from the columns on first use."""
-        columns = (self.xs.tolist(), self.ys.tolist(), self.taus.tolist())
-        return tuple(map(TrajectoryPoint, range(len(self)), *columns))
+        """The points as records, built from the columns on first use
+        (:func:`_point_records`)."""
+        return _point_records(self.xs.tolist(), self.ys.tolist(), self.taus.tolist())
 
     @_computed_once
     def box(self) -> Box:
@@ -290,8 +318,16 @@ def inner_points(t: Trajectory) -> tuple[TrajectoryPoint, ...]:
 
 
 def segments(t: Trajectory) -> tuple[Segment, ...]:
-    """The n-1 segments connecting consecutive points (empty for n == 1)."""
-    return tuple(Segment(a, b) for a, b in zip(t.points, t.points[1:]))
+    """The n-1 segments connecting consecutive points (empty for n == 1),
+    built on each call from the cached points without ``Segment.__init__``
+    (see :func:`_point_records`)."""
+    points = t.points
+    out = tuple(map(_new, repeat(Segment, len(points) - 1)))
+    for seg, start, end in zip(out, points, points[1:]):
+        fields = seg.__dict__
+        fields["start"] = start
+        fields["end"] = end
+    return out
 
 
 def time_span(t: Trajectory) -> tuple[float, float]:
@@ -314,7 +350,21 @@ class TrajectoriesRelation:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, Trajectory]]) -> "TrajectoriesRelation":
-        return cls(tuple(sorted(pairs, key=lambda r: r[0])))
+        """The relation of (tid, trajectory) pairs in any order, sorted by tid.
+
+        Raises:
+            PredicateTypeError: pairs are not (str, Trajectory) pairs.
+            RelationOrderError: a tid repeats.
+        """
+        try:
+            rows = [(tid, t) for tid, t in pairs]
+        except (TypeError, ValueError):  # not iterable, or an item that is no pair
+            rows = None
+        if rows is None or not all(
+            isinstance(tid, str) and isinstance(t, Trajectory) for tid, t in rows
+        ):
+            raise PredicateTypeError("a relation is built from (str tid, Trajectory) pairs")
+        return cls(tuple(sorted(rows, key=lambda r: r[0])))
 
     @cached_property
     def _index(self) -> Mapping[str, Trajectory]:
@@ -383,9 +433,14 @@ def segment_property_view(
     0..4 collapses to [(0, 1, walking), (2, 4, flying)].
 
     Raises:
+        PredicateTypeError: props is not a PropertyRelation.
         UnknownTidError: tid not in the relation.
         UnknownPropertyError: no such per-point property for this tid.
     """
+    if not isinstance(props, PropertyRelation):
+        raise PredicateTypeError(
+            f"point properties come from a PropertyRelation, got {type(props).__name__}"
+        )
     values = props.point_values(tid, name)
     runs: list[tuple[int, int, PropertyValue]] = []
     for order, value in values:

@@ -46,6 +46,7 @@ from trajq.evaluate import (
 )
 from trajq.geometry import (
     Interval,
+    densify,
     PointClass,
     Region,
     TimeClass,
@@ -378,6 +379,48 @@ def test_misbehaving_strategy_rejected():
     with pytest.raises(StrategyOutputError) as exc:
         eval_approximated(ast, t, env, ApproxStrategy("bad", lambda seg: None))
     assert isinstance(exc.value.__cause__, TypeError)
+
+
+# The containers a strategy may return its parameters in.
+CONTAINERS = {
+    "tuple": tuple,
+    "list": list,
+    "generator": lambda lams: (lam for lam in lams),
+    "array": np.array,
+}
+
+
+@pytest.mark.parametrize("wrap", CONTAINERS.values(), ids=CONTAINERS)
+def test_strategy_sees_each_segment_once_in_order_whatever_it_returns(wrap):
+    t = build_trajectory([(0, 0, 0), (1, 2, 1), (1, 2, 2), (-3, 0.5, 4)])
+    seen = []
+
+    def generate(seg):
+        seen.append(seg)
+        return wrap(() if seg.index == 1 else (0.0, 0.25, 0.5, 1.0))
+
+    got = evaluation._augmented_arrays(t, ApproxStrategy("s", generate))
+    assert seen == [Segment(a, b) for a, b in zip(t.points, t.points[1:])]
+    assert all(type(seg) is Segment for seg in seen)
+    # 0 and 1 are the segment's ends, so segments 0 and 2 gain 0.25 and 0.5
+    want = densify(t.xs, t.ys, t.taus, np.array([0, 0, 2, 2]), np.array([0.25, 0.5] * 2))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("wrap", CONTAINERS.values(), ids=CONTAINERS)
+def test_strategy_output_is_checked_whatever_it_returns(wrap):
+    t = build_trajectory([(0, 0, 0), (1, 1, 10), (2, 0, 20)])
+    for bad, message in (
+        ((1.5,), "parameter 1.5 outside"),
+        ((float("nan"),), "parameter nan outside"),
+        ((0.7, 0.3), "unsorted"),
+        (("a",), "other than a sequence of real numbers"),
+        ((object(),), "other than a sequence of real numbers"),
+        ((2**1100,), "other than a sequence of real numbers"),  # no float holds it
+    ):
+        strategy = ApproxStrategy("bad", lambda seg: wrap(bad))
+        with pytest.raises(StrategyOutputError, match=message):
+            evaluation._augmented_arrays(t, strategy)
 
 
 def test_unvalidated_predicate_rejected():

@@ -652,6 +652,19 @@ def test_a_canonical_depot_checks_its_keys_once(tmp_path, monkeypatch):
     assert loaded == want.trajectories
 
 
+def test_a_canonical_depot_makes_its_key_arrays_only_for_a_build(tmp_path, monkeypatch):
+    path = _write_depot(tmp_path / "depot", _depot(), quoted=False)
+    want = reference_ingest(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(trajq.dataset, "_run_keys", _key_work)
+        loaded = load_trajectories(path)
+        with pytest.raises(_KeyWorkDone):  # a build reads the codes, orders and sort
+            ingest_csv(path)
+    assert loaded == want.trajectories
+    dataset = ingest_csv(path)
+    assert dataset == want and _typed(dataset) == _typed(want)
+
+
 # --- what only the check-only path and the CLI add ----------------------
 
 

@@ -1,3 +1,7 @@
+import pickle
+import random
+from dataclasses import FrozenInstanceError, astuple, replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +11,7 @@ from trajq.errors import (
     NonFiniteValueError,
     NonMonotoneTimeError,
     PointOrderError,
+    PredicateTypeError,
     RelationOrderError,
     TrajqError,
     UnknownPropertyError,
@@ -14,8 +19,10 @@ from trajq.errors import (
 )
 from trajq.model import (
     PropertyRelation,
+    Segment,
     TrajectoriesRelation,
     Trajectory,
+    TrajectoryPoint,
     build_trajectory,
     first_point,
     inner_points,
@@ -207,3 +214,74 @@ def test_box_bounds_the_points_and_takes_tau_from_the_ends():
     assert [r.box.xs for r in runs] == [(1.0, 5.0), (2.0, 9.0)]
     assert runs[1].box.taus == (0.0, 4.0)
     assert t.box is t.box  # computed once, then kept
+
+
+def test_relation_from_pairs_that_are_no_str_trajectory_pairs_is_a_type_error():
+    t = build_trajectory([(0, 0, 0)])
+    # tids that do not sort together, a value that is no trajectory, items
+    # that are no pairs, and no iterable at all
+    for pairs in ([(1, t), ("b", t)], [("a", 5)], [(1, t)], [5], [("a",)], [("a", t, t)], None):
+        with pytest.raises(PredicateTypeError, match="pairs"):
+            TrajectoriesRelation.from_pairs(pairs)
+    assert TrajectoriesRelation.from_pairs(iter([("b", t), ("a", t)])).tids() == ("a", "b")
+    with pytest.raises(RelationOrderError):
+        TrajectoriesRelation.from_pairs([("a", t), ("a", t)])
+
+
+def test_segment_property_view_of_no_property_relation_is_a_type_error():
+    for props in (5, None, {"T": {}}):
+        with pytest.raises(PredicateTypeError, match="PropertyRelation"):
+            segment_property_view(props, "a", "b")
+
+
+# --- records built without the dataclass constructor ----------------------
+
+
+def _walk(n: int, seed: int = 3) -> Trajectory:
+    rng = random.Random(seed)
+    return build_trajectory(
+        (rng.uniform(-1e3, 1e3), rng.choice((0.0, -0.0, rng.uniform(-1, 1))), float(i))
+        for i in range(n)
+    )
+
+
+def test_points_and_segments_are_built_without_the_record_constructors(monkeypatch):
+    calls = []
+    for cls in (TrajectoryPoint, Segment):
+        init = cls.__init__
+
+        def counted(self, *args, init=init, **kwargs):
+            calls.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    t = _walk(1000)
+    points, segs = t.points, segments(t)
+    assert (len(points), len(segs), calls) == (1000, 999, [])
+    Segment(points[0], points[1])  # the patch counts a constructor call
+    assert calls == [Segment]
+
+
+def test_records_equal_hash_and_print_as_constructed_ones():
+    t = _walk(60)
+    columns = zip(t.xs.tolist(), t.ys.tolist(), t.taus.tolist())
+    points = [TrajectoryPoint(i, x, y, tau) for i, (x, y, tau) in enumerate(columns)]
+    segs = [Segment(a, b) for a, b in zip(points, points[1:])]
+    for made, want in (*zip(t.points, points), *zip(segments(t), segs)):
+        assert type(made) is type(want) and made == want and not made != want
+        assert hash(made) == hash(want) and repr(made) == repr(want)
+        assert astuple(made) == astuple(want) and vars(made) == vars(want)
+        assert pickle.loads(pickle.dumps(made)) == want
+    assert len(t.points) == len(points) and len(segments(t)) == len(segs)
+    assert segments(t)[5].index == 5
+    assert replace(t.points[3], x=2.5) == TrajectoryPoint(3, 2.5, points[3].y, points[3].tau)
+    assert t.points[0] != Segment(points[0], points[1]) and t.points[0] != astuple(points[0])
+    point, seg = t.points[0], segments(t)[0]
+    for record, name, value in ((point, "x", 1.0), (point, "order", 7), (seg, "start", point)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
+    with pytest.raises(FrozenInstanceError):
+        point.extra = 1
+    assert point == points[0] and seg == segs[0]
