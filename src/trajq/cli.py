@@ -16,10 +16,11 @@ Subcommands:
 * ``exec-nf2 <data.csv> --relation NAME ...`` answers like query but
   through the compiled algebra expression.
 
-``validate`` builds the whole dataset; the other commands that read data
-load it with ``load_trajectories``, which checks the property files as
-``validate`` does but builds only the trajectories, so every command
-rejects the same files with the same error.
+Every command that reads data loads it with ``load_trajectories``: it
+checks the points file and its property siblings as ``ingest_csv`` does,
+with the same errors, but builds only the trajectories, never a property
+value. So ``validate`` rejects exactly what ``ingest_csv`` rejects, and
+every command rejects the same files with the same error.
 
 Regions are given as ``--region NAME=x_min,y_min,x_max,y_max`` and
 intervals as ``--interval NAME=start,end``; both flags repeat. Strictness
@@ -35,7 +36,10 @@ import functools
 import sys
 from typing import Sequence, Union
 
-from .dataset import ingest_csv, load_trajectories
+# No command calls ingest_csv; the name stays bound here because
+# perfbench/tracing.py wraps trajq.cli.ingest_csv and fails to start
+# without it.
+from .dataset import ingest_csv, load_trajectories  # noqa: F401
 from .errors import InvalidGeometryError, TrajqError, UnsupportedStrictnessError
 from .evaluate import STRICT, EvalEnv, RELAXED, Strictness, approximated, select_st
 from .geometry import Interval, Region
@@ -215,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    d = ingest_csv(args.data)
-    points = sum(len(t) for _, t in d.trajectories)
-    print(f"OK: {len(d.trajectories)} trajectories, {points} points")
+    trajectories = load_trajectories(args.data)
+    points = sum(len(t) for _, t in trajectories)
+    print(f"OK: {len(trajectories)} trajectories, {points} points")
     return 0
 
 

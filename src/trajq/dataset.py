@@ -18,11 +18,18 @@ digits than ``int`` converts (``sys.get_int_max_str_digits()``) is a
 the line where csv meets it, before any other check of its file. Export
 renders floats in shortest round-trip decimal form (integral coordinates
 without a trailing ``.0``; a property float keeps it and reads back as a
-float), quotes every cell holding a CR or LF, and uses LF line endings, so
-exporting a freshly ingested file reproduces it byte for byte.
+float), quotes a cell holding a comma, quote, CR or LF as csv does, and
+uses LF line endings, so exporting a freshly ingested file reproduces it
+byte for byte.
 
-Ingest and export work a column at a time: a file is split into columns
-once (``_columns``) and each column is checked and converted in one pass.
+Ingest and export work a column at a time. Export writes a coordinate
+column by ``repr``, except the integral values one numpy test finds, which
+``format_float`` writes as integers; it formats a property column in one
+pass by the column's types (each distinct str or bool once) and places
+its cells in the rows by (tid, order) key; it then joins the rows with
+commas and LFs (``_write_table``). Only a file with a cell that needs
+quoting is written by ``csv.writer``. Ingest splits a file into columns once
+(``_columns``) and checks and converts each column in one pass.
 A points file in the layout ``export_csv`` writes, rows grouped by tid in
 ascending tid order and each tid's orders written ``0``, ``1``, ... in
 order, is recognised by one comparison of its tid and order cells with the
@@ -620,15 +627,58 @@ def _format_value(value: PropertyValue) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _write_rows(path: Path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
-    # csv (3.11) quotes a cell holding a bare CR only if the line terminator
-    # holds one: write the rows with CRLF ends, then end each with LF.
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _value_cells(values: list[PropertyValue]) -> list[str]:
+    """``_format_value`` of each value of a property column, by the column's
+    types: ints and floats alone print by ``repr`` (an int's repr is its
+    str); strs and bools alone, where equal values print alike, by one
+    formatting per distinct value; any other mix value by value."""
+    kinds = set(map(type, values))
+    if kinds <= {int, float}:
+        return list(map(repr, values))
+    if kinds <= {str, bool}:
+        text = {value: _format_value(value) for value in set(values)}
+        return list(map(text.__getitem__, values))
+    return list(map(_format_value, values))
+
+
+def _coordinate_cells(column: np.ndarray) -> list[str]:
+    """``format_float`` of each value of a column of finite floats: ``repr``,
+    but for the integral values ``format_float`` writes as integers, found
+    by one test over the column."""
+    values = column.tolist()
+    cells = list(map(repr, values))
+    for i in np.flatnonzero((column == np.trunc(column)) & (np.abs(column) < 2.0**53)).tolist():
+        cells[i] = format_float(values[i])
+    return cells
+
+
+def _write_table(path: Path, header: list[str], columns: Sequence[Sequence[str]]) -> None:
+    """Write a header and equally long columns of cells as a CSV file with LF
+    line ends. The rows are joined with commas and LFs, unless a cell is no
+    str or holds a comma, quote, CR or LF, as the joined text shows by a
+    quote or CR, or more commas or LFs than its rows need: csv then writes
+    the rows, quoting such cells."""
+    rows = [header, *zip(*columns)]
+    text: str | None
+    try:
+        text = "\n".join(map(",".join, rows)) + "\n"
+    except TypeError:  # a cell that is no str, which csv writes as its str()
+        text = None
+    if (
+        text is None
+        or '"' in text
+        or "\r" in text
+        or text.count("\n") != len(rows)
+        or text.count(",") != len(rows) * (len(header) - 1)
+    ):
+        # csv (3.11) quotes a cell holding a bare CR only if the line
+        # terminator holds one: write the rows with CRLF ends, then end
+        # each with LF.
+        lines: list[str] = []
+        csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+        text = "".join(line[:-2] + "\n" for line in lines)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(line[:-2] + "\n" for line in lines)
+        fh.write(text)
 
 
 def _write_keyed(
@@ -638,21 +688,37 @@ def _write_keyed(
 ) -> None:
     """Write (order, value) pairs per tid and name as a property file keyed by
     ``keys``, one row per key carrying a value and one column per name, or
-    delete the file if there is no value to write."""
+    delete the file if there is no value to write. Each name's values are
+    formatted as one column, and its cells placed in the rows by their
+    (tid, order) key."""
     names = sorted({name for per in per_tid.values() for name in per})
     if not names:
         path.unlink(missing_ok=True)
         return
-    rows: list[list[str]] = []
-    for tid, per in sorted(per_tid.items()):
-        cells: dict[int, list[str]] = {}  # per order with a value, a cell per name
-        for i, name in enumerate(names):
-            for order, value in per.get(name, ()):
-                if order not in cells:
-                    cells[order] = [""] * len(names)
-                cells[order][i] = _format_value(value)
-        rows.extend([tid, str(order)][: len(keys)] + row for order, row in sorted(cells.items()))
-    _write_rows(path, [*keys, *names], rows)
+    tids = sorted(per_tid)
+    placed = []  # per name, the (tid, order) key and the cell of each value
+    for name in names:
+        where: list[tuple[str, int]] = []
+        values: list[PropertyValue] = []
+        for tid in tids:
+            pairs = per_tid[tid].get(name)
+            if pairs:
+                orders, column = zip(*pairs)
+                where += zip(repeat(tid), orders)
+                values += column
+        placed.append((where, _value_cells(values)))
+    rows = sorted(dict.fromkeys(chain.from_iterable(where for where, _ in placed)))
+    row_of = dict(zip(rows, range(len(rows))))
+    columns = [
+        list(map(operator.itemgetter(0), rows)),
+        list(map(str, map(operator.itemgetter(1), rows))),
+    ][: len(keys)]
+    for where, cells in placed:
+        column = [""] * len(rows)
+        for i, cell in zip(map(row_of.__getitem__, where), cells):
+            column[i] = cell
+        columns.append(column)
+    _write_table(path, [*keys, *names], columns)
 
 
 def export_csv(d: Dataset, path: Union[str, Path]) -> None:
@@ -672,13 +738,17 @@ def export_csv(d: Dataset, path: Union[str, Path]) -> None:
         raise PredicateTypeError(f"a dataset is a Dataset, got {type(d).__name__}")
     path = _require_path(path)
     rel = d.trajectories
+    sizes = [len(t) for _, t in rel]
+    digits = list(map(str, range(max(sizes, default=0))))
     columns = [
-        map(format_float, np.concatenate(c).tolist())
-        for c in zip(*((t.xs, t.ys, t.taus) for _, t in rel))
+        list(chain.from_iterable(map(repeat, rel.tids(), sizes))),
+        list(chain.from_iterable(map(digits.__getitem__, map(slice, sizes)))),
+        *(
+            _coordinate_cells(np.concatenate(c))
+            for c in zip(*((t.xs, t.ys, t.taus) for _, t in rel))
+        ),
     ]
-    tids = chain.from_iterable(repeat(tid, len(t)) for tid, t in rel)
-    orders = chain.from_iterable(map(str, range(len(t))) for _, t in rel)
-    _write_rows(path, list(POINTS_HEADER), zip(tids, orders, *columns))
+    _write_table(path, list(POINTS_HEADER), columns)
 
     pairs = {
         tid: {name: ((0, value),) for name, value in per.items()}

@@ -421,8 +421,19 @@ def densify(
     Point j lies at parameter lam[j] of the segment starting at index
     seg[j]; the pairs must be sorted by segment, then parameter. Values come
     from the same (1-lam)*a + lam*b arithmetic as :func:`lerp`, so each
-    inserted point equals lerp's bit for bit.
+    inserted point equals lerp's bit for bit. Each column is written once:
+    point j goes to seg[j] + 1 + j, after the j points inserted before it,
+    and recorded point i to i plus the number of points inserted before it.
     """
     w = 1.0 - lam
     nxt = seg + 1
-    return tuple(np.insert(c, nxt, w * c[seg] + lam * c[nxt]) for c in (xs, ys, taus))
+    inserted = nxt + np.arange(seg.size)
+    recorded = np.arange(xs.size)
+    recorded += np.searchsorted(seg, recorded)
+    out = []
+    for c in (xs, ys, taus):
+        col = np.empty(xs.size + seg.size)
+        col[recorded] = c
+        col[inserted] = w * c[seg] + lam * c[nxt]
+        out.append(col)
+    return tuple(out)

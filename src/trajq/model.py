@@ -378,6 +378,8 @@ class TrajectoriesRelation:
             return self._index[tid]
         except KeyError:
             raise UnknownTidError(tid) from None
+        except TypeError:  # an unhashable tid
+            raise _key_type_error("tid", tid) from None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -406,20 +408,30 @@ class PropertyRelation:
         return cls({tid: {} for tid in ids}, {tid: {} for tid in ids})
 
     def trajectory_value(self, tid: str, name: str) -> PropertyValue:
-        if tid not in self.trajectory_props:
-            raise UnknownTidError(tid)
-        try:
-            return self.trajectory_props[tid][name]
-        except KeyError:
-            raise UnknownPropertyError(f"{name!r} for tid {tid!r}") from None
+        return _property(self.trajectory_props, tid, name)
 
     def point_values(self, tid: str, name: str) -> tuple[tuple[int, PropertyValue], ...]:
-        if tid not in self.point_props:
-            raise UnknownTidError(tid)
-        try:
-            return self.point_props[tid][name]
-        except KeyError:
-            raise UnknownPropertyError(f"{name!r} for tid {tid!r}") from None
+        return _property(self.point_props, tid, name)
+
+
+def _key_type_error(kind: str, key: object) -> PredicateTypeError:
+    return PredicateTypeError(f"a {kind} is a str, got {type(key).__name__}")
+
+
+def _property(props: Mapping[str, Mapping], tid: str, name: str):
+    """props[tid][name], or the typed error for an unknown or unhashable key."""
+    try:
+        known = tid in props
+    except TypeError:
+        raise _key_type_error("tid", tid) from None
+    if not known:
+        raise UnknownTidError(tid)
+    try:
+        return props[tid][name]
+    except KeyError:
+        raise UnknownPropertyError(f"{name!r} for tid {tid!r}") from None
+    except TypeError:
+        raise _key_type_error("property name", name) from None
 
 
 def segment_property_view(
@@ -433,7 +445,8 @@ def segment_property_view(
     0..4 collapses to [(0, 1, walking), (2, 4, flying)].
 
     Raises:
-        PredicateTypeError: props is not a PropertyRelation.
+        PredicateTypeError: props is not a PropertyRelation, or tid or name
+            cannot be a key (it is unhashable).
         UnknownTidError: tid not in the relation.
         UnknownPropertyError: no such per-point property for this tid.
     """

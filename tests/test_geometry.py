@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from trajq.geometry import (
     TimeClass,
     classify_point_region,
     classify_time_interval,
+    densify,
     lerp,
 )
 from trajq.model import Segment, TrajectoryPoint
@@ -251,3 +253,28 @@ def test_interval_params_partition():
             assert union.intersect(other) == EMPTY_SET
             union = union.union(other)
         assert union == FULL_SET
+
+
+@st.composite
+def polyline_sites(draw):
+    """Columns of n points and sorted (segment, parameter) sites on them."""
+    n = draw(st.integers(1, 30))
+    xs, ys, taus = (
+        np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))) for _ in range(3)
+    )
+    site = st.tuples(st.integers(0, n - 2), st.floats(0, 1))
+    sites = sorted(draw(st.lists(site, max_size=60))) if n > 1 else []
+    seg = np.array([s for s, _ in sites], dtype=np.int64)
+    return xs, ys, taus, seg, np.array([lam for _, lam in sites], dtype=np.float64)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(polyline_sites())
+def test_densify_inserts_as_np_insert_does(case):
+    # The reference inserts each column's points with np.insert; densify
+    # writes each column once, and must give the same bits.
+    xs, ys, taus, seg, lam = case
+    want = [np.insert(c, seg + 1, (1.0 - lam) * c[seg] + lam * c[seg + 1]) for c in (xs, ys, taus)]
+    got = densify(xs, ys, taus, seg, lam)
+    assert [c.dtype for c in got] == [np.float64] * 3
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in want]

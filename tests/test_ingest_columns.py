@@ -665,6 +665,157 @@ def test_a_canonical_depot_makes_its_key_arrays_only_for_a_build(tmp_path, monke
     assert dataset == want and _typed(dataset) == _typed(want)
 
 
+class _CsvWriterCalled(Exception):
+    pass
+
+
+def _no_csv_writer(*args, **kwargs):
+    raise _CsvWriterCalled
+
+
+def test_a_plain_depot_exports_without_csv_writer(tmp_path, monkeypatch):
+    dataset = ingest_csv(_write_depot(tmp_path / "plain", _depot(), quoted=False))
+    files = _depot()
+    files[".props.csv"][3][1] = "north, then south"  # one cell csv must quote
+    quoting = ingest_csv(_write_depot(tmp_path / "comma", files, quoted=True))
+    (tmp_path / "out").mkdir()
+    with monkeypatch.context() as patch:
+        patch.setattr(csv, "writer", _no_csv_writer)
+        export_csv(dataset, tmp_path / "out" / "d.csv")
+        with pytest.raises(_CsvWriterCalled):  # only that file takes the csv path
+            export_csv(quoting, tmp_path / "out" / "q.csv")
+    assert (tmp_path / "out" / "q.csv").exists()
+    _assert_exports_alike(dataset, tmp_path / "plain-export")
+    _assert_exports_alike(quoting, tmp_path / "comma-export")
+
+
+class _BuildCalled(Exception):
+    pass
+
+
+def _no_build(*args, **kwargs):
+    raise _BuildCalled
+
+
+def test_validate_builds_no_property_value(tmp_path, monkeypatch):
+    path = _write_depot(tmp_path / "depot", _depot(), quoted=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(trajq.dataset, "_build_keyed", _no_build)
+        got = _cli(["validate", str(path)])
+        with pytest.raises(_BuildCalled):  # ingest builds them
+            ingest_csv(path)
+    assert got == (0, "OK: 20 trajectories, 500 points\n", "")
+
+
+# --- export against the reference writer ----------------------------------
+
+
+def _assert_exports_alike(dataset: Dataset, directory: Path) -> None:
+    """export_csv writes the files reference_export writes, byte for byte,
+    and they read back as the dataset, every value with its type."""
+    (directory / "new").mkdir(parents=True)
+    (directory / "old").mkdir()
+    export_csv(dataset, directory / "new" / "d.csv")
+    reference_export(dataset, directory / "old" / "d.csv")
+    for suffix in (".csv", ".props.csv", ".pprops.csv"):
+        new, old = directory / "new" / f"d{suffix}", directory / "old" / f"d{suffix}"
+        assert new.exists() == old.exists(), suffix
+        if old.exists():
+            assert new.read_bytes() == old.read_bytes(), suffix
+    again = ingest_csv(directory / "new" / "d.csv")
+    assert again == dataset and _typed(again) == _typed(dataset)
+
+
+def _dataset(walks: dict, tprops: dict, pprops: dict) -> Dataset:
+    """A dataset of (tid, samples) walks and the given properties; a tid
+    without properties gets empty maps, as ingest gives it."""
+    rel = TrajectoriesRelation.from_pairs(
+        (tid, build_trajectory(samples)) for tid, samples in walks.items()
+    )
+    return Dataset(
+        rel,
+        PropertyRelation(
+            {tid: tprops.get(tid, {}) for tid in rel.tids()},
+            {tid: pprops.get(tid, {}) for tid in rel.tids()},
+        ),
+        {},
+    )
+
+
+WALK = [(0, 0, 0), (1.5, 2, 1), (3, -1, 2)]
+AWKWARD_TEXTS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", " lead", "trail "]
+
+
+@pytest.mark.parametrize("text", AWKWARD_TEXTS)
+def test_awkward_tids_and_texts_export_as_the_reference_writes(text, tmp_path):
+    walks = {text: WALK, "plain": WALK}
+    tprops = {text: {"label": text, text: 1}, "plain": {"label": "x"}}
+    pprops = {text: {"mode": ((0, text), (2, "walking"))}, "plain": {text: ((1, 2.5),)}}
+    _assert_exports_alike(_dataset(walks, tprops, pprops), tmp_path)
+
+
+def test_awkward_texts_only_in_values_export_as_the_reference_writes(tmp_path):
+    # Each file needs quoting for its values alone; the points file, for
+    # none of its cells.
+    tprops = {"a": {"note": "x,y"}, "b": {"note": 'q"'}}
+    pprops = {"a": {"note": ((0, "line\nbreak"), (1, " spaced"))}}
+    _assert_exports_alike(_dataset({"a": WALK, "b": WALK}, tprops, pprops), tmp_path)
+
+
+def test_edge_floats_export_as_the_reference_writes(tmp_path):
+    edges = [-0.0, 2.0**53, -(2.0**53), 2.0**53 - 1, 1e16, 5e-324, 1e-07, 0.1, -3.0, 1e300]
+    walks = {f"w{i}": [(x, -x, 0), (0.0, x, 1)] for i, x in enumerate(edges)}
+    pprops = {"w0": {"f": tuple((o, v) for o, v in enumerate([3.0, -0.0]))}}
+    d = _dataset(walks, {"w1": {"f": 3.0, "g": -0.0}}, pprops)
+    _assert_exports_alike(d, tmp_path)
+    text = (tmp_path / "new" / "d.csv").read_text()
+    assert "w0,0,-0,0,0\n" in text and "w1,0,9007199254740992.0,-9007199254740992.0," in text
+    assert "w3,0,9007199254740991,-9007199254740991,0\n" in text
+    again = ingest_csv(tmp_path / "new" / "d.csv").properties
+    assert type(again.trajectory_value("w1", "f")) is float
+    assert again.point_values("w0", "f") == ((0, 3.0), (1, -0.0))
+    assert [type(v) for _, v in again.point_values("w0", "f")] == [float, float]
+
+
+def test_bool_int_and_str_values_export_as_the_reference_writes(tmp_path):
+    tprops = {
+        "a": {"b": True, "i": 7, "s": "van", "n": 2, "m": "True"},
+        "b": {"b": False, "i": -12, "s": "van", "n": 2.5, "m": False},
+        "c": {"i": 10**30, "s": "bike", "n": True},  # a column of int and bool
+    }
+    pprops = {
+        "a": {"mode": ((0, "walking"), (1, "walking"), (2, "driving")), "on": ((1, True),)},
+        "b": {"mode": ((2, "walking"),), "k": ((0, 0), (1, 1), (2, 1.0))},
+        "c": {"on": ((0, False), (2, True)), "k": ((1, -0.0),)},
+    }
+    walks = {"a": WALK, "b": WALK, "c": WALK}
+    _assert_exports_alike(_dataset(walks, tprops, pprops), tmp_path)
+    text = (tmp_path / "new" / "d.props.csv").read_text()
+    assert text == "tid,b,i,m,n,s\na,true,7,True,2,van\nb,false,-12,false,2.5,van\n" + (
+        f"c,,{10**30},,true,bike\n"
+    )
+
+
+def test_a_dataset_without_properties_deletes_stale_siblings(tmp_path):
+    walks = {"a": WALK, "b": WALK}
+    with_props = _dataset(walks, {"a": {"n": 1}}, {"b": {"m": ((1, "x"),)}})
+    path = tmp_path / "new" / "d.csv"
+    path.parent.mkdir()
+    export_csv(with_props, path)
+    assert path.with_suffix(".props.csv").exists() and path.with_suffix(".pprops.csv").exists()
+    bare = _dataset(walks, {}, {})
+    (tmp_path / "bare").mkdir()
+    export_csv(bare, tmp_path / "bare" / "d.csv")
+    export_csv(bare, path)
+    assert not path.with_suffix(".props.csv").exists()
+    assert not path.with_suffix(".pprops.csv").exists()
+    assert path.read_bytes() == (tmp_path / "bare" / "d.csv").read_bytes()
+    _assert_exports_alike(bare, tmp_path / "ref")
+    empty = Dataset(TrajectoriesRelation(()), PropertyRelation.empty([]), {})
+    _assert_exports_alike(empty, tmp_path / "empty")
+    assert (tmp_path / "empty" / "new" / "d.csv").read_text() == "tid,order,x,y,tau\n"
+
+
 # --- what only the check-only path and the CLI add ----------------------
 
 

@@ -1,11 +1,14 @@
 """The module attributes through which one layer calls another.
 
-``perfbench/tracing.py`` times evaluation per row by replacing
-``trajq.evaluate.evaluate`` with a wrapper, and classification per
-trajectory by replacing ``trajq.cli.classify_de9im``. Its ``evaluate.*``
-and ``relations.*`` metrics read 0 if ``select_st`` or the CLI stop looking
-those names up at call time, and it fails to start if a name it wraps is
-gone, so these tests pin the lookups and every name it wraps.
+``perfbench/tracing.py`` records spans by replacing such attributes with
+wrappers. Its ``evaluate.*.us_per_traj`` metrics divide the time of the
+``select_st`` spans by their rows; only ``evaluate.relaxed.slope_n`` and
+``evaluate.approx.slope_n`` read the per-row spans it records by replacing
+``trajq.evaluate.evaluate``, and they read 0 if ``select_st`` stops looking
+that name up once per row. Classification through the CLI is timed per
+trajectory by replacing ``trajq.cli.classify_de9im``, so the CLI must look
+it up per row too. The tracer fails to start if a name it wraps is gone,
+so these tests pin the lookups and every name it wraps.
 """
 
 import importlib

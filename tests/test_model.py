@@ -228,6 +228,31 @@ def test_relation_from_pairs_that_are_no_str_trajectory_pairs_is_a_type_error():
         TrajectoriesRelation.from_pairs([("a", t), ("a", t)])
 
 
+def test_relation_get_of_an_unhashable_tid_is_a_type_error():
+    rel = TrajectoriesRelation.from_pairs([("a", build_trajectory([(0, 0, 0)]))])
+    with pytest.raises(PredicateTypeError, match="tid is a str, got list"):
+        rel.get([1])
+    with pytest.raises(UnknownTidError):
+        rel.get(1)
+
+
+def test_trajectory_value_of_an_unhashable_key_is_a_type_error():
+    props = PropertyRelation({"a": {"x": 1}}, {"a": {}})
+    with pytest.raises(PredicateTypeError, match="tid is a str, got dict"):
+        props.trajectory_value({}, "x")
+    with pytest.raises(PredicateTypeError, match="property name is a str, got list"):
+        props.trajectory_value("a", ["x"])
+    assert props.trajectory_value("a", "x") == 1
+
+
+def test_segment_property_view_of_an_unhashable_tid_is_a_type_error():
+    props = PropertyRelation.empty(["a"])
+    with pytest.raises(PredicateTypeError, match="tid is a str, got list"):
+        segment_property_view(props, [1], "x")
+    with pytest.raises(UnknownPropertyError):
+        segment_property_view(props, "a", "x")
+
+
 def test_segment_property_view_of_no_property_relation_is_a_type_error():
     for props in (5, None, {"T": {}}):
         with pytest.raises(PredicateTypeError, match="PropertyRelation"):
