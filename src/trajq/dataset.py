@@ -742,7 +742,7 @@ def export_csv(d: Dataset, path: Union[str, Path]) -> None:
     digits = list(map(str, range(max(sizes, default=0))))
     columns = [
         list(chain.from_iterable(map(repeat, rel.tids(), sizes))),
-        list(chain.from_iterable(map(digits.__getitem__, map(slice, sizes)))),
+        list(chain.from_iterable(digits[:n] for n in sizes)),
         *(
             _coordinate_cells(np.concatenate(c))
             for c in zip(*((t.xs, t.ys, t.taus) for _, t in rel))
