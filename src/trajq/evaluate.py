@@ -46,18 +46,11 @@ that protocol is unchanged.
 
 Relaxed sites come from one vectorised pass over all segments of a
 trajectory. Every atom tests a box: a region's bounds, an interval, or for
-BEFORE and AFTER the half-line before or after it. On one segment the
-closed box holds on one interval of the parameter range [0, 1], from
-``enter`` to ``leave``, whose ends are threshold crossings (v - c0) / (c1 -
-c0), computed once per box whatever the operators. The sites of a segment
-are 0, 1 and every crossing, sorted, plus the open cell between each pair
-of neighbours that differ; no atom changes truth inside a cell. An atom is
-decided at a site or on a cell only by ordinal comparisons with ``enter``
-and ``leave``: WITHIN holds on the closed interval, INSIDE, BEFORE and
-AFTER on the open one (never on a segment that runs flat along a face of
-the box), OUTSIDE wherever WITHIN fails. No midpoints and no epsilons, so a
-cell between two adjacent floats still counts. AND,
-OR and NOT then act on boolean site masks. Segment domains are half-open
+BEFORE and AFTER the half-line before or after it. A box's crossings are
+computed once whatever the operators, and ``geometry.box_holds`` decides
+the box at the sites of ``geometry.box_sites``: WITHIN by the closed box,
+INSIDE, BEFORE and AFTER by its interior, OUTSIDE where WITHIN fails.
+AND, OR and NOT then act on boolean site masks. Segment domains are half-open
 so that a vertex shared by two segments is owned by exactly one of them;
 the final segment also owns the last point, and the TFL domain drops just
 the first and last points (a measure-zero exclusion: the inner continuum
@@ -91,7 +84,7 @@ from .errors import (
     UnsupportedStrictnessError,
     ValidationFailedError,
 )
-from .geometry import Interval, Region, box_crossings, densify
+from .geometry import Interval, Region, box_crossings, box_holds, box_sites, densify
 from .model import Segment, TrajectoriesRelation, Trajectory, segments
 from .predicate import (
     Atom,
@@ -471,22 +464,8 @@ def _relaxed_sites(t: Trajectory, env: EvalEnv) -> _Sites:
         keys = {a: (_box(a, env), a.op in _CLOSED_OPS) for a in atoms}
         boxes = dict.fromkeys(box for box, _ in keys.values())
         crossings = {box: _crossings(t, box) for box in boxes}
-        m = len(t) - 1
-        bounds = [np.zeros(m), np.ones(m)]
-        for enter, leave, _ in crossings.values():
-            bounds += [enter, leave]
-        # at[j, i] is the j-th smallest site of segment i
-        at = np.sort(np.minimum(np.maximum(np.array(bounds), 0.0), 1.0), axis=0)
-        left, right = at[:-1], at[1:]
-
-        def holds(box: _Box, closed: bool) -> np.ndarray:
-            enter, leave, edge = crossings[box]
-            on_cell = (enter <= left) & (right <= leave)
-            if closed:
-                return np.concatenate(((enter <= at) & (at <= leave), on_cell))
-            return np.concatenate(((enter < at) & (at < leave), on_cell)) & ~edge
-
-        truth = {key: holds(*key) for key in dict.fromkeys(keys.values())}
+        at = box_sites(crossings.values())  # at[j, i]: the j-th site of segment i
+        truth = {(b, c): box_holds(crossings[b], c, at) for b, c in dict.fromkeys(keys.values())}
 
         def atom_mask(atom: Atom) -> np.ndarray:
             mask = truth[keys[atom]]
@@ -498,7 +477,7 @@ def _relaxed_sites(t: Trajectory, env: EvalEnv) -> _Sites:
                 mask[:, -1] = True
             else:
                 mask[:, 0] &= at[:, 0] > 0.0  # TFL also drops the first point
-            return np.concatenate((mask, left < right))
+            return np.concatenate((mask, at[:-1] < at[1:]))
 
         return atom_mask, owned
 

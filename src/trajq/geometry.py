@@ -14,9 +14,9 @@ half-line before or after one), and :func:`box_crossings` computes, as numpy
 arrays over many segments at once, the parameters at which each segment
 enters and leaves the closed box and which segments run flat along a face.
 It is the one solver of segment-box crossings: the evaluator, the NF²
-executor and the per-segment class sets all read it. Hull, interior and
-exterior, or within, inside and outside, are comparisons with those two
-parameters.
+executor and the per-segment class sets all read it. The first two place
+parameters against the box only through :func:`box_holds`; the class sets
+read the crossings on their own, as a second opinion.
 
 The continuum along a segment is handled exactly, not by sampling: each
 class of points along a segment is a finite union of subintervals of the
@@ -311,12 +311,8 @@ def box_crossings(
     Segment i runs from entry i of the ``starts`` arrays (one per
     coordinate) to entry i of the ``ends`` arrays; for a polyline, its
     arrays minus the last or first point. A bound may be infinite, which
-    makes a band a half-line.
-
-    A parameter lam of [0, 1] lies in the closed box iff enter <= lam <=
-    leave, and in its interior iff enter < lam < leave on a row that is not
-    an edge row: one that runs flat along a face, so it never reaches the
-    interior.
+    makes a band a half-line. An edge row runs flat along a face, so it
+    never reaches the interior. :func:`box_holds` reads the box from these.
 
     Raises:
         CrossingOverflowError: a coordinate difference is not finite.
@@ -328,6 +324,37 @@ def box_crossings(
         leave = np.minimum(leave, e)
         edge = edge | on_face
     return enter, leave, edge
+
+
+def box_sites(crossings: Iterable[tuple]) -> np.ndarray:
+    """Sites for one or more boxes' :func:`box_crossings`: ``at[j, i]`` is
+    the j-th smallest of 0, 1 and segment i's crossings clamped to [0, 1].
+    No box changes truth inside the open cell between two neighbours."""
+    bounds = [c for enter, leave, _ in crossings for c in (enter, leave)]
+    ends = [np.zeros(len(bounds[0])), np.ones(len(bounds[0]))]
+    return np.sort(np.minimum(np.maximum(np.array(ends + bounds), 0.0), 1.0), axis=0)
+
+
+def box_holds(crossings: tuple, closed: bool, at: np.ndarray | None = None) -> np.ndarray:
+    """Where the closed box of ``crossings`` (:func:`box_crossings`), or its
+    interior, holds: at the sites ``at`` (:func:`box_sites`), then on the
+    cells between them; with no ``at``, somewhere on each whole segment.
+
+    Only ordinal comparisons decide, with no midpoints and no epsilons, so
+    a cell between two adjacent floats still counts. Parameter lam lies in
+    the closed box iff enter <= lam <= leave; a cell (left, right) holding
+    no crossing iff enter <= left and right <= leave; some point of a
+    segment iff max(enter, 0) <= min(leave, 1). The interior makes the
+    tests of lam and of the segment strict, and holds on no edge row.
+    """
+    enter, leave, edge = crossings
+    if at is None:
+        lo, hi = np.maximum(enter, 0.0), np.minimum(leave, 1.0)
+        return (lo <= hi) if closed else (lo < hi) & ~edge
+    on_cell = (enter <= at[:-1]) & (at[1:] <= leave)
+    if closed:
+        return np.concatenate(((enter <= at) & (at <= leave), on_cell))
+    return np.concatenate(((enter < at) & (at < leave), on_cell)) & ~edge
 
 
 def _spans(starts: tuple, ends: tuple, lo: tuple, hi: tuple) -> tuple[ParamSet, ParamSet]:

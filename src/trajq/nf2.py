@@ -59,9 +59,9 @@ attribute) runs once over all the operator's rows, on their columns:
   nothing. Any other join runs its condition once per left row, over the
   right side's columns.
 * A segment test is only ever a selection's whole condition, decided for
-  all its rows in one call of the evaluator's crossing code
-  (``geometry.box_crossings``), closed or open as the condition asks: it
-  raises ``CrossingOverflowError`` wherever relaxed evaluation does.
+  all its rows in one call of the evaluator's crossing code and rule
+  (``geometry.box_crossings``, ``geometry.box_holds``): it raises
+  ``CrossingOverflowError`` wherever relaxed evaluation does.
 * Rows are checked where they enter: by the public ``Nf2Relation``
   constructor, and once on the result of ``execute``. Relations built
   inside a plan take their schemas from the compiler and skip the per-row
@@ -89,7 +89,7 @@ from .errors import (
     UnsupportedStrictnessError,
 )
 from .evaluate import Strictness
-from .geometry import Interval, Region, box_crossings
+from .geometry import Interval, Region, box_crossings, box_holds
 from .model import TrajectoriesRelation
 from .relations import AllenLabel, De9imLabel
 
@@ -104,6 +104,8 @@ class Attribute:
     type: Union[str, "Nf2Schema"]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise TypeMismatchError(f"an attribute name is a str, got {self.name!r}")
         if not isinstance(self.type, Nf2Schema) and self.type not in _ATOMIC:
             raise TypeMismatchError(f"unknown atomic type {self.type!r}")
 
@@ -131,7 +133,7 @@ class Nf2Schema:
         return self.attributes[self.index(name)]
 
     def index(self, name: str) -> int:
-        if name not in self.positions:
+        if not isinstance(name, str) or name not in self.positions:
             raise UnknownAttributeError(name)
         return self.positions[name]
 
@@ -381,6 +383,8 @@ class SegIntersects:
     def __post_init__(self):
         if not isinstance(self.region, Region):
             raise TypeMismatchError(f"a segment condition needs a Region, got {self.region!r}")
+        if not isinstance(self.closed, bool):
+            raise TypeMismatchError(f"a segment condition's closed is a bool, got {self.closed!r}")
 
 
 AlgebraExpr = Union[
@@ -657,6 +661,8 @@ class _Compiler:
         """The row that provides ``name`` and its position there."""
         if scope is None:
             raise UnknownAttributeError(f"{name} (no row context at the top level)")
+        if not isinstance(name, str):
+            raise UnknownAttributeError(name)
         while scope is not None:
             i = scope.positions.get(name)
             if i is not None:
@@ -960,10 +966,8 @@ def _segments_hitting(rel: Nf2Relation, c: SegIntersects, at: tuple) -> tuple:
     cols = _columns(rel)
     x1, y1, x2, y2 = (np.array(cols[i], float) for i in at)
     r = c.region
-    enter, leave, edge = box_crossings((x1, y1), (x2, y2), (r.x_min, r.y_min), (r.x_max, r.y_max))
-    lo, hi = np.maximum(enter, 0.0), np.minimum(leave, 1.0)
-    meets = (lo <= hi) if c.closed else (lo < hi) & ~edge
-    return tuple(compress(rel.rows, meets.tolist()))
+    crossings = box_crossings((x1, y1), (x2, y2), (r.x_min, r.y_min), (r.x_max, r.y_max))
+    return tuple(compress(rel.rows, box_holds(crossings, c.closed).tolist()))
 
 
 # id of a plan object -> (a weak reference to it, [(input schema, runner)]);

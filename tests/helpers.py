@@ -254,5 +254,15 @@ DE9IM_WITNESSES = {
 }
 
 
+# Two-point paths that meet WITNESS_REGION's face x = 0 at a vertex or all
+# along it; the face lies in the closed box and not in its interior.
+FACE_PATHS = {
+    "arrives": [(-1.0, 0.5), (0.0, 0.5)],
+    "leaves": [(0.0, 0.5), (-1.0, 0.5)],
+    "crosses": [(0.0, 0.5), (1.0, 0.5)],
+    "slides along": [(0.0, 0.0), (0.0, 1.0)],
+}
+
+
 def witness_path(coords) -> Trajectory:
     return build_trajectory([(x, y, 10.0 * i) for i, (x, y) in enumerate(coords)])

@@ -15,7 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from helpers import random_body
+from helpers import FACE_PATHS, random_body, witness_path
 from test_relaxed_sites import instances
 from trajq.errors import PredicateTypeError, TrajqError, UnsupportedStrictnessError
 from trajq.evaluate import (
@@ -208,6 +208,21 @@ def test_t_is_not_tfl_plus_the_ends():
         got = classify_de9im(t, r, RELAXED, normalize)
         assert got == classify_de9im_oracle(t, r, RELAXED, normalize)
         assert De9imLabel.R031 not in got
+
+
+# A vertex on a face of UNIT, and a segment along one, meet B, not I.
+FACE_SIGNATURES = {
+    "arrives": RegionSignature("E", "B", "E", "BE"),
+    "leaves": RegionSignature("B", "E", "E", "BE"),
+    "crosses": RegionSignature("B", "B", "I", "IB"),
+    "slides along": RegionSignature("B", "B", "B", "B"),
+}
+
+
+@pytest.mark.parametrize("path", FACE_SIGNATURES)
+def test_relaxed_signature_of_a_path_on_a_face(path):
+    t = witness_path(FACE_PATHS[path])
+    assert de9im_signature(t, UNIT, RELAXED) == FACE_SIGNATURES[path]
 
 
 def _count_box_crossings(monkeypatch):

@@ -16,7 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ORACLE_PREDICATES, generic_instance, random_interval, random_region, random_trajectory
+from helpers import (
+    FACE_PATHS,
+    ORACLE_PREDICATES,
+    WITNESS_REGION,
+    generic_instance,
+    random_interval,
+    random_region,
+    random_trajectory,
+    witness_path,
+)
 from trajq.errors import (
     PredicateTypeError,
     StrategyOutputError,
@@ -209,6 +218,24 @@ def test_ground_time_atoms_on_interval_ends(op, subject):
         expected = classify_time_interval(tau, i) in TIME_CLASSES[op]
         assert _ground_modes(ast, t, env) == (expected,) * 3, tau
         assert _ground_modes(negated, t, env) == (not expected,) * 3, tau
+
+
+@pytest.mark.parametrize(
+    "path, text, want",
+    [
+        ("arrives", "EXISTS p IN T: p WITHIN R", True),
+        ("arrives", "EXISTS p IN T: p INSIDE R", False),
+        ("leaves", "EXISTS p IN T: p WITHIN R", True),
+        ("leaves", "EXISTS p IN T: p INSIDE R", False),
+        ("crosses", "EXISTS p IN TFL: p INSIDE R", True),
+        ("crosses", "FORALL p IN TFL: p INSIDE R", True),
+        ("slides along", "EXISTS p IN T: p INSIDE R", False),
+        ("slides along", "FORALL p IN T: p WITHIN R", True),
+    ],
+)
+def test_relaxed_answers_on_a_face(path, text, want):
+    t, env = witness_path(FACE_PATHS[path]), EvalEnv({"R": WITNESS_REGION})
+    assert eval_relaxed(parse_predicate(text), t, env) is want
 
 
 def test_vacuous_inner_domain_two_points():

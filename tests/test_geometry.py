@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,10 @@ from trajq.geometry import (
     Region,
     SegmentParams,
     TimeClass,
+    _spans,
+    box_crossings,
+    box_holds,
+    box_sites,
     classify_point_region,
     classify_time_interval,
     densify,
@@ -253,6 +259,48 @@ def test_interval_params_partition():
             assert union.intersect(other) == EMPTY_SET
             union = union.union(other)
         assert union == FULL_SET
+
+
+# Crossings at, beside and beyond the ends of [0, 1]
+CROSSINGS = (-math.inf, -1.0, 0.0, 5e-324, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52, 2.0, math.inf)
+
+
+@pytest.mark.parametrize("edge", (False, True), ids=("off-face", "edge"))
+@pytest.mark.parametrize("closed", (True, False), ids=("closed", "open"))
+def test_box_holds_agrees_with_the_spans_of_each_segment(closed, edge):
+    """box_holds against the ParamSets of geometry._spans, for every pair
+    (enter, leave) of CROSSINGS: at each site of the box_sites layout, on
+    each cell between sites by its exact midpoint, and over the whole
+    segment. Each segment runs from (0, 0, c) to (1, 1, c) through the box
+    [enter, inf] x [-inf, leave] x [0, 1], which it crosses at exactly
+    enter and leave; with c = 0 it runs flat along a face."""
+    c = 0.0 if edge else 0.5
+    segments = [
+        ((0.0, 0.0, c), (1.0, 1.0, c), (a, -math.inf, 0.0), (math.inf, b, 1.0))
+        for a, b in itertools.product(CROSSINGS, repeat=2)
+    ]
+    crossings = [
+        box_crossings(np.array(s)[:, None], np.array(e)[:, None], lo, hi)
+        for s, e, lo, hi in segments
+    ]
+    crossings = tuple(np.concatenate(col) for col in zip(*crossings))
+    assert list(zip(*(col.tolist() for col in crossings))) == [
+        (lo[0], hi[1], edge) for _, _, lo, hi in segments
+    ]
+    spans = [_spans(*s)[0 if closed else 1] for s in segments]
+
+    at = box_sites([crossings])
+    assert at.T.tolist() == [
+        sorted(min(max(v, 0.0), 1.0) for v in (0.0, 1.0, lo[0], hi[1])) for _, _, lo, hi in segments
+    ]
+    holds = box_holds(crossings, closed, at)
+    sites, cells = holds[: len(at)], holds[len(at) :]
+    for i, span in enumerate(spans):
+        assert sites[:, i].tolist() == [span.contains(lam) for lam in at[:, i].tolist()]
+        for left, right, on_cell in zip(at[:-1, i].tolist(), at[1:, i].tolist(), cells[:, i]):
+            if left < right:
+                assert on_cell == span.contains((Fraction(left) + Fraction(right)) / 2)
+    assert box_holds(crossings, closed).tolist() == [not span.is_empty for span in spans]
 
 
 @st.composite

@@ -310,6 +310,25 @@ REJECTED = {
         TypeMismatchError,
         "projected attribute cannot be boolean",
     ),
+    # a name that is no str, and so no key of any row
+    "list as an Attr name": (
+        Select(Input(), Cmp("=", Attr(["tid"]), Lit("1"))),
+        UnknownAttributeError,
+        r"\['tid'\]",
+    ),
+    "list as a Col name": (Project(Input(), (Col(["tid"]),)), UnknownAttributeError, r"\['tid'\]"),
+    "list as an As source": (
+        Project(Input(), (As("z", ["tid"]),)),
+        UnknownAttributeError,
+        r"\['tid'\]",
+    ),
+    "list as a Sub name": (Project(Input(), (Sub(["T"], ()),)), UnknownAttributeError, r"\['T'\]"),
+    "list as an Unnest name": (Unnest(Input(), ["T"]), UnknownAttributeError, r"\['T'\]"),
+    "list as a Computed name": (
+        Project(Input(), (Computed(["m"], Lit(1)),)),
+        TypeMismatchError,
+        r"an attribute name is a str, got \['m'\]",
+    ),
 }
 
 
@@ -368,6 +387,10 @@ MALFORMED = {
     "name as a projection item": lambda: check(Project(Input(), ("tid",)), TRAJECTORIES_SCHEMA),
     "text as a constant relation": lambda: ConstRel("x"),
     "name as a region": lambda: SegIntersects("R", True, "x", "y", "x2", "y2"),
+    "text as closed": lambda: SegIntersects(Region(0, 0, 1, 1), "no", "x", "y", "x2", "y2"),
+    "None as closed": lambda: SegIntersects(Region(0, 0, 1, 1), None, "x", "y", "x2", "y2"),
+    "0 as closed": lambda: SegIntersects(Region(0, 0, 1, 1), 0, "x", "y", "x2", "y2"),
+    "list as a name": lambda: Attribute(["x"], "float"),
     "number as a row": lambda: Nf2Relation(Nf2Schema((Attribute("a", "int"),)), (1,)),
 }
 
@@ -566,13 +589,17 @@ def test_spatial_compile_strict_vs_relaxed_on_crossing():
 
 
 def test_edge_graze_separates_closed_and_open_tests():
-    # slides along the top edge: touches the boundary, never the interior
+    # g slides along the top edge, c passes through the corner (0, 1): each
+    # touches the boundary, never the interior
     grazing = TrajectoriesRelation.from_pairs(
-        [("g", build_trajectory([(-0.5, 1.0, 0), (1.5, 1.0, 10)]))]
+        [
+            ("g", build_trajectory([(-0.5, 1.0, 0), (1.5, 1.0, 10)])),
+            ("c", build_trajectory([(-1.0, 0.0, 0), (1.0, 2.0, 10)])),
+        ]
     )
     unit = Region(0, 0, 1, 1)
     nrel = trajectories_to_nf2(grazing)
-    assert _tids(execute(compile_spatial(De9imLabel.R031, unit, STRICT), nrel)) == {"g"}
+    assert _tids(execute(compile_spatial(De9imLabel.R031, unit, STRICT), nrel)) == {"g", "c"}
     assert _tids(execute(compile_spatial(De9imLabel.R031, unit, RELAXED), nrel)) == set()
     assert _tids(execute(compile_spatial(De9imLabel.R223, unit, RELAXED), nrel)) == set()
 
